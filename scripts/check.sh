@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 check: configure, build, and run the unit/integration test suite.
+# The default suite runs ctest twice: in ./build, and in a fresh git worktree
+# of HEAD (only committed files).
 #
 #   scripts/check.sh               # RelWithDebInfo build + ctest + scenario smoke
 #   scripts/check.sh --sanitize    # additionally run suite + smoke under ASan+UBSan
@@ -40,6 +42,22 @@ run_suite() {
   else
     ctest --test-dir "$build_dir" --output-on-failure
   fi
+}
+
+# Clean-checkout suite: build and run ctest once more from a fresh
+# `git worktree` of HEAD, so a test that passes only because of an untracked
+# or ignored file in this checkout (a fixture swallowed by .gitignore) fails
+# here. Uncommitted edits are not part of HEAD and are not tested by it.
+run_clean_checkout_suite() {
+  local tmp
+  tmp="$(mktemp -d)"
+  echo "clean-checkout suite: ctest in a git worktree of HEAD"
+  trap 'git worktree remove --force "'"$tmp"'/tree" 2>/dev/null; rm -rf "'"$tmp"'"' EXIT
+  git worktree add --detach "$tmp/tree" HEAD >/dev/null
+  (cd "$tmp/tree" && run_suite build "" -DCMAKE_BUILD_TYPE=RelWithDebInfo)
+  git worktree remove --force "$tmp/tree"
+  rm -rf "$tmp"
+  trap - EXIT
 }
 
 # Every checked-in preset must load and run end to end through mps_run.
@@ -282,6 +300,7 @@ if [[ "$crossproduct_only" == 1 ]]; then
 fi
 
 run_suite build "" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+run_clean_checkout_suite
 run_scenarios_smoke build
 run_snapshot_smoke build
 run_handover_smoke build

@@ -57,14 +57,16 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, std::vector<Path
   // Slots may be null after mid-connection teardown; stray packets for a
   // finalized subflow (late duplicate acks, post-abandon data) are dropped,
   // the RST-less analogue of landing on a closed port.
-  down_mux_.add_route(config_.conn_id, [this](const Packet& p) {
-    if (p.subflow_id < receivers_.size() && receivers_[p.subflow_id] != nullptr) {
-      receivers_[p.subflow_id]->on_data_packet(p);
+  down_mux_.add_route(config_.conn_id, this, [](void* self, const Packet& p) {
+    Connection& c = *static_cast<Connection*>(self);
+    if (p.subflow_id < c.receivers_.size() && c.receivers_[p.subflow_id] != nullptr) {
+      c.receivers_[p.subflow_id]->on_data_packet(p);
     }
   });
-  up_mux_.add_route(config_.conn_id, [this](const Packet& p) {
-    if (p.subflow_id < subflows_.size() && subflows_[p.subflow_id] != nullptr) {
-      subflows_[p.subflow_id]->on_ack_packet(p);
+  up_mux_.add_route(config_.conn_id, this, [](void* self, const Packet& p) {
+    Connection& c = *static_cast<Connection*>(self);
+    if (p.subflow_id < c.subflows_.size() && c.subflows_[p.subflow_id] != nullptr) {
+      c.subflows_[p.subflow_id]->on_ack_packet(p);
     }
   });
 }

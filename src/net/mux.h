@@ -7,8 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "net/link.h"
 #include "net/packet.h"
@@ -17,30 +16,37 @@ namespace mps {
 
 class Mux {
  public:
+  // A route is a borrowed endpoint plus a plain function called with it.
   // Handlers take the packet by const reference: the mux borrows each packet
-  // from the link's propagation pool, so dispatch moves no packet bytes and
-  // the only handler allocation happens once at route-registration time.
-  using Handler = std::function<void(const Packet&)>;
+  // from the link's propagation pool, so dispatch moves no packet bytes.
+  using Handler = void (*)(void* endpoint, const Packet& p);
 
   // Installs this mux as the link's deliver function.
   void attach_to(Link& link) {
     link.set_deliver([this](const Packet& p) { dispatch(p); });
   }
 
-  void add_route(std::uint32_t conn_id, Handler handler) {
-    routes_[conn_id] = std::move(handler);
+  // World hands out conn_ids in sequence from 1, so the table is dense: one
+  // 16-byte entry per id ever issued, no hash node and no hashing per packet.
+  void add_route(std::uint32_t conn_id, void* endpoint, Handler handler) {
+    if (conn_id >= routes_.size()) routes_.resize(std::size_t{conn_id} + 1);
+    routes_[conn_id] = Route{endpoint, handler};
   }
 
-  void remove_route(std::uint32_t conn_id) { routes_.erase(conn_id); }
+  void remove_route(std::uint32_t conn_id) {
+    if (conn_id < routes_.size()) routes_[conn_id] = Route{};
+  }
 
   void dispatch(const Packet& p) {
-    const auto it = routes_.find(p.conn_id);
-    if (it == routes_.end()) {
+    // Copied out: a handler may add or remove routes (and so grow the table)
+    // while it runs.
+    const Route r = p.conn_id < routes_.size() ? routes_[p.conn_id] : Route{};
+    if (r.handler == nullptr) {
       ++orphans_;
       return;
     }
     ++routed_;
-    it->second(p);
+    r.handler(r.endpoint, p);
   }
 
   std::uint64_t orphan_count() const { return orphans_; }
@@ -57,7 +63,12 @@ class Mux {
   }
 
  private:
-  std::unordered_map<std::uint32_t, Handler> routes_;
+  struct Route {
+    void* endpoint = nullptr;
+    Handler handler = nullptr;
+  };
+
+  std::vector<Route> routes_;  // indexed by conn_id
   std::uint64_t orphans_ = 0;
   std::uint64_t routed_ = 0;
 };

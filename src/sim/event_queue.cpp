@@ -38,13 +38,9 @@ EventId EventQueue::schedule(TimePoint when, Callback fn) {
 }
 
 void EventQueue::cancel(EventId id) {
-  if (id == kInvalidEventId) return;
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  if (slot >= slots_.size()) return;
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoPos) return;  // already fired, already cancelled, or stale
   Slot& s = slots_[slot];
-  if (s.generation != static_cast<std::uint32_t>(id >> 32) || s.loc == Loc::kNone) {
-    return;  // already fired, already cancelled, or a stale id on a reused slot
-  }
   if (s.loc == Loc::kHeap) {
     remove_from_heap(s.pos);
   } else {
@@ -300,14 +296,9 @@ void EventQueue::clone_structure_from(const EventQueue& src) {
 }
 
 bool EventQueue::rebind(EventId id, Callback fn) {
-  if (id == kInvalidEventId) return false;
-  const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.generation != static_cast<std::uint32_t>(id >> 32) || s.loc == Loc::kNone) {
-    return false;
-  }
-  s.fn = std::move(fn);
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoPos) return false;
+  slots_[slot].fn = std::move(fn);
   return true;
 }
 

@@ -54,6 +54,9 @@ class EventQueue {
   // no-op.
   void cancel(EventId id);
 
+  // True when `id` names a pending event: O(1), by the slot's generation.
+  bool live(EventId id) const { return live_slot(id) != kNoPos; }
+
   bool empty() const { return heap_.empty() && wheel_count_ == 0; }
   std::size_t size() const { return heap_.size() + wheel_count_; }
 
@@ -125,6 +128,17 @@ class EventQueue {
   // Ids pack (generation, slot + 1); the +1 keeps kInvalidEventId unused.
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
     return (static_cast<EventId>(generation) << 32) | (slot + 1);
+  }
+  // Slot number of a pending event, or kNoPos when `id` is invalid, fired,
+  // cancelled, or a stale id on a reused slot.
+  std::uint32_t live_slot(EventId id) const {
+    const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu) - 1;
+    if (id == kInvalidEventId || slot >= slots_.size()) return kNoPos;
+    const Slot& s = slots_[slot];
+    if (s.generation != static_cast<std::uint32_t>(id >> 32) || s.loc == Loc::kNone) {
+      return kNoPos;
+    }
+    return slot;
   }
 
   bool earlier(std::uint32_t a, std::uint32_t b) const {

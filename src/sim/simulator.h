@@ -80,6 +80,8 @@ class Simulator {
   EventId post(Callback fn) { return at(now_, std::move(fn)); }
 
   void cancel(EventId id) { queue_.cancel(id); }
+  // True while `id` is scheduled and has neither fired nor been cancelled.
+  bool pending(EventId id) const { return queue_.live(id); }
 
   // Runs until the queue drains or the clock would pass `deadline`.
   // Events exactly at `deadline` are executed. Returns the number of events
@@ -154,9 +156,10 @@ class Simulator {
 // destroying the timer cancels the previous event, so callbacks can never
 // fire into a destroyed owner.
 //
-// The user callback lives in the timer itself, so the closure handed to the
-// event queue captures only `this` — a reschedule (every ACK restarts the
-// RTO timer) moves the new callback into place and never heap-allocates.
+// The owner's closure goes straight into the event queue's slot, the only
+// copy of it; the timer keeps just the event id and deadline and asks the
+// queue whether that event is still live. A reschedule (every ACK restarts
+// the RTO timer) is one cancel plus one schedule, and the timer is 24 bytes.
 class Timer {
  public:
   explicit Timer(Simulator& sim) : sim_(sim) {}
@@ -166,26 +169,24 @@ class Timer {
 
   void schedule_at(TimePoint when, Callback fn) {
     cancel();
-    fn_ = std::move(fn);
     deadline_ = when;
-    id_ = sim_.at(when, [this] { fire(); });
+    id_ = sim_.at(when, std::move(fn));
   }
 
   void schedule_after(Duration delay, Callback fn) {
     schedule_at(sim_.now() + delay, std::move(fn));
   }
 
+  // A fired or already-cancelled id is a no-op for the queue.
   void cancel() {
-    if (id_ != kInvalidEventId) {
-      sim_.cancel(id_);
-      id_ = kInvalidEventId;
-      deadline_ = TimePoint::never();
-      fn_.reset();
-    }
+    sim_.cancel(id_);
+    id_ = kInvalidEventId;
   }
 
-  bool pending() const { return id_ != kInvalidEventId; }
-  TimePoint deadline() const { return deadline_; }
+  // False from the moment the event is popped, so a callback sees its own
+  // timer idle and may reschedule it.
+  bool pending() const { return sim_.pending(id_); }
+  TimePoint deadline() const { return pending() ? deadline_ : TimePoint::never(); }
 
   // Snapshot support: adopt `src`'s pending event (same EventId) onto this
   // timer, whose simulator's queue was structure-cloned from src's. `fn` is
@@ -193,27 +194,16 @@ class Timer {
   // source owner and cannot be reused.
   void clone_from(const Timer& src, Callback fn) {
     cancel();
-    if (src.id_ == kInvalidEventId) return;
+    if (!src.pending()) return;
     id_ = src.id_;
     deadline_ = src.deadline_;
-    fn_ = std::move(fn);
-    sim_.rebind(id_, [this] { fire(); });
+    sim_.rebind(id_, std::move(fn));
   }
 
  private:
-  void fire() {
-    id_ = kInvalidEventId;
-    deadline_ = TimePoint::never();
-    // Move the callback out first so it may freely reschedule this timer.
-    Callback fn = std::move(fn_);
-    fn_.reset();
-    fn();
-  }
-
   Simulator& sim_;
   EventId id_ = kInvalidEventId;
   TimePoint deadline_ = TimePoint::never();
-  Callback fn_;
 };
 
 }  // namespace mps

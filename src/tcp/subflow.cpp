@@ -114,14 +114,28 @@ void Subflow::assign_segment(std::uint64_t data_seq, std::uint32_t payload,
     send_segment(data_seq, payload, reinjection);
     return;
   }
-  staged_.push_back(StagedSeg{data_seq, payload, reinjection});
   staged_bytes_ += payload;
+  if (!staged_.empty()) {
+    StagedSeg& tail = staged_.back();
+    if (tail.payload == payload && tail.reinjection == reinjection &&
+        tail.count < UINT16_MAX &&
+        tail.data_seq + std::uint64_t{tail.count} * tail.payload == data_seq) {
+      ++tail.count;
+      return;
+    }
+  }
+  staged_.push_back(StagedSeg{data_seq, payload, 1, reinjection});
 }
 
 void Subflow::transmit_staged() {
   while (!staged_.empty() && available_cwnd() >= 1) {
-    const StagedSeg seg = staged_.front();
-    staged_.pop_front();
+    StagedSeg& run = staged_.front();
+    const StagedSeg seg = run;
+    if (--run.count == 0) {
+      staged_.pop_front();
+    } else {
+      run.data_seq += run.payload;
+    }
     staged_bytes_ -= seg.payload;
     send_segment(seg.data_seq, seg.payload, seg.reinjection);
   }
@@ -171,8 +185,10 @@ void Subflow::collect_data_ranges(
     out.emplace_back(seg.data_seq, seg.data_seq + seg.payload);
   }
   for (std::size_t i = 0; i < staged_.size(); ++i) {
-    const StagedSeg& seg = staged_.at(i);
-    out.emplace_back(seg.data_seq, seg.data_seq + seg.payload);
+    const StagedSeg& run = staged_.at(i);
+    for (std::uint64_t k = 0, seq = run.data_seq; k < run.count; ++k, seq += run.payload) {
+      out.emplace_back(seq, seq + run.payload);
+    }
   }
 }
 

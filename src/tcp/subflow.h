@@ -112,6 +112,21 @@ struct SentSeg {
 };
 static_assert(sizeof(SentSeg) == 24);
 
+// Staging-queue entry: a run of `count` segments committed to the subflow
+// but not yet sent, consecutive in data sequence, each `payload` bytes and
+// sharing one reinjection flag. A saturated 64 KB staging limit is one run
+// instead of ~45 per-segment entries. Runs cap at UINT16_MAX segments so the
+// entry stays 16 bytes; a longer backlog simply starts a new run.
+struct StagedSeg {
+  std::uint64_t data_seq = 0;  // first byte of the run's first segment
+  std::uint32_t payload = 0;   // bytes per segment
+  std::uint16_t count = 0;
+  bool reinjection = false;
+};
+static_assert(sizeof(StagedSeg) == 16);
+// Each subflow owns two timers (RTO and RACK).
+static_assert(sizeof(Timer) <= 24);
+
 class Subflow final {
  public:
   // Churned subflows recycle fixed-size arena slots instead of hitting the
@@ -154,7 +169,6 @@ class Subflow final {
   // mptcp.org availability notion: room in the subflow send queue).
   bool can_accept() const;
   std::uint64_t staged_bytes() const { return staged_bytes_; }
-  std::size_t staged_segments() const { return staged_.size(); }
   double cwnd() const { return cwnd_; }
   double ssthresh() const { return ssthresh_; }
   bool in_slow_start() const { return cwnd_ < ssthresh_; }
@@ -273,12 +287,7 @@ class Subflow final {
   // and inflight_.hi() == next_seq_ at every quiescent point.
   SeqRing<SentSeg> inflight_;
 
-  // Segments committed by the scheduler, awaiting CWND space.
-  struct StagedSeg {
-    std::uint64_t data_seq;
-    std::uint32_t payload;
-    bool reinjection;
-  };
+  // Segments committed by the scheduler, awaiting CWND space, as runs.
   RingDeque<StagedSeg> staged_;
   std::uint64_t staged_bytes_ = 0;
 

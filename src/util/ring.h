@@ -18,13 +18,16 @@
 //
 // All four store elements in a single contiguous buffer (power-of-two sized,
 // grown by doubling) so the steady state does zero allocation and iteration
-// is a linear scan.
+// is a linear scan. Copies of RingDeque and SeqRing (a fork restoring a
+// world) allocate for the live elements only, not the source's high-water
+// capacity.
 #pragma once
 
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +38,17 @@ namespace mps {
 template <typename T>
 class RingDeque {
  public:
+  RingDeque() = default;
+  RingDeque(const RingDeque& o) {
+    for (std::size_t i = 0; i < o.count_; ++i) push_back(o.at(i));
+  }
+  RingDeque& operator=(const RingDeque& o) {
+    if (this != &o) *this = RingDeque(o);
+    return *this;
+  }
+  RingDeque(RingDeque&&) noexcept = default;
+  RingDeque& operator=(RingDeque&&) noexcept = default;
+
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
 
@@ -52,10 +66,16 @@ class RingDeque {
     assert(count_ > 0);
     return buf_[head_];
   }
+  T& back() {
+    assert(count_ > 0);
+    return buf_[(head_ + count_ - 1) & mask_];
+  }
 
   void pop_front() {
     assert(count_ > 0);
-    buf_[head_] = T{};  // release payload resources eagerly
+    // Release payload resources eagerly; a trivially destructible T holds
+    // none, and for a 232-byte Packet the zeroing store is pure cost.
+    if constexpr (!std::is_trivially_destructible_v<T>) buf_[head_] = T{};
     head_ = (head_ + 1) & mask_;
     --count_;
   }
@@ -98,6 +118,17 @@ class RingDeque {
 template <typename T>
 class SeqRing {
  public:
+  SeqRing() = default;
+  SeqRing(const SeqRing& o) : lo_(o.lo_) {
+    for (std::uint64_t s = o.lo_; s != o.hi(); ++s) push_back(o[s]);
+  }
+  SeqRing& operator=(const SeqRing& o) {
+    if (this != &o) *this = SeqRing(o);
+    return *this;
+  }
+  SeqRing(SeqRing&&) noexcept = default;
+  SeqRing& operator=(SeqRing&&) noexcept = default;
+
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
   std::uint64_t lo() const { return lo_; }
@@ -121,7 +152,7 @@ class SeqRing {
 
   void pop_front() {
     assert(count_ > 0);
-    buf_[lo_ & mask_] = T{};
+    if constexpr (!std::is_trivially_destructible_v<T>) buf_[lo_ & mask_] = T{};
     ++lo_;
     --count_;
   }

@@ -9,6 +9,7 @@
 #include "net/varbw.h"
 #include "net/wild.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace mps {
 namespace {
@@ -162,11 +163,14 @@ TEST(PathTest, SetDownRate) {
   EXPECT_DOUBLE_EQ(path.down_rate().to_mbps(), 2.5);
 }
 
+// Mux handler: counts packets into the int the route was registered with.
+void count_hit(void* counter, const Packet&) { ++*static_cast<int*>(counter); }
+
 TEST(MuxTest, RoutesByConnId) {
   Mux mux;
   int a = 0, b = 0;
-  mux.add_route(1, [&](Packet) { ++a; });
-  mux.add_route(2, [&](Packet) { ++b; });
+  mux.add_route(1, &a, count_hit);
+  mux.add_route(2, &b, count_hit);
   Packet p;
   p.conn_id = 1;
   mux.dispatch(p);
@@ -188,13 +192,108 @@ TEST(MuxTest, OrphansCountedNotCrashed) {
 TEST(MuxTest, RemoveRouteOrphansLatePackets) {
   Mux mux;
   int hits = 0;
-  mux.add_route(7, [&](Packet) { ++hits; });
+  mux.add_route(7, &hits, count_hit);
   mux.remove_route(7);
   Packet p;
   p.conn_id = 7;
   mux.dispatch(p);
   EXPECT_EQ(hits, 0);
   EXPECT_EQ(mux.orphan_count(), 1u);
+}
+
+TEST(MuxTest, IdsOutsideTheTableAreOrphans) {
+  Mux mux;
+  int hits = 0;
+  mux.add_route(3, &hits, count_hit);
+  Packet p;
+  for (const std::uint32_t id : {0u, 2u, 4u, 1000u}) {
+    p.conn_id = id;
+    mux.dispatch(p);
+  }
+  EXPECT_EQ(hits, 0);
+  EXPECT_EQ(mux.orphan_count(), 4u);
+  mux.remove_route(1000);  // past the table: a no-op
+  p.conn_id = 3;
+  mux.dispatch(p);
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(MuxTest, RemoveThenReAddRoutesAgain) {
+  Mux mux;
+  int first = 0, second = 0;
+  Packet p;
+  p.conn_id = 5;
+  mux.add_route(5, &first, count_hit);
+  mux.dispatch(p);
+  mux.remove_route(5);
+  mux.dispatch(p);
+  mux.add_route(5, &second, count_hit);
+  mux.dispatch(p);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+  EXPECT_EQ(mux.routed_count(), 2u);
+  EXPECT_EQ(mux.orphan_count(), 1u);
+}
+
+// A handler may register routes while it runs, growing the table under it.
+TEST(MuxTest, HandlerMayGrowTheTable) {
+  struct Endpoint {
+    Mux* mux;
+    int hits = 0;
+  };
+  Mux mux;
+  Endpoint ep{&mux};
+  const Mux::Handler grow = [](void* self, const Packet& p) {
+    Endpoint& e = *static_cast<Endpoint*>(self);
+    ++e.hits;
+    e.mux->add_route(p.conn_id + 4096, self, [](void* s, const Packet&) {
+      ++static_cast<Endpoint*>(s)->hits;
+    });
+  };
+  mux.add_route(1, &ep, grow);
+  Packet p;
+  p.conn_id = 1;
+  mux.dispatch(p);
+  p.conn_id = 4097;
+  mux.dispatch(p);
+  EXPECT_EQ(ep.hits, 2);
+  EXPECT_EQ(mux.routed_count(), 2u);
+}
+
+// Under random add/remove churn every dispatched packet is either routed to
+// the endpoint registered at that moment or orphaned.
+TEST(MuxTest, RoutedPlusOrphansConservedUnderChurn) {
+  constexpr std::uint32_t kIds = 64;
+  Mux mux;
+  std::vector<int> hits(kIds, 0);
+  std::vector<bool> live(kIds, false);
+  std::vector<int> expected(kIds, 0);
+  Rng rng(7);
+  std::uint64_t dispatched = 0, expected_orphans = 0;
+  for (int step = 0; step < 5000; ++step) {
+    const auto id = static_cast<std::uint32_t>(rng.uniform_int(kIds + 8));  // some past the ids
+    const double u = rng.uniform();
+    if (id < kIds && u < 0.1) {
+      mux.add_route(id, &hits[id], count_hit);
+      live[id] = true;
+    } else if (id < kIds && u < 0.2) {
+      mux.remove_route(id);
+      live[id] = false;
+    } else {
+      Packet p;
+      p.conn_id = id;
+      mux.dispatch(p);
+      ++dispatched;
+      if (id < kIds && live[id]) {
+        ++expected[id];
+      } else {
+        ++expected_orphans;
+      }
+    }
+  }
+  EXPECT_EQ(hits, expected);
+  EXPECT_EQ(mux.orphan_count(), expected_orphans);
+  EXPECT_EQ(mux.routed_count() + mux.orphan_count(), dispatched);
 }
 
 TEST(VarBwTest, ScheduleAppliesRatesAtOffsets) {

@@ -8,6 +8,7 @@
 // topologies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -101,6 +102,48 @@ TEST(ConnectionChurn, AbandonRemapsUnackedBytesOntoSurvivor) {
   EXPECT_EQ(conn->delivered_bytes(), 400'000u);
   EXPECT_EQ(conn->remap_bytes(), 0u);
   EXPECT_GT(conn->meta_stats().remapped_segments, 0u);
+}
+
+// The staging queue keeps consecutive segments as runs, but abandon remaps
+// per segment: one remap entry per staged or in-flight segment not yet
+// meta-acked, in data order. Remap entries the survivor takes at once are
+// counted in remapped_segments; the rest wait in the queue, as the tail.
+TEST(ConnectionChurn, AbandonRemapsStagedRunsOneEntryPerSegment) {
+  Testbed bed(hetero_config());
+  auto conn = bed.make_connection(scheduler_factory("default"));
+  BulkSender sender(*conn, 400'000);
+
+  bed.sim().run_until(at_s(0.2));
+  const Subflow* slow = conn->subflow_at(0);
+  ASSERT_NE(slow, nullptr);
+  ASSERT_GE(slow->staged_bytes(), 4u * slow->mss());  // a multi-segment run
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> expected;
+  slow->collect_data_ranges(expected);
+  std::sort(expected.begin(), expected.end());
+  std::erase_if(expected, [&](const auto& r) { return r.second <= conn->data_una(); });
+  std::uint64_t expected_bytes = 0;
+  for (const auto& [begin, end] : expected) {
+    EXPECT_LE(end - begin, slow->mss());
+    expected_bytes += end - begin;
+  }
+  const std::uint64_t remapped_before = conn->meta_stats().remapped_segments;
+
+  conn->remove_subflow(0, Connection::TeardownMode::kAbandon);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> waiting;
+  conn->collect_remap_ranges(waiting);
+  const std::uint64_t taken = conn->meta_stats().remapped_segments - remapped_before;
+  ASSERT_EQ(taken + waiting.size(), expected.size());
+  EXPECT_TRUE(std::equal(waiting.begin(), waiting.end(), expected.begin() + taken));
+  std::uint64_t waiting_bytes = 0;
+  for (const auto& [begin, end] : waiting) waiting_bytes += end - begin;
+  EXPECT_EQ(conn->remap_bytes(), waiting_bytes);
+  EXPECT_LE(waiting_bytes, expected_bytes);
+
+  bed.sim().run_until(at_s(120));
+  EXPECT_EQ(conn->delivered_bytes(), 400'000u);
+  // Entries the meta ack overtakes while queued are dropped, not remapped.
+  EXPECT_LE(conn->meta_stats().remapped_segments - remapped_before, expected.size());
+  EXPECT_EQ(conn->remap_bytes(), 0u);
 }
 
 TEST(ConnectionChurn, AddSubflowMidRunCarriesTraffic) {

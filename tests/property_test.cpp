@@ -198,8 +198,9 @@ TEST(MuxChurn, RemovedRoutePacketsOnlyOrphan) {
   Mux mux;
   auto live_hits = std::make_unique<int>(0);
   auto dead_hits = std::make_unique<int>(0);
-  mux.add_route(1, [p = live_hits.get()](Packet) { ++*p; });
-  mux.add_route(2, [p = dead_hits.get()](Packet) { ++*p; });
+  const Mux::Handler count_hit = [](void* n, const Packet&) { ++*static_cast<int*>(n); };
+  mux.add_route(1, live_hits.get(), count_hit);
+  mux.add_route(2, dead_hits.get(), count_hit);
 
   Packet pkt;
   pkt.conn_id = 2;

@@ -58,6 +58,54 @@ TEST(RingDequeTest, PopReleasesPayload) {
   EXPECT_EQ(p.use_count(), 1);
 }
 
+// Counts live instances, so the slots a container allocated show up.
+struct Counted {
+  static inline int alive = 0;
+  int v = 0;
+  Counted() { ++alive; }
+  explicit Counted(int x) : v(x) { ++alive; }
+  Counted(const Counted& o) : v(o.v) { ++alive; }
+  Counted& operator=(const Counted&) = default;
+  ~Counted() { --alive; }
+};
+
+// A fork copies rings: the copy must hold the live elements only, not the
+// source's high-water capacity.
+TEST(RingDequeTest, CopyAllocatesForLiveElementsOnly) {
+  RingDeque<Counted> q;
+  for (int i = 0; i < 1000; ++i) q.push_back(Counted(i));
+  for (int i = 0; i < 997; ++i) q.pop_front();
+  const int before = Counted::alive;
+  RingDeque<Counted> copy(q);
+  EXPECT_EQ(Counted::alive - before, 4);  // 3 live elements, 4 slots
+  RingDeque<Counted> assigned;
+  for (int i = 0; i < 40; ++i) assigned.push_back(Counted(-i));
+  assigned = q;
+  for (const RingDeque<Counted>* c : {&copy, &assigned}) {
+    ASSERT_EQ(c->size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(c->at(i).v, 997 + static_cast<int>(i));
+  }
+  copy.push_back(Counted(5000));  // the copy is independent of its source
+  EXPECT_EQ(q.size(), 3u);
+}
+
+TEST(SeqRingTest, CopyKeepsKeysAndAllocatesForLiveElementsOnly) {
+  SeqRing<Counted> r;
+  r.reset(100);
+  for (int i = 0; i < 500; ++i) r.push_back(Counted(i));
+  for (int i = 0; i < 495; ++i) r.pop_front();
+  const int before = Counted::alive;
+  SeqRing<Counted> copy(r);
+  EXPECT_EQ(Counted::alive - before, 8);  // 5 live elements, 8 slots
+  SeqRing<Counted> assigned;
+  assigned = r;
+  for (const SeqRing<Counted>* c : {&copy, &assigned}) {
+    ASSERT_EQ(c->lo(), 595u);
+    ASSERT_EQ(c->hi(), 600u);
+    for (std::uint64_t s = 595; s != 600; ++s) EXPECT_EQ((*c)[s].v, static_cast<int>(s - 100));
+  }
+}
+
 TEST(SeqRingTest, DenseRangeSemantics) {
   SeqRing<int> r;
   r.reset(1000);

@@ -1,6 +1,7 @@
 // Tests for the discrete-event kernel: ordering, cancellation, timers.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -340,6 +341,76 @@ TEST(TimerTest, CanRescheduleFromOwnCallback) {
   timer.schedule_after(Duration::millis(1), tick);
   sim.run();
   EXPECT_EQ(count, 3);
+}
+
+// The timer keeps no callback of its own: pending() and deadline() come from
+// the queue's liveness check on the event id.
+TEST(TimerTest, IdleAfterFireEvenWhenTheSlotIsReused) {
+  Simulator sim;
+  Timer timer(sim);
+  timer.schedule_after(Duration::millis(3), [] {});
+  sim.run();
+  EXPECT_FALSE(timer.pending());
+  EXPECT_TRUE(timer.deadline().is_never());
+  // The fired event's slot is recycled for the next event; the stale id
+  // must not make the timer look armed, and cancel() must not touch it.
+  bool other_fired = false;
+  sim.after(Duration::millis(1), [&] { other_fired = true; });
+  EXPECT_FALSE(timer.pending());
+  timer.cancel();
+  sim.run();
+  EXPECT_TRUE(other_fired);
+}
+
+TEST(TimerTest, RescheduleFromOwnCallbackSeesIdleThenArmed) {
+  Simulator sim;
+  Timer timer(sim);
+  bool was_pending_inside = true;
+  TimePoint deadline_inside = TimePoint::origin();
+  int fires = 0;
+  timer.schedule_after(Duration::millis(2), [&] {
+    ++fires;
+    was_pending_inside = timer.pending();
+    deadline_inside = timer.deadline();
+    timer.schedule_after(Duration::millis(5), [&] { ++fires; });
+  });
+  sim.run_until(TimePoint::origin() + Duration::millis(3));
+  EXPECT_EQ(fires, 1);
+  EXPECT_FALSE(was_pending_inside);
+  EXPECT_TRUE(deadline_inside.is_never());
+  EXPECT_TRUE(timer.pending());
+  EXPECT_EQ(timer.deadline().ns(), Duration::millis(7).ns());
+  sim.run();
+  EXPECT_EQ(fires, 2);
+  EXPECT_FALSE(timer.pending());
+}
+
+TEST(TimerTest, CloneFromAdoptsPendingEventWithNewCallback) {
+  Simulator src;
+  Timer armed(src);
+  Timer idle(src);
+  bool src_fired = false;
+  armed.schedule_after(Duration::millis(4), [&] { src_fired = true; });
+
+  Simulator dst;
+  dst.clone_events_from(src);
+  Timer armed_copy(dst);
+  Timer idle_copy(dst);
+  bool copy_fired = false;
+  armed_copy.clone_from(armed, [&] { copy_fired = true; });
+  idle_copy.clone_from(idle, [] { FAIL() << "idle timer's clone must not be armed"; });
+  EXPECT_TRUE(armed_copy.pending());
+  EXPECT_EQ(armed_copy.deadline().ns(), armed.deadline().ns());
+  EXPECT_FALSE(idle_copy.pending());
+  std::vector<std::pair<EventId, TimePoint>> unbound;
+  dst.collect_unbound_events(unbound);
+  EXPECT_TRUE(unbound.empty());
+
+  dst.run();
+  EXPECT_TRUE(copy_fired);
+  EXPECT_FALSE(src_fired);  // the source world is untouched
+  EXPECT_FALSE(armed_copy.pending());
+  EXPECT_TRUE(armed.pending());
 }
 
 // The wheel-vs-reference equivalence harness: drives an EventQueue and a

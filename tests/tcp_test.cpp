@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/path.h"
@@ -10,6 +11,7 @@
 #include "tcp/cc_reno.h"
 #include "tcp/rtt.h"
 #include "tcp/subflow.h"
+#include "util/rng.h"
 
 namespace mps {
 namespace {
@@ -309,6 +311,188 @@ TEST(SubflowTest, CwndNotInflatedWhenAppLimited) {
     h.sim.run_until(h.sim.now() + Duration::millis(40));
   }
   EXPECT_LT(h.subflow.cwnd(), 13.0);
+}
+
+// --- Run-length staging --------------------------------------------------------
+
+// The per-segment reference for the staging queue: a subflow transmits the
+// segments assigned to it in assignment order and stages whatever it has not
+// sent yet. So at every point the scoreboard [snd_una, next_seq) holds
+// assigned[snd_una, next_seq), staged_bytes() is the payload of
+// assigned[next_seq, end), and collect_data_ranges() lists one range per
+// segment — the scoreboard's, then the staged suffix's — however the queue
+// groups them into runs.
+struct AssignedSeg {
+  std::uint64_t data_seq;
+  std::uint32_t payload;
+  bool reinjection;
+};
+
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+SubflowConfig config_with_id(std::uint32_t id) {
+  SubflowConfig sc;
+  sc.id = id;
+  return sc;
+}
+
+// One subflow on its own path, recording what reaches the receiver.
+struct StagingLane {
+  StagingLane(Simulator& sim, PathConfig path_config, std::uint32_t id)
+      : path(sim, path_config),
+        receiver(sim, 0, id, path, &sink),
+        subflow(sim, config_with_id(id), path, std::make_unique<RenoCc>(), nullptr) {
+    path.down().set_deliver([this](const Packet& p) {
+      if (p.subflow_seq >= delivered.size()) delivered.resize(p.subflow_seq + 1);
+      delivered[p.subflow_seq] = {p.data_seq, p.data_seq + p.payload};
+      receiver.on_data_packet(p);
+    });
+    path.up().set_deliver([this](const Packet& p) { subflow.on_ack_packet(p); });
+  }
+
+  void assign(std::uint64_t data_seq, std::uint32_t payload, bool reinjection) {
+    assigned.push_back(AssignedSeg{data_seq, payload, reinjection});
+    subflow.assign_segment(data_seq, payload, reinjection);
+  }
+
+  void expect_matches_reference() const {
+    const SeqRing<SentSeg>& flight = subflow.inflight();
+    ASSERT_LE(subflow.next_seq(), assigned.size());
+    Ranges expected;
+    for (std::uint64_t seq = flight.lo(); seq != flight.hi(); ++seq) {
+      ASSERT_EQ(flight[seq].data_seq, assigned[seq].data_seq) << "seq " << seq;
+      ASSERT_EQ(flight[seq].payload, assigned[seq].payload) << "seq " << seq;
+      expected.emplace_back(flight[seq].data_seq, flight[seq].data_seq + flight[seq].payload);
+    }
+    std::uint64_t staged = 0;
+    for (std::size_t i = subflow.next_seq(); i < assigned.size(); ++i) {
+      staged += assigned[i].payload;
+      expected.emplace_back(assigned[i].data_seq, assigned[i].data_seq + assigned[i].payload);
+    }
+    EXPECT_EQ(subflow.staged_bytes(), staged);
+    Ranges actual;
+    subflow.collect_data_ranges(actual);
+    EXPECT_EQ(actual, expected);
+
+    // Every transmission carried its own segment's reinjection flag.
+    std::uint64_t reinjected = 0, original = 0, original_bytes = 0;
+    for (std::size_t i = 0; i < subflow.next_seq(); ++i) {
+      if (assigned[i].reinjection) {
+        ++reinjected;
+      } else {
+        ++original;
+        original_bytes += assigned[i].payload;
+      }
+    }
+    EXPECT_EQ(subflow.stats().reinjected_segments, reinjected);
+    EXPECT_EQ(subflow.stats().segments_sent, original);
+    EXPECT_EQ(subflow.stats().bytes_sent, original_bytes);
+
+    // Every packet that reached the receiver, retransmissions included,
+    // carried the segment assigned at its subflow sequence number.
+    ASSERT_LE(delivered.size(), subflow.next_seq());
+    for (std::size_t i = 0; i < delivered.size(); ++i) {
+      if (delivered[i].second == 0) continue;  // not (yet) received
+      ASSERT_EQ(delivered[i].first, assigned[i].data_seq) << "subflow seq " << i;
+      ASSERT_EQ(delivered[i].second, assigned[i].data_seq + assigned[i].payload);
+    }
+  }
+
+  FakeSink sink;
+  Path path;
+  SubflowReceiver receiver;
+  Subflow subflow;
+  std::vector<AssignedSeg> assigned;
+  Ranges delivered;  // by subflow sequence number; {0, 0} = not received
+};
+
+// Random interleaved assignments over two subflows — so a lane's runs break
+// whenever the other lane takes data in between — with reinjection modes
+// flipping on and off, short segments, and the clock advanced in small steps
+// so acks open each window gradually and drain the runs from the front. The
+// offered load exceeds both paths, so the staging limits fill and the
+// queues overflow now and then (loss recovery runs alongside).
+void run_staging_equivalence(std::uint64_t seed) {
+  Simulator sim;
+  StagingLane wifi(sim, wifi_profile(Rate::mbps(1)), 0);
+  StagingLane lte(sim, lte_profile(Rate::mbps(1)), 1);
+  StagingLane* lanes[2] = {&wifi, &lte};
+  bool reinjecting[2] = {false, false};
+  Rng rng(seed);
+  std::uint64_t next_data = 0;
+  std::uint64_t reinject_cursor = 0;  // walks already-assigned data in order
+
+  std::uint64_t deepest_backlog[2] = {0, 0};
+  for (int step = 0; step < 300; ++step) {
+    const int assigns = static_cast<int>(rng.uniform_int(14));
+    for (int a = 0; a < assigns; ++a) {
+      const std::size_t k = rng.uniform() < 0.6 ? 0 : 1;
+      StagingLane& lane = *lanes[k];
+      if (!lane.subflow.can_accept()) continue;
+      if (rng.uniform() < 0.1) reinjecting[k] = !reinjecting[k];
+      // A reinjection copies old data, or continues the data sequence so
+      // that only the flag tells it apart from the run it follows.
+      if (reinjecting[k] && rng.uniform() < 0.5 &&
+          reinject_cursor + kDefaultMss <= next_data) {
+        lane.assign(reinject_cursor, kDefaultMss, true);
+        reinject_cursor += kDefaultMss;
+        continue;
+      }
+      const std::uint32_t payload =
+          rng.uniform() < 0.1 ? 1 + static_cast<std::uint32_t>(rng.uniform_int(kDefaultMss - 1))
+                              : kDefaultMss;
+      lane.assign(next_data, payload, reinjecting[k]);
+      next_data += payload;
+    }
+    for (std::size_t k = 0; k < 2; ++k) {
+      deepest_backlog[k] = std::max(deepest_backlog[k], lanes[k]->subflow.staged_bytes());
+    }
+    sim.run_until(sim.now() + Duration::millis(static_cast<std::int64_t>(rng.uniform_int(25))));
+    for (const StagingLane* lane : lanes) {
+      lane->expect_matches_reference();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  // Both lanes really built multi-segment backlogs.
+  EXPECT_GE(deepest_backlog[0], 10u * kDefaultMss);
+  EXPECT_GE(deepest_backlog[1], 10u * kDefaultMss);
+  sim.run();
+  for (const StagingLane* lane : lanes) {
+    EXPECT_EQ(lane->subflow.staged_bytes(), 0u);
+    EXPECT_EQ(lane->delivered.size(), lane->assigned.size());
+    EXPECT_EQ(lane->receiver.rcv_next(), lane->assigned.size());
+    lane->expect_matches_reference();
+  }
+}
+
+TEST(StagingRunsTest, MatchesPerSegmentReference) {
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE(seed);
+    run_staging_equivalence(seed);
+  }
+}
+
+// A run's count is 16 bits wide: a backlog longer than that continues in a
+// new run, invisibly to every observer.
+TEST(StagingRunsTest, BacklogBeyondRunLimitSplitsIntoRuns) {
+  SubflowConfig sc;
+  sc.staging_limit_bytes = ~std::uint64_t{0};
+  PathConfig pc = wifi_profile(Rate::mbps(1000));
+  pc.queue_packets = 1'000'000;  // loss-free: keep loss recovery out of the drain
+  SubflowHarness h(pc, sc);
+  const std::uint64_t n = 70'000;  // > UINT16_MAX staged behind the initial window
+  for (std::uint64_t i = 0; i < n; ++i) h.subflow.assign_segment(i * 100, 100);
+  EXPECT_EQ(h.subflow.staged_bytes(), (n - 10) * 100);
+  Ranges ranges;
+  h.subflow.collect_data_ranges(ranges);
+  ASSERT_EQ(ranges.size(), n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(ranges[i], std::make_pair(i * 100, i * 100 + 100)) << i;
+  }
+  h.sim.run();
+  EXPECT_EQ(h.subflow.staged_bytes(), 0u);
+  EXPECT_EQ(h.sink.delivered_bytes, n * 100);
+  EXPECT_EQ(h.subflow.stats().segments_sent, n);
 }
 
 }  // namespace
