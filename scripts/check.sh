@@ -322,8 +322,9 @@ fi
 
 if [[ "$tsan" == 1 ]]; then
   # The thread pool and everything it runs, vetted under ThreadSanitizer:
-  # sweep-runner tests (parallel determinism) plus the event-kernel tests.
-  run_suite build-tsan "Sweep|EventQueue|Simulator|Timer" \
+  # sweep-runner tests (parallel determinism) plus the event-kernel and
+  # callback-storage tests.
+  run_suite build-tsan "Sweep|EventQueue|Simulator|Timer|Callback" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMPS_SANITIZE=thread
   run_scenarios_smoke build-tsan
   run_snapshot_smoke build-tsan

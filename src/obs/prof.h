@@ -42,7 +42,7 @@ namespace mps::prof {
 // adds. Extend here (and in kScopeInfo, prof.cpp) when instrumenting a new
 // seam.
 enum class Scope : std::uint8_t {
-  kEventPop,         // EventQueue::pop — heap sift + slot release
+  kEventPop,         // EventQueue::pop_until — cursor advance, bucket drain, heap pop, slot release
   kEventDispatch,    // firing the popped callback (everything the model does)
   kSchedDecide,      // Scheduler::pick from the connection's transmit loop
   kCcUpdate,         // congestion-controller hooks (ack increase, loss, RTO)

@@ -3,6 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
+#include <string>
 #include <system_error>
 
 #include "obs/prof.h"
@@ -33,12 +35,71 @@ Json& Json::operator[](const std::string& key) {
   return members_.back().second;
 }
 
+namespace {
+
+const char* type_name(Json::Type t) {
+  static const char* names[] = {"null", "bool", "int", "double", "string", "array", "object"};
+  return names[static_cast<int>(t)];
+}
+
+}  // namespace
+
 void Json::require(Type t) const {
   if (type_ != t) {
-    static const char* names[] = {"null", "bool", "int", "double", "string", "array", "object"};
-    throw std::logic_error(std::string("json: accessed ") + names[static_cast<int>(type_)] +
-                           " value as " + names[static_cast<int>(t)]);
+    throw std::logic_error(std::string("json: accessed ") + type_name(type_) + " value as " +
+                           type_name(t));
   }
+}
+
+void set_at_path(Json& root, const std::string& path, Json value) {
+  const auto fail = [&path](const std::string& why) {
+    throw std::invalid_argument("path '" + path + "': " + why);
+  };
+  Json* node = &root;
+  std::size_t i = 0;
+  while (true) {
+    std::size_t j = i;
+    while (j < path.size() && path[j] != '.' && path[j] != '[') ++j;
+    const std::string key = path.substr(i, j - i);
+    if (key.empty()) fail("empty key segment");
+    const std::string parent = path.substr(0, i == 0 ? 0 : i - 1);
+    if (node->is_array()) {
+      const bool numeric = key.find_first_not_of("0123456789") == std::string::npos;
+      fail("'" + parent + "' is an array; index it as " + parent + "[" +
+           (numeric ? key : "0") + "]");
+    }
+    if (!node->is_object() && !node->is_null()) {
+      fail("'" + parent + "' is of type " + type_name(node->type()) + ", not object");
+    }
+    node = &(*node)[key];  // insert-or-get; promotes null to object
+    while (j < path.size() && path[j] == '[') {
+      const std::string at = path.substr(0, j);
+      const std::size_t close = path.find(']', j);
+      if (close == std::string::npos) fail("unterminated [");
+      if (!node->is_array()) {
+        fail("'" + at + "' is of type " + type_name(node->type()) +
+             ", not array; the [i] form (as in paths[0]) indexes arrays only, members of an "
+             "object are " + at + ".<key>");
+      }
+      const char* first = path.data() + j + 1;
+      const char* last = path.data() + close;
+      std::size_t idx = 0;
+      const auto [end, ec] = std::from_chars(first, last, idx);
+      if (first == last || ec != std::errc{} || end != last) {
+        fail("bad array index '" + std::string(first, last) + "'");
+      }
+      if (idx >= node->items().size()) {
+        fail("index " + std::to_string(idx) + " out of range: '" + at + "' has " +
+             std::to_string(node->items().size()) + " elements");
+      }
+      node = &node->items()[idx];
+      j = close + 1;
+    }
+    if (j == path.size()) break;
+    if (path[j] != '.') fail("expected '.' after ']'");
+    i = j + 1;
+  }
+  *node = std::move(value);
 }
 
 bool operator==(const Json& a, const Json& b) {

@@ -112,4 +112,11 @@ class Json {
   std::vector<std::pair<std::string, Json>> members_;
 };
 
+// Overwrites the node at `path` with `value`. A path is dotted object keys
+// with [i] array indices, e.g. "paths[0].rate_mbps"; missing object members
+// are created on the way, array elements must already exist. Throws
+// std::invalid_argument naming the path when it does not fit the document,
+// e.g. a key on an array ("paths.0") with a hint to write paths[0].
+void set_at_path(Json& root, const std::string& path, Json value);
+
 }  // namespace mps

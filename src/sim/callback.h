@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -25,7 +26,15 @@ namespace mps {
 // the event kernel's Callback alias narrows it to 24 because its closures
 // capture at most a pointer and two 8-byte scalars, and the queue stores one
 // callback per pending event — at 100k flows the slot array is a measurable
-// share of resident memory.
+// share of resident memory. The buffer is pointer-aligned: no closure the
+// stack schedules needs more, and 16-byte alignment would pad the 48-byte
+// variant to 64 bytes. A Callback is 32 bytes, half a queue slot.
+//
+// Moves are the queue's hot path (schedule moves a closure in, pop moves it
+// out). A trivially copyable inline closure — the common [this] or
+// {this, scalar} capture — and the heap fallback's owning pointer are
+// relocated with a fixed-size memcpy and have no destroy step; only
+// closures with non-trivial captures pay an indirect relocate/destroy call.
 template <typename Signature, std::size_t InlineBytes = 48>
 class BasicCallback;
 
@@ -33,6 +42,7 @@ template <typename R, typename... Args, std::size_t InlineBytes>
 class BasicCallback<R(Args...), InlineBytes> {
  public:
   static constexpr std::size_t kInlineBytes = InlineBytes;
+  static constexpr std::size_t kAlign = alignof(void*);
 
   BasicCallback() noexcept = default;
 
@@ -74,7 +84,7 @@ class BasicCallback<R(Args...), InlineBytes> {
 
   void reset() noexcept {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
@@ -82,28 +92,34 @@ class BasicCallback<R(Args...), InlineBytes> {
  private:
   struct Ops {
     R (*invoke)(void* storage, Args... args);
-    // Move-constructs dst from src and destroys src's residue.
+    // Move-constructs dst from src and destroys src's residue; null when a
+    // memcpy of the buffer does both.
     void (*relocate)(void* dst, void* src) noexcept;
+    // Null when the stored object is trivially destructible.
     void (*destroy)(void* storage) noexcept;
   };
 
   template <typename Fn>
   static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= kAlign &&
            std::is_nothrow_move_constructible_v<Fn>;
   }
+  template <typename Fn>
+  static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn>;
 
   template <typename Fn>
   static constexpr Ops kInlineOps = {
       [](void* s, Args... args) -> R {
         return (*std::launder(reinterpret_cast<Fn*>(s)))(std::forward<Args>(args)...);
       },
-      [](void* dst, void* src) noexcept {
-        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-      },
-      [](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); },
+      kTrivial<Fn> ? nullptr
+                   : +[](void* dst, void* src) noexcept {
+                       Fn* from = std::launder(reinterpret_cast<Fn*>(src));
+                       ::new (dst) Fn(std::move(*from));
+                       from->~Fn();
+                     },
+      kTrivial<Fn> ? nullptr
+                   : +[](void* s) noexcept { std::launder(reinterpret_cast<Fn*>(s))->~Fn(); },
   };
 
   template <typename Fn>
@@ -111,21 +127,23 @@ class BasicCallback<R(Args...), InlineBytes> {
       [](void* s, Args... args) -> R {
         return (**std::launder(reinterpret_cast<Fn**>(s)))(std::forward<Args>(args)...);
       },
-      [](void* dst, void* src) noexcept {
-        ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src)));
-      },
+      nullptr,  // the owning pointer relocates by memcpy
       [](void* s) noexcept { delete *std::launder(reinterpret_cast<Fn**>(s)); },
   };
 
   void move_from(BasicCallback& other) noexcept {
     if (other.ops_ != nullptr) {
-      other.ops_->relocate(buf_, other.buf_);
+      if (other.ops_->relocate != nullptr) {
+        other.ops_->relocate(buf_, other.buf_);
+      } else {
+        std::memcpy(buf_, other.buf_, kInlineBytes);
+      }
       ops_ = other.ops_;
       other.ops_ = nullptr;
     }
   }
 
-  alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
+  alignas(kAlign) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
 
@@ -135,5 +153,6 @@ class BasicCallback<R(Args...), InlineBytes> {
 // engine's [this, at, end] tick); anything bigger spills to the heap rather
 // than failing, so the bound is a size/perf knob, not a correctness limit.
 using Callback = BasicCallback<void(), 24>;
+static_assert(sizeof(Callback) == 32, "Callback must stay half a cache line");
 
 }  // namespace mps

@@ -3,15 +3,24 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
 
 #include "obs/prof.h"
 
 namespace mps {
 
-EventQueue::EventQueue() : wheel_(kLevels * kSlotsPerLevel) {}
+EventQueue::EventQueue() : heads_(kLevels * kSlotsPerLevel, kNoPos) {}
 
 EventId EventQueue::schedule(TimePoint when, Callback fn) {
   MPS_PROF_MEM_SCOPE(kEvents);
+  // Both limits are checked before a slot is taken, so a throwing schedule
+  // leaves the queue unchanged.
+  if (next_seq_ >> (64 - kSlotBits) != 0) {
+    throw std::length_error("EventQueue: more than 2^40 events scheduled");
+  }
+  if (free_.empty() && slots_.size() > kKeySlotMask) {
+    throw std::length_error("EventQueue: more than 2^24 pending events");
+  }
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -25,187 +34,164 @@ EventId EventQueue::schedule(TimePoint when, Callback fn) {
   s.seq = next_seq_++;
   s.fn = std::move(fn);
 
-  // With no wheel residents the cursor carries no placement history, so it
-  // can jump (even backwards) to this event's tick: the wheel then keeps
-  // covering near-future work however far simulated time has advanced.
-  if (wheel_count_ == 0) cur_tick_ = tick_of(when);
-  if (wheel_insert(slot)) {
-    ++wheel_count_;
-  } else {
-    heap_insert(slot);
+  // With nothing pending near the cursor it carries no placement history, so
+  // it can jump (even backwards) to this event's tick: the wheel then keeps
+  // covering near-future work however far simulated time has advanced. Any
+  // keys left in the ready heap are stale.
+  if (wheel_live_ == 0 && ready_live_ == 0) {
+    ready_.clear();
+    cur_tick_ = tick_of(when);
   }
+  place(slot);
   return make_id(slot, s.generation);
 }
 
 void EventQueue::cancel(EventId id) {
   const std::uint32_t slot = live_slot(id);
   if (slot == kNoPos) return;  // already fired, already cancelled, or stale
-  Slot& s = slots_[slot];
-  if (s.loc == Loc::kHeap) {
-    remove_from_heap(s.pos);
-  } else {
-    bucket_remove(s.level, s.bucket, s.pos);
-    --wheel_count_;
-  }
+  const Loc loc = slots_[slot].loc;
+  if (loc == Loc::kWheel) unlink(slot);
   release(slot);
+  switch (loc) {
+    case Loc::kWheel: --wheel_live_; break;
+    case Loc::kReady: maybe_compact(ready_, --ready_live_); break;
+    case Loc::kFar: maybe_compact(far_, --far_live_); break;
+    case Loc::kNone: break;
+  }
 }
 
 TimePoint EventQueue::next_time() {
   MPS_PROF_MEM_SCOPE(kEvents);
-  const std::uint32_t wmin = locate_wheel_min();
-  if (wmin == kNoPos) {
-    return heap_.empty() ? TimePoint::never() : slots_[heap_.front()].when;
-  }
-  if (heap_.empty() || earlier(wmin, heap_.front())) return slots_[wmin].when;
-  return slots_[heap_.front()].when;
+  const std::vector<Key>* heap = locate_min();
+  return heap == nullptr ? TimePoint::never() : TimePoint::from_ns(heap->front().when);
 }
 
-EventQueue::Fired EventQueue::pop() {
+bool EventQueue::pop_until(TimePoint deadline, Fired& out) {
   MPS_PROF_MEM_SCOPE(kEvents);
-  const std::uint32_t wmin = locate_wheel_min();
-  if (wmin != kNoPos && (heap_.empty() || earlier(wmin, heap_.front()))) {
-    Slot& s = slots_[wmin];
-    Fired fired{s.when, std::move(s.fn)};
-    bucket_remove(0, s.bucket, s.pos);  // min sits at the back: O(1) erase
-    --wheel_count_;
-    release(wmin);
-    return fired;
-  }
-  assert(!heap_.empty());
-  const std::uint32_t slot = heap_.front();
+  std::vector<Key>* heap = locate_min();
+  if (heap == nullptr || heap->front().when > deadline.ns()) return false;
+  const std::uint32_t slot = static_cast<std::uint32_t>(heap->front().tag & kKeySlotMask);
+  pop_key(*heap);
+  --(heap == &ready_ ? ready_live_ : far_live_);
   Slot& s = slots_[slot];
-  Fired fired{s.when, std::move(s.fn)};
-  remove_from_heap(0);
+  out.when = s.when;
+  out.fn = std::move(s.fn);
   release(slot);
-  return fired;
-}
-
-void EventQueue::sift_up(std::uint32_t pos) {
-  const std::uint32_t slot = heap_[pos];
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    if (!earlier(slot, heap_[parent])) break;
-    place(pos, heap_[parent]);
-    pos = parent;
-  }
-  place(pos, slot);
-}
-
-void EventQueue::sift_down(std::uint32_t pos) {
-  const std::uint32_t slot = heap_[pos];
-  const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-  while (true) {
-    std::uint32_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], slot)) break;
-    place(pos, heap_[child]);
-    pos = child;
-  }
-  place(pos, slot);
-}
-
-void EventQueue::heap_insert(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.loc = Loc::kHeap;
-  const std::uint32_t pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(slot);
-  s.pos = pos;
-  sift_up(pos);
-}
-
-void EventQueue::remove_from_heap(std::uint32_t pos) {
-  slots_[heap_[pos]].pos = kNoPos;
-  const std::uint32_t last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;  // removed the tail entry
-  place(pos, last);
-  // The moved entry may violate order in either direction.
-  sift_down(pos);
-  sift_up(slots_[last].pos);
-}
-
-bool EventQueue::wheel_insert(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  std::uint64_t t = tick_of(s.when);
-  // An event at or behind the cursor's tick joins the current bucket; its
-  // exact (when, seq) rank is restored by the bucket sort, so overdue
-  // timestamps (scheduled after the cursor advanced) still fire in global
-  // order.
-  if (t <= cur_tick_) t = cur_tick_;
-  int level;
-  if ((t >> kLevelBits) == (cur_tick_ >> kLevelBits)) {
-    level = 0;
-  } else if ((t >> (2 * kLevelBits)) == (cur_tick_ >> (2 * kLevelBits))) {
-    level = 1;
-  } else if ((t >> (3 * kLevelBits)) == (cur_tick_ >> (3 * kLevelBits))) {
-    level = 2;
-  } else {
-    return false;  // beyond the wheel horizon: heap
-  }
-  bucket_add(level, static_cast<std::uint32_t>(t >> (level * kLevelBits)) & kSlotMask, slot);
   return true;
 }
 
-void EventQueue::bucket_add(int level, std::uint32_t bucket, std::uint32_t slot) {
-  Bucket& b = wheel_[static_cast<std::size_t>(level) * kSlotsPerLevel + bucket];
+std::vector<EventQueue::Key>* EventQueue::locate_min() {
+  drop_stale(ready_);
+  // A drain may move everything to lower levels; its ready keys are all live.
+  while (ready_.empty() && wheel_live_ > 0) advance();
+  drop_stale(far_);
+  if (ready_.empty()) return far_.empty() ? nullptr : &far_;
+  if (far_.empty() || later(far_.front(), ready_.front())) return &ready_;
+  return &far_;
+}
+
+void EventQueue::place(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  const std::uint64_t t = tick_of(s.when);
+  // At or behind the cursor's tick: the ready heap restores the exact
+  // (when, seq) rank, so overdue timestamps still fire in global order.
+  if (t <= cur_tick_) {
+    s.loc = Loc::kReady;
+    push_key(ready_, slot);
+    ++ready_live_;
+    return;
+  }
+  for (int level = 0; level < kLevels; ++level) {
+    const int above = (level + 1) * kLevelBits;
+    if ((t >> above) == (cur_tick_ >> above)) {
+      const std::uint32_t index = static_cast<std::uint32_t>(t >> (level * kLevelBits)) & kSlotMask;
+      link(static_cast<std::uint32_t>(level) * kSlotsPerLevel + index, slot);
+      ++wheel_live_;
+      return;
+    }
+  }
+  s.loc = Loc::kFar;  // beyond the wheel horizon
+  push_key(far_, slot);
+  ++far_live_;
+}
+
+void EventQueue::push_key(std::vector<Key>& heap, std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  heap.push_back({s.when.ns(), (s.seq << kSlotBits) | slot});
+  std::push_heap(heap.begin(), heap.end(), later);
+}
+
+void EventQueue::pop_key(std::vector<Key>& heap) {
+  std::pop_heap(heap.begin(), heap.end(), later);
+  heap.pop_back();
+}
+
+void EventQueue::drop_stale(std::vector<Key>& heap) {
+  while (!heap.empty() && !key_live(heap.front())) pop_key(heap);
+}
+
+void EventQueue::maybe_compact(std::vector<Key>& heap, std::size_t live) {
+  if (heap.size() <= 2 * live + 64) return;
+  heap.erase(std::remove_if(heap.begin(), heap.end(),
+                            [this](const Key& k) { return !key_live(k); }),
+             heap.end());
+  std::make_heap(heap.begin(), heap.end(), later);
+}
+
+void EventQueue::link(std::uint32_t bucket, std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.loc = Loc::kWheel;
-  s.level = static_cast<std::uint8_t>(level);
-  s.bucket = static_cast<std::uint8_t>(bucket);
-  if (b.sorted) {
-    // Keep descending (when, seq) order: insert before the first entry that
-    // is not later than `slot`.
-    const auto it = std::lower_bound(
-        b.items.begin(), b.items.end(), slot,
-        [this](std::uint32_t lhs, std::uint32_t rhs) { return earlier(rhs, lhs); });
-    const std::uint32_t idx = static_cast<std::uint32_t>(it - b.items.begin());
-    b.items.insert(it, slot);
-    for (std::uint32_t i = idx; i < b.items.size(); ++i) slots_[b.items[i]].pos = i;
-  } else {
-    s.pos = static_cast<std::uint32_t>(b.items.size());
-    b.items.push_back(slot);
-  }
-  set_occ(level, bucket);
+  s.bucket = static_cast<std::uint16_t>(bucket);
+  s.prev = kNoPos;
+  s.next = heads_[bucket];
+  if (s.next != kNoPos) slots_[s.next].prev = slot;
+  heads_[bucket] = slot;
+  occ_[bucket >> kLevelBits][(bucket & kSlotMask) >> 6] |= std::uint64_t{1} << (bucket & 63);
 }
 
-void EventQueue::bucket_remove(int level, std::uint32_t bucket, std::uint32_t pos) {
-  Bucket& b = wheel_[static_cast<std::size_t>(level) * kSlotsPerLevel + bucket];
-  assert(pos < b.items.size());
-  if (b.sorted) {
-    b.items.erase(b.items.begin() + pos);
-    for (std::uint32_t i = pos; i < b.items.size(); ++i) slots_[b.items[i]].pos = i;
-  } else {
-    b.items[pos] = b.items.back();
-    slots_[b.items[pos]].pos = pos;
-    b.items.pop_back();
+void EventQueue::unlink(std::uint32_t slot) {
+  const Slot& s = slots_[slot];
+  if (s.next != kNoPos) slots_[s.next].prev = s.prev;
+  if (s.prev != kNoPos) {
+    slots_[s.prev].next = s.next;
+    return;
   }
-  if (b.items.empty()) {
-    b.sorted = false;
-    clear_occ(level, bucket);
+  heads_[s.bucket] = s.next;
+  if (s.next == kNoPos) {
+    occ_[s.bucket >> kLevelBits][(s.bucket & kSlotMask) >> 6] &=
+        ~(std::uint64_t{1} << (s.bucket & 63));
   }
 }
 
-void EventQueue::sort_bucket(Bucket& b) {
-  std::sort(b.items.begin(), b.items.end(),
-            [this](std::uint32_t lhs, std::uint32_t rhs) { return earlier(rhs, lhs); });
-  for (std::uint32_t i = 0; i < b.items.size(); ++i) slots_[b.items[i]].pos = i;
-  b.sorted = true;
-}
-
-void EventQueue::cascade(int level, std::uint32_t bucket) {
-  Bucket& b = wheel_[static_cast<std::size_t>(level) * kSlotsPerLevel + bucket];
-  std::swap(cascade_scratch_, b.items);
-  b.sorted = false;
-  clear_occ(level, bucket);
-  for (const std::uint32_t slot : cascade_scratch_) {
-    // Every resident of this bucket shares the cursor's new window prefix,
-    // so it re-places strictly below `level` (never back to the heap).
-    const bool placed = wheel_insert(slot);
-    (void)placed;
-    assert(placed && slots_[slot].level < level);
+void EventQueue::advance() {
+  assert(wheel_live_ > 0);
+  for (int level = 0; level < kLevels; ++level) {
+    // Occupied buckets only exist after the cursor's position within its
+    // window at each level (placement is by shared prefix and the cursor
+    // never passes a non-empty bucket), so the first occupied position after
+    // it holds the wheel-wide earliest tick once every lower level is empty.
+    const int shift = level * kLevelBits;
+    const std::uint32_t pos = static_cast<std::uint32_t>(cur_tick_ >> shift) & kSlotMask;
+    const std::uint32_t found = scan_occupancy(level, pos + 1);
+    if (found == kSlotsPerLevel) continue;
+    // Enter the bucket's window and re-place its residents: the ones at the
+    // new cursor tick go to the ready heap, the rest strictly lower levels.
+    const int above = shift + kLevelBits;
+    cur_tick_ = ((cur_tick_ >> above) << above) | (std::uint64_t{found} << shift);
+    const std::uint32_t bucket = static_cast<std::uint32_t>(level) * kSlotsPerLevel + found;
+    std::uint32_t slot = heads_[bucket];
+    heads_[bucket] = kNoPos;
+    occ_[level][found >> 6] &= ~(std::uint64_t{1} << (found & 63));
+    while (slot != kNoPos) {
+      const std::uint32_t next = slots_[slot].next;
+      --wheel_live_;
+      place(slot);
+      assert(slots_[slot].loc == Loc::kReady || slots_[slot].bucket < bucket);
+      slot = next;
+    }
+    return;
   }
-  cascade_scratch_.clear();
+  assert(false && "wheel_live_ > 0 with every level empty");
 }
 
 std::uint32_t EventQueue::scan_occupancy(int level, std::uint32_t from) const {
@@ -221,48 +207,10 @@ std::uint32_t EventQueue::scan_occupancy(int level, std::uint32_t from) const {
   }
 }
 
-std::uint32_t EventQueue::locate_wheel_min() {
-  if (wheel_count_ == 0) return kNoPos;
-  while (true) {
-    // Occupied level-0 buckets only exist at or after the cursor's position
-    // within the current window (placements behind the cursor clamp to its
-    // bucket; the cursor never passes a non-empty bucket), so the first
-    // occupied position holds the wheel-wide earliest tick.
-    const std::uint32_t p0 =
-        scan_occupancy(0, static_cast<std::uint32_t>(cur_tick_) & kSlotMask);
-    if (p0 < kSlotsPerLevel) {
-      cur_tick_ = (cur_tick_ & ~std::uint64_t{kSlotMask}) | p0;
-      Bucket& b = wheel_[p0];
-      if (!b.sorted) sort_bucket(b);
-      return b.items.back();
-    }
-    // Level-0 window exhausted; enter the next occupied level-1 bucket and
-    // spill it into level 0 (level-1 residents are strictly after the old
-    // window, so this preserves fire order).
-    const std::uint32_t pos1 =
-        static_cast<std::uint32_t>(cur_tick_ >> kLevelBits) & kSlotMask;
-    const std::uint32_t p1 = scan_occupancy(1, pos1 + 1);
-    if (p1 < kSlotsPerLevel) {
-      cur_tick_ = ((cur_tick_ >> (2 * kLevelBits)) << (2 * kLevelBits)) |
-                  (std::uint64_t{p1} << kLevelBits);
-      cascade(1, p1);
-      continue;
-    }
-    const std::uint32_t pos2 =
-        static_cast<std::uint32_t>(cur_tick_ >> (2 * kLevelBits)) & kSlotMask;
-    const std::uint32_t p2 = scan_occupancy(2, pos2 + 1);
-    // wheel_count_ > 0 with levels 0-1 drained means level 2 is occupied.
-    assert(p2 < kSlotsPerLevel);
-    cur_tick_ = ((cur_tick_ >> (3 * kLevelBits)) << (3 * kLevelBits)) |
-                (std::uint64_t{p2} << (2 * kLevelBits));
-    cascade(2, p2);
-  }
-}
-
 void EventQueue::release(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.fn.reset();
-  s.pos = kNoPos;
+  s.seq = 0;
   s.loc = Loc::kNone;
   ++s.generation;
   free_.push_back(slot);
@@ -277,22 +225,22 @@ void EventQueue::clone_structure_from(const EventQueue& src) {
     to.when = from.when;
     to.seq = from.seq;
     to.generation = from.generation;
-    to.pos = from.pos;
-    to.loc = from.loc;
-    to.level = from.level;
+    to.next = from.next;
+    to.prev = from.prev;
     to.bucket = from.bucket;
+    to.loc = from.loc;
     // to.fn stays empty until the owner rebinds it.
   }
-  heap_ = src.heap_;
   free_ = src.free_;
   next_seq_ = src.next_seq_;
-  for (std::size_t i = 0; i < wheel_.size(); ++i) {
-    wheel_[i].items = src.wheel_[i].items;
-    wheel_[i].sorted = src.wheel_[i].sorted;
-  }
+  ready_ = src.ready_;
+  far_ = src.far_;
+  heads_ = src.heads_;
   std::memcpy(occ_, src.occ_, sizeof(occ_));
   cur_tick_ = src.cur_tick_;
-  wheel_count_ = src.wheel_count_;
+  wheel_live_ = src.wheel_live_;
+  ready_live_ = src.ready_live_;
+  far_live_ = src.far_live_;
 }
 
 bool EventQueue::rebind(EventId id, Callback fn) {

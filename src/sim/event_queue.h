@@ -1,34 +1,40 @@
 // Discrete-event engine primitives: the pending-event queue.
 //
-// Events scheduled at the same timestamp fire in scheduling order (FIFO),
-// which keeps runs deterministic regardless of container internals.
+// Events scheduled at the same timestamp fire in scheduling order (FIFO):
+// every event carries a global sequence number and the queue fires in exact
+// (when, seq) order, which keeps runs deterministic regardless of container
+// internals.
 //
-// Storage is a generation-stamped slot arena with two homes for pending
-// events, selected transparently per event:
+// Storage is a generation-stamped slot arena. A pending event lives in one
+// of three homes:
 //
-//  - A hierarchical timer wheel (3 levels x 256 slots, 2^17 ns ~ 131 us per
-//    tick) absorbs the dense near-future churn: RTO restarts, RACK timers,
-//    link transmissions, churn arrivals. schedule and cancel are O(1) bucket
-//    operations with no comparisons against unrelated events; a bucket is
-//    sorted lazily, once, when the cursor reaches it.
-//  - The indexed binary min-heap keeps events beyond the wheel horizon
-//    (different 2^24-tick window, ~36 minutes) — sparse far-future work like
-//    scenario phase changes — with O(log n) schedule/cancel.
+//  - A hierarchical timer wheel (3 levels x 256 buckets, 2^17 ns ~ 131 us
+//    per tick) absorbs the dense near-future churn: RTO restarts, RACK
+//    timers, link transmissions, churn arrivals. Each bucket is an intrusive
+//    doubly-linked list threaded through the slot arena, so schedule and
+//    cancel are O(1) link/unlink operations and nothing is ever sorted.
+//  - The ready heap holds every event at or behind the cursor's tick: the
+//    bucket the cursor just reached (drained into it in one pass), plus
+//    same-tick and overdue schedules. Keys are 16 bytes, (when, seq<<24 |
+//    slot), so ordering never touches the slot arena.
+//  - The far heap holds events beyond the wheel horizon (a different 2^24-
+//    tick window, ~36.6 minutes) with the same keys.
 //
-// pop() compares the wheel's earliest (when, seq) against the heap top, so
-// the merged fire order is the exact global (when, seq) order regardless of
-// which structure holds an event; goldens are byte-identical to the
-// heap-only queue by construction. Level placement uses the shared-prefix
-// rule (an event goes to the deepest level whose window contains both it and
-// the cursor), so no level ever wraps and cascades only move events downward
-// as the cursor enters their window.
+// A pop takes the smaller of the two heap tops, advancing the cursor to the
+// next occupied bucket only when the ready heap has no live key left, so the
+// merged fire order is the exact global (when, seq) order whichever home an
+// event sat in. Level placement uses the shared-prefix rule (an event goes
+// to the deepest level whose window contains both it and the cursor), so no
+// level ever wraps and a drain only moves events downward.
 //
-// cancel() removes the entry immediately in both homes — no tombstones, and
-// size()/empty() are exact by construction. Stale ids are rejected by the
-// slot's generation stamp, making cancel-after-fire and cancel-after-reuse
-// safe no-ops.
+// cancel() unlinks a wheel resident at once. A heap key is left in place and
+// dropped when it reaches the top: releasing a slot zeroes its seq, so a key
+// is live only while its seq still matches its slot's. size()/empty() are
+// exact by live counters, and stale ids are rejected by the slot's generation
+// stamp, making cancel-after-fire and cancel-after-reuse safe no-ops.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -47,7 +53,8 @@ class EventQueue {
 
   // Schedules `fn` at absolute time `when`. Returns an id usable with
   // cancel(). Owners must cancel events capturing them before destruction
-  // (see Timer for the RAII wrapper).
+  // (see Timer for the RAII wrapper). Throws std::length_error past 2^24
+  // simultaneously pending events or 2^40 schedules (the heap keys' fields).
   EventId schedule(TimePoint when, Callback fn);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
@@ -57,31 +64,43 @@ class EventQueue {
   // True when `id` names a pending event: O(1), by the slot's generation.
   bool live(EventId id) const { return live_slot(id) != kNoPos; }
 
-  bool empty() const { return heap_.empty() && wheel_count_ == 0; }
-  std::size_t size() const { return heap_.size() + wheel_count_; }
+  bool empty() const { return size() == 0; }
+  std::size_t size() const { return wheel_live_ + ready_live_ + far_live_; }
 
   // Time of the earliest live event; TimePoint::never() when empty.
-  // Non-const: locating the wheel minimum may advance the cursor, cascade a
-  // bucket down a level, or sort the reached bucket (none of which changes
-  // the event set or fire order).
+  // Non-const: locating the minimum may advance the cursor and drain a
+  // bucket, or drop cancelled keys (none of which changes the event set or
+  // fire order).
   TimePoint next_time();
 
   struct Fired {
     TimePoint when;
     Callback fn;
   };
+  // Pops the earliest live event into `out` if there is one at or before
+  // `deadline`; returns false (leaving `out` alone) otherwise. One locate
+  // per event: the run loop's only call into the queue.
+  bool pop_until(TimePoint deadline, Fired& out);
+
   // Pops and returns the earliest live event. Precondition: !empty().
-  Fired pop();
+  Fired pop() {
+    Fired fired;
+    const bool ok = pop_until(TimePoint::never(), fired);
+    assert(ok);
+    (void)ok;
+    return fired;
+  }
 
   // --- snapshot-and-fork support (exp/snapshot.h) ---------------------------
   // Copies the entire queue structure from `src` — slot arena (when, seq,
-  // generation, position), heap order, wheel buckets, occupancy bitmaps and
-  // cursor — but leaves every callback empty. Closures capture raw owner
-  // pointers and cannot be relocated generically, so each owner of a pending
-  // event must re-install its callback with rebind() using the EventId it
-  // already holds; ids issued by `src` stay valid against this queue, and the
-  // global (when, seq) fire order is preserved verbatim. Any previous content
-  // of this queue is discarded.
+  // generation, bucket links), both heaps with their stale keys, bucket
+  // heads, occupancy bitmaps, free list and cursor — but leaves every
+  // callback empty. Closures capture raw owner pointers and cannot be
+  // relocated generically, so each owner of a pending event must re-install
+  // its callback with rebind() using the EventId it already holds; ids
+  // issued by `src` stay valid against this queue, and the global (when, seq)
+  // fire order is preserved verbatim. Any previous content of this queue is
+  // discarded.
   void clone_structure_from(const EventQueue& src);
 
   // Re-installs the callback of a live cloned event. Returns false when `id`
@@ -104,26 +123,32 @@ class EventQueue {
   static constexpr int kLevels = 3;
   static constexpr std::uint32_t kSlotsPerLevel = 1u << kLevelBits;
   static constexpr std::uint32_t kSlotMask = kSlotsPerLevel - 1;
+  // Heap keys pack the slot number into the low bits of the seq field.
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kKeySlotMask = (std::uint64_t{1} << kSlotBits) - 1;
 
-  enum class Loc : std::uint8_t { kNone, kHeap, kWheel };
+  enum class Loc : std::uint8_t { kNone, kWheel, kReady, kFar };
 
   struct Slot {
     TimePoint when;
-    std::uint64_t seq = 0;        // FIFO tie-break among equal timestamps
-    std::uint32_t generation = 1; // bumped on release; stale ids never match
-    std::uint32_t pos = kNoPos;   // index in heap_ or in its wheel bucket
+    std::uint64_t seq = 0;         // FIFO tie-break; 0 while the slot is free
+    std::uint32_t generation = 1;  // bumped on release; stale ids never match
+    std::uint32_t next = kNoPos;   // bucket list links (loc == kWheel)
+    std::uint32_t prev = kNoPos;
+    std::uint16_t bucket = 0;      // level * kSlotsPerLevel + index (kWheel)
     Loc loc = Loc::kNone;
-    std::uint8_t level = 0;       // wheel level (loc == kWheel)
-    std::uint8_t bucket = 0;      // wheel bucket index (loc == kWheel)
     Callback fn;
   };
+  static_assert(sizeof(Slot) <= 64, "a queue slot must stay within 64 bytes");
 
-  struct Bucket {
-    std::vector<std::uint32_t> items;  // slot numbers
-    // Buckets collect unsorted; the one the cursor reaches is sorted once,
-    // descending by (when, seq), so the minimum pops from the back in O(1).
-    bool sorted = false;
+  struct Key {
+    std::int64_t when;
+    std::uint64_t tag;  // seq << kSlotBits | slot
   };
+  // Heap comparator: true when `a` fires after `b` (std heaps keep the max).
+  static bool later(const Key& a, const Key& b) {
+    return a.when != b.when ? a.when > b.when : a.tag > b.tag;
+  }
 
   // Ids pack (generation, slot + 1); the +1 keeps kInvalidEventId unused.
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
@@ -140,65 +165,47 @@ class EventQueue {
     }
     return slot;
   }
-
-  bool earlier(std::uint32_t a, std::uint32_t b) const {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.when != sb.when) return sa.when < sb.when;
-    return sa.seq < sb.seq;
+  bool key_live(const Key& k) const {
+    return slots_[k.tag & kKeySlotMask].seq == (k.tag >> kSlotBits);
   }
 
-  // --- heap home ----------------------------------------------------------
-  void sift_up(std::uint32_t pos);
-  void sift_down(std::uint32_t pos);
-  void place(std::uint32_t pos, std::uint32_t slot) {
-    heap_[pos] = slot;
-    slots_[slot].pos = pos;
-  }
-  void heap_insert(std::uint32_t slot);
-  // Detaches heap_[pos] from the heap and restores heap order.
-  void remove_from_heap(std::uint32_t pos);
-
-  // --- wheel home ---------------------------------------------------------
   static std::uint64_t tick_of(TimePoint when) {
     return static_cast<std::uint64_t>(when.ns()) >> kTickBits;
   }
-  // Places `slot` in a wheel bucket (true) or reports it belongs in the
-  // heap (false). Does not touch wheel_count_.
-  bool wheel_insert(std::uint32_t slot);
-  void bucket_add(int level, std::uint32_t bucket, std::uint32_t slot);
-  void bucket_remove(int level, std::uint32_t bucket, std::uint32_t pos);
-  void sort_bucket(Bucket& b);
-  // Re-places every event of wheel_[level][bucket] one or more levels down
-  // (called when the cursor enters that bucket's window).
-  void cascade(int level, std::uint32_t bucket);
+  // Files `slot` in its home for the current cursor and counts it live there.
+  void place(std::uint32_t slot);
+  void push_key(std::vector<Key>& heap, std::uint32_t slot);
+  void pop_key(std::vector<Key>& heap);
+  void drop_stale(std::vector<Key>& heap);
+  // Rebuilds `heap` without its stale keys once they outnumber the live ones
+  // by more than 64.
+  void maybe_compact(std::vector<Key>& heap, std::size_t live);
+  void link(std::uint32_t bucket, std::uint32_t slot);
+  void unlink(std::uint32_t slot);
+  // Moves the cursor to the next occupied bucket (any level) and re-places
+  // its residents. Precondition: wheel_live_ > 0.
+  void advance();
   // First occupied bucket index >= from at `level`, or kSlotsPerLevel.
   std::uint32_t scan_occupancy(int level, std::uint32_t from) const;
-  // Slot number of the wheel's earliest event, advancing the cursor and
-  // cascading as needed; kNoPos when the wheel is empty. After a successful
-  // call the result is the back of its (sorted) level-0 bucket.
-  std::uint32_t locate_wheel_min();
+  // The heap whose top is the earliest live event (both tops made live), or
+  // nullptr when the queue is empty.
+  std::vector<Key>* locate_min();
 
-  void set_occ(int level, std::uint32_t bucket) {
-    occ_[level][bucket >> 6] |= std::uint64_t{1} << (bucket & 63);
-  }
-  void clear_occ(int level, std::uint32_t bucket) {
-    occ_[level][bucket >> 6] &= ~(std::uint64_t{1} << (bucket & 63));
-  }
-
-  // Returns the slot to the free list (destroys its callback).
+  // Returns the slot to the free list (destroys its callback, zeroes seq).
   void release(std::uint32_t slot);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> heap_;  // slot numbers, min-heap by (when, seq)
   std::vector<std::uint32_t> free_;  // released slot numbers, reused LIFO
   std::uint64_t next_seq_ = 1;
 
-  std::vector<Bucket> wheel_;  // kLevels * kSlotsPerLevel buckets
+  std::vector<Key> ready_;  // min-heap: ticks <= cur_tick_
+  std::vector<Key> far_;    // min-heap: beyond the wheel horizon
+  std::vector<std::uint32_t> heads_;  // kLevels * kSlotsPerLevel list heads
   std::uint64_t occ_[kLevels][kSlotsPerLevel / 64] = {};
-  std::uint64_t cur_tick_ = 0;  // tick of the wheel's scan cursor (monotone)
-  std::size_t wheel_count_ = 0;
-  std::vector<std::uint32_t> cascade_scratch_;  // reused by cascade()
+  std::uint64_t cur_tick_ = 0;  // tick of the wheel's scan cursor
+  std::size_t wheel_live_ = 0;
+  std::size_t ready_live_ = 0;
+  std::size_t far_live_ = 0;
 };
 
 }  // namespace mps

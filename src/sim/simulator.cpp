@@ -18,13 +18,11 @@ EventId Simulator::at(TimePoint when, Callback fn) {
 std::uint64_t Simulator::run_until(TimePoint deadline) {
   std::uint64_t n = 0;
   stop_requested_ = false;
-  while (!queue_.empty()) {
-    const TimePoint next = queue_.next_time();
-    if (next > deadline) break;
+  while (true) {
     EventQueue::Fired fired;
     {
       MPS_PROF_SCOPE(kEventPop);
-      fired = queue_.pop();
+      if (!queue_.pop_until(deadline, fired)) break;
     }
     now_ = fired.when;
     {
@@ -45,11 +43,10 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
   EventQueue::Fired fired;
   {
     MPS_PROF_SCOPE(kEventPop);
-    fired = queue_.pop();
+    if (!queue_.pop_until(TimePoint::never(), fired)) return false;
   }
   assert(fired.when >= now_);
   now_ = fired.when;

@@ -61,6 +61,76 @@ TEST(JsonTest, DuplicateKeysRejected) {
   EXPECT_THROW(Json::parse(R"({"a": 1, "a": 2})"), JsonError);
 }
 
+// --- set_at_path (the mps_run --set walker) ---------------------------------
+
+const char* const kSetDoc =
+    R"({"paths": [{"rate_mbps": 1}, {"rate_mbps": 2}], "workload": {"kind": "stream"}})";
+
+// The error set_at_path throws for `path`, or "" when it succeeds.
+std::string set_error(const std::string& path) {
+  Json doc = Json::parse(kSetDoc);
+  try {
+    set_at_path(doc, path, Json::number(std::int64_t{7}));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+TEST(JsonTest, SetAtPathWalksKeysAndIndices) {
+  Json doc = Json::parse(kSetDoc);
+  set_at_path(doc, "paths[1].rate_mbps", Json::number(0.3));
+  set_at_path(doc, "workload.video_s", Json::number(std::int64_t{5}));
+  set_at_path(doc, "record.summarize", Json::boolean(true));  // creates "record"
+  set_at_path(doc, "paths[0]", Json::string("whole element"));
+  EXPECT_EQ(doc.find("paths")->items()[1].find("rate_mbps")->as_double(), 0.3);
+  EXPECT_EQ(doc.find("workload")->find("video_s")->as_int(), 5);
+  EXPECT_EQ(doc.find("workload")->find("kind")->as_string(), "stream");
+  EXPECT_TRUE(doc.find("record")->find("summarize")->as_bool());
+  EXPECT_EQ(doc.find("paths")->items()[0].as_string(), "whole element");
+}
+
+// An object key on an array is the common slip (`paths.0.rate_mbps`); it must
+// name the path and point at the [i] form instead of aborting.
+TEST(JsonTest, SetAtPathKeyOnArraySuggestsIndexForm) {
+  const std::string numeric = set_error("paths.0.rate_mbps");
+  EXPECT_TRUE(contains(numeric, "'paths.0.rate_mbps'")) << numeric;
+  EXPECT_TRUE(contains(numeric, "index it as paths[0]")) << numeric;
+  const std::string word = set_error("paths.rate_mbps");
+  EXPECT_TRUE(contains(word, "'paths.rate_mbps'")) << word;
+  EXPECT_TRUE(contains(word, "index it as paths[0]")) << word;
+  const std::string nested = set_error("paths[1].rate_mbps.x");
+  EXPECT_TRUE(contains(nested, "'paths[1].rate_mbps' is of type int")) << nested;
+}
+
+TEST(JsonTest, SetAtPathIndexOnObjectNamesThePath) {
+  const std::string err = set_error("workload[0].kind");
+  EXPECT_TRUE(contains(err, "'workload[0].kind'")) << err;
+  EXPECT_TRUE(contains(err, "'workload' is of type object, not array")) << err;
+  EXPECT_TRUE(contains(err, "paths[0]")) << err;
+  EXPECT_TRUE(contains(err, "workload.<key>")) << err;
+  // A scalar is no array either.
+  EXPECT_TRUE(contains(set_error("workload.kind[0]"), "of type string, not array"));
+}
+
+TEST(JsonTest, SetAtPathRejectsBadIndices) {
+  const std::string past_end = set_error("paths[2].rate_mbps");
+  EXPECT_TRUE(contains(past_end, "'paths[2].rate_mbps'")) << past_end;
+  EXPECT_TRUE(contains(past_end, "index 2 out of range: 'paths' has 2 elements")) << past_end;
+  EXPECT_TRUE(contains(set_error("paths[99999999999999999999999].x"), "bad array index"));
+  EXPECT_TRUE(contains(set_error("paths[-1].x"), "bad array index '-1'"));
+  EXPECT_TRUE(contains(set_error("paths[].x"), "bad array index ''"));
+  EXPECT_TRUE(contains(set_error("paths[0"), "unterminated ["));
+  EXPECT_TRUE(contains(set_error("paths[0]x"), "expected '.' after ']'"));
+  EXPECT_TRUE(contains(set_error("workload..kind"), "empty key segment"));
+  EXPECT_TRUE(contains(set_error("workload."), "empty key segment"));
+  EXPECT_EQ(set_error("paths[1]"), "");
+}
+
 // --- spec parse/serialize ---------------------------------------------------
 
 TEST(ScenarioSpecTest, MinimalSpecFillsProfileDefaults) {

@@ -1,6 +1,13 @@
 // Tests for the discrete-event kernel: ordering, cancellation, timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -203,6 +210,295 @@ TEST(EventQueueTest, ChurnMatchesReferenceModel) {
   }
   EXPECT_EQ(fired_queue, fired_model);
   EXPECT_TRUE(model.empty());
+}
+
+// Differential test of the kernel's three homes (wheel buckets, ready heap,
+// far heap) against a brute-force (when, seq) reference. The seeded stream
+// mixes same-tick ties, schedules behind the cursor (they land in the ready
+// heap), events past the 2^41 ns wheel horizon interleaved with near ones,
+// cancels followed at once by a schedule that reuses the freed slot, and
+// pop_until exactly at (and just before) the earliest deadline. Midway the
+// queue is cloned with clone_structure_from + rebind; from then on every op
+// goes to both queues, which must issue the same ids and pop the same
+// sequence as the reference.
+TEST(EventQueueTest, KernelPathsMatchReferenceModel) {
+  constexpr std::int64_t kTick = std::int64_t{1} << 17;
+  constexpr std::int64_t kHorizon = std::int64_t{1} << 41;
+  constexpr int kSteps = 20000;
+  struct Ref {
+    std::int64_t when;
+    std::uint64_t order;
+    int tag;
+    EventId id;
+  };
+  std::vector<Ref> model;
+  EventQueue src;
+  EventQueue clone;
+  bool cloned = false;
+  std::vector<int> fired_src, fired_clone;
+  std::size_t fired_before_clone = 0;
+  std::uint64_t order = 0;
+  int tag = 0;
+  std::int64_t now = 0;
+  std::uint64_t lcg = 0x5eed;
+  auto rnd = [&lcg](std::uint64_t mod) {
+    lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (lcg >> 33) % mod;
+  };
+  auto recorder = [](std::vector<int>& out, int t) -> Callback {
+    return [&out, t] { out.push_back(t); };
+  };
+  auto schedule = [&](std::int64_t when) {
+    const int t = tag++;
+    const EventId id = src.schedule(TimePoint::from_ns(when), recorder(fired_src, t));
+    if (cloned) {
+      ASSERT_EQ(clone.schedule(TimePoint::from_ns(when), recorder(fired_clone, t)), id);
+    }
+    model.push_back({when, order++, t, id});
+  };
+  auto model_min = [&model] {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < model.size(); ++i) {
+      if (model[i].when < model[best].when ||
+          (model[i].when == model[best].when && model[i].order < model[best].order)) {
+        best = i;
+      }
+    }
+    return best;
+  };
+  // pop_until(deadline) on both queues; the reference decides whether it pops.
+  auto pop_until = [&](std::int64_t deadline) {
+    const std::size_t best = model.empty() ? 0 : model_min();
+    const bool expect = !model.empty() && model[best].when <= deadline;
+    EventQueue::Fired a, b;
+    ASSERT_EQ(src.pop_until(TimePoint::from_ns(deadline), a), expect);
+    if (cloned) {
+      ASSERT_EQ(clone.pop_until(TimePoint::from_ns(deadline), b), expect);
+    }
+    if (!expect) return;
+    ASSERT_EQ(a.when.ns(), model[best].when);
+    a.fn();
+    ASSERT_EQ(fired_src.back(), model[best].tag);
+    if (cloned) {
+      ASSERT_EQ(b.when.ns(), model[best].when);
+      b.fn();
+      ASSERT_EQ(fired_clone.back(), model[best].tag);
+    }
+    now = std::max(now, model[best].when);
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(best));
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == kSteps / 2) {
+      clone.clone_structure_from(src);
+      for (const Ref& r : model) ASSERT_TRUE(clone.rebind(r.id, recorder(fired_clone, r.tag)));
+      std::vector<std::pair<EventId, TimePoint>> unbound;
+      clone.collect_unbound(unbound);
+      ASSERT_TRUE(unbound.empty());
+      cloned = true;
+      fired_before_clone = fired_src.size();
+    }
+    if (step % 2500 == 1250) {
+      // Burst: a crowd of same-time events in one heap (ready at `now`, far
+      // past the horizon), most cancelled at once, so the heap carries more
+      // stale keys than live ones and is rebuilt.
+      const std::int64_t when = step % 5000 == 1250 ? now : now + kHorizon;
+      const std::size_t first = model.size();
+      for (int i = 0; i < 200; ++i) schedule(when);
+      for (int i = 0; i < 170; ++i) {
+        const std::size_t k = first + rnd(model.size() - first);
+        src.cancel(model[k].id);
+        if (cloned) clone.cancel(model[k].id);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    }
+    std::uint64_t op = rnd(100);
+    // Hold a population of a few dozen events so every home stays occupied
+    // (with nothing near the cursor, the next schedule may move it).
+    if (model.size() < 40 && op >= 60) op = rnd(45);
+    if (op < 25 || model.empty()) {
+      // Near: half-tick granularity, so many events share a timestamp or a
+      // tick; one in five reaches the upper wheel levels.
+      const std::int64_t when = op % 5 == 0
+          ? now + static_cast<std::int64_t>(rnd(std::uint64_t{1} << 34))
+          : now + static_cast<std::int64_t>(rnd(4)) * (kTick / 2);
+      schedule(when);
+    } else if (op < 35) {
+      // Behind the cursor: earlier than the last popped event.
+      schedule(std::max<std::int64_t>(0, now - static_cast<std::int64_t>(rnd(3 * kTick))));
+    } else if (op < 45) {
+      // Past the horizon, with ties among themselves.
+      schedule(now + kHorizon + static_cast<std::int64_t>(rnd(8)) * kTick);
+    } else if (op < 60) {
+      // Cancel; every other time reuse the freed slot at once. The stale id
+      // must stay inert either way.
+      const std::size_t k = rnd(model.size());
+      const EventId stale = model[k].id;
+      const std::int64_t when = model[k].when;
+      src.cancel(stale);
+      if (cloned) clone.cancel(stale);
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(k));
+      if (op < 52) schedule(when);
+      ASSERT_FALSE(src.live(stale));
+      src.cancel(stale);
+      if (cloned) clone.cancel(stale);
+    } else if (op < 80) {
+      pop_until(model[model_min()].when);  // exactly at the deadline: pops
+    } else if (op < 90) {
+      const std::int64_t earliest = model[model_min()].when;
+      ASSERT_EQ(src.next_time().ns(), earliest) << "step " << step;
+      pop_until(earliest - 1);  // one ns short: must not pop
+    } else {
+      pop_until(TimePoint::never().ns());
+    }
+    ASSERT_EQ(src.size(), model.size()) << "step " << step;
+    if (cloned) {
+      ASSERT_EQ(clone.size(), model.size()) << "step " << step;
+    }
+  }
+  while (!model.empty()) pop_until(TimePoint::never().ns());
+  EXPECT_TRUE(src.empty());
+  EXPECT_TRUE(clone.empty());
+  ASSERT_GT(fired_clone.size(), 1000u);
+  EXPECT_EQ(fired_clone,
+            std::vector<int>(fired_src.begin() + static_cast<std::ptrdiff_t>(fired_before_clone),
+                             fired_src.end()));
+}
+
+// --- Callback storage -------------------------------------------------------
+
+// Counts the live instances of a capture, so a chain of moves can show that
+// every relocation leaves exactly one live copy and the last holder destroys
+// it exactly once.
+struct LiveCount {
+  static inline int live = 0;
+  LiveCount() { ++live; }
+  LiveCount(const LiveCount&) { ++live; }
+  LiveCount(LiveCount&&) noexcept { ++live; }
+  ~LiveCount() { --live; }
+};
+
+// Moves `cb` through move construction, move assignment and a vector's
+// reallocation, checking after every hop that one live capture remains.
+template <typename Cb>
+Cb MoveChain(Cb& cb) {
+  EXPECT_EQ(LiveCount::live, 1);
+  Cb b(std::move(cb));
+  EXPECT_FALSE(cb);
+  EXPECT_EQ(LiveCount::live, 1);
+  Cb c;
+  c = std::move(b);
+  EXPECT_FALSE(b);
+  EXPECT_EQ(LiveCount::live, 1);
+  std::vector<Cb> v;
+  v.push_back(std::move(c));
+  v.emplace_back();  // grows the vector: relocates v[0]
+  v.emplace_back();
+  EXPECT_EQ(LiveCount::live, 1);
+  Cb d(std::move(v.front()));
+  v.clear();
+  EXPECT_EQ(LiveCount::live, 1);
+  return d;
+}
+
+TEST(CallbackTest, SharedPtrCaptureStaysInlineAndReleasesOnce) {
+  auto p = std::make_shared<int>(41);
+  LiveCount::live = 0;
+  {
+    Callback start;
+    {
+      auto f = [p, c = LiveCount{}] { ++*p; };
+      static_assert(sizeof(f) <= Callback::kInlineBytes);
+      start = std::move(f);
+    }
+    Callback cb = MoveChain(start);
+    EXPECT_EQ(p.use_count(), 2);
+    // Through an event-queue slot and out again.
+    EventQueue q;
+    q.schedule(TimePoint::from_ns(5), std::move(cb));
+    EXPECT_EQ(p.use_count(), 2);
+    EXPECT_EQ(LiveCount::live, 1);
+    q.pop().fn();
+  }
+  EXPECT_EQ(*p, 42);
+  EXPECT_EQ(LiveCount::live, 0);
+  EXPECT_EQ(p.use_count(), 1);
+}
+
+// std::string is not trivially relocatable (the short form points into
+// itself), so it must go through the closure's own move, never a memcpy.
+template <typename Cb>
+void CheckStringCapture(const std::string& text) {
+  LiveCount::live = 0;
+  std::string out;
+  {
+    Cb start = [s = text, c = LiveCount{}, o = &out] { *o = s; };
+    Cb cb = MoveChain(start);
+    cb();
+    EXPECT_EQ(LiveCount::live, 1);
+  }
+  EXPECT_EQ(out, text);
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST(CallbackTest, StringCaptureRelocatesThroughItsMove) {
+  CheckStringCapture<BasicCallback<void(), 48>>("short");  // inline
+  CheckStringCapture<BasicCallback<void(), 48>>(std::string(100, 'x'));
+  CheckStringCapture<Callback>("short");  // 48-byte closure: heap fallback
+  CheckStringCapture<Callback>(std::string(100, 'x'));
+}
+
+template <typename Cb>
+void CheckFunctionCapture() {
+  LiveCount::live = 0;
+  std::string out;
+  {
+    std::function<std::string()> fn = [] { return std::string("from std::function"); };
+    Cb start = [fn, c = LiveCount{}, o = &out] { *o = fn(); };
+    Cb cb = MoveChain(start);
+    cb();
+  }
+  EXPECT_EQ(out, "from std::function");
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST(CallbackTest, FunctionCaptureRelocatesOnce) {
+  CheckFunctionCapture<BasicCallback<void(), 48>>();  // inline
+  CheckFunctionCapture<Callback>();                   // heap fallback
+}
+
+TEST(CallbackTest, OversizedClosureSpillsToTheHeapAndFreesOnce) {
+  LiveCount::live = 0;
+  std::uint64_t sum = 0;
+  {
+    Callback start;
+    {
+      const std::array<std::uint64_t, 4> big{1, 2, 3, 4};
+      auto f = [big, c = LiveCount{}, o = &sum] {
+        for (const std::uint64_t x : big) *o += x;
+      };
+      static_assert(sizeof(f) > Callback::kInlineBytes);
+      start = std::move(f);
+    }
+    Callback cb = MoveChain(start);
+    cb();
+  }
+  EXPECT_EQ(sum, 10u);
+  EXPECT_EQ(LiveCount::live, 0);
+}
+
+TEST(CallbackTest, TriviallyCopyableClosureSurvivesMemcpyRelocation) {
+  std::uint64_t out = 0;
+  const std::uint64_t a = 7, b = 35;
+  auto f = [a, b, o = &out] { *o = a + b; };
+  static_assert(std::is_trivially_copyable_v<decltype(f)>);
+  static_assert(sizeof(f) == Callback::kInlineBytes);
+  LiveCount::live = 1;  // MoveChain's bookkeeping; this closure holds no counter
+  Callback start = f;
+  Callback cb = MoveChain(start);
+  cb();
+  EXPECT_EQ(out, 42u);
+  LiveCount::live = 0;
 }
 
 TEST(SimulatorTest, ClockAdvancesWithEvents) {
@@ -548,6 +844,23 @@ TEST(EventQueueTest, OverdueScheduleAfterCursorAdvance) {
   q.schedule(TimePoint::from_ns(500), [&] { fired.push_back(4); });
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, (std::vector<int>{1, 3, 2, 4, 5, 0}));
+}
+
+// With nothing pending near the cursor, a schedule moves the cursor to its
+// own tick, which may lie past a far-heap resident. The far event must still
+// fire first, ahead of ready-heap events scheduled after it.
+TEST(EventQueueTest, FarResidentFiresBeforeReadyAfterCursorJump) {
+  constexpr std::int64_t kFar = std::int64_t{1} << 42;  // past the 2^41 ns horizon
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(TimePoint::from_ns(0), [&] { fired.push_back(0); });
+  q.schedule(TimePoint::from_ns(kFar), [&] { fired.push_back(1); });  // far heap
+  q.pop().fn();
+  q.schedule(TimePoint::from_ns(2 * kFar), [&] { fired.push_back(3); });   // cursor jumps here
+  q.schedule(TimePoint::from_ns(kFar + 1), [&] { fired.push_back(2); });   // behind it: ready
+  EXPECT_EQ(q.next_time().ns(), kFar);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
 }
 
 }  // namespace

@@ -37,7 +37,6 @@
 // The run goes through the same spec -> params conversion as the bench
 // drivers (exp/scenario_run.h), so a preset that mirrors a bench cell
 // reproduces that cell's numbers exactly.
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -54,54 +53,6 @@
 namespace {
 
 using mps::Json;
-
-// Splits "paths[0].rate_mbps" into navigation steps and walks the document,
-// creating intermediate objects as needed. Array elements must already exist.
-Json* navigate(Json& root, const std::string& path, std::string* err) {
-  Json* node = &root;
-  std::size_t i = 0;
-  while (i < path.size()) {
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '.' && path[j] != '[') ++j;
-    const std::string key = path.substr(i, j - i);
-    if (key.empty()) {
-      *err = "empty key segment in --set path '" + path + "'";
-      return nullptr;
-    }
-    node = &(*node)[key];  // insert-or-get; promotes null to object
-    // Zero or more [idx] segments.
-    while (j < path.size() && path[j] == '[') {
-      const std::size_t close = path.find(']', j);
-      if (close == std::string::npos) {
-        *err = "unterminated [ in --set path '" + path + "'";
-        return nullptr;
-      }
-      const std::string idx_text = path.substr(j + 1, close - j - 1);
-      std::size_t idx = 0;
-      try {
-        idx = static_cast<std::size_t>(std::stoul(idx_text));
-      } catch (const std::exception&) {
-        *err = "bad array index '" + idx_text + "' in --set path '" + path + "'";
-        return nullptr;
-      }
-      if (!node->is_array() || idx >= node->items().size()) {
-        *err = "array index " + idx_text + " out of range in --set path '" + path + "'";
-        return nullptr;
-      }
-      node = &node->items()[idx];
-      j = close + 1;
-    }
-    if (j < path.size()) {
-      if (path[j] != '.') {
-        *err = "expected '.' after ']' in --set path '" + path + "'";
-        return nullptr;
-      }
-      ++j;
-    }
-    i = j;
-  }
-  return node;
-}
 
 Json parse_override_value(const std::string& text) {
   try {
@@ -198,13 +149,12 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "mps_run: --set expects key=value, got '%s'\n", kv.c_str());
         return 2;
       }
-      std::string err;
-      Json* node = navigate(doc, kv.substr(0, eq), &err);
-      if (!node) {
-        std::fprintf(stderr, "mps_run: %s\n", err.c_str());
+      try {
+        set_at_path(doc, kv.substr(0, eq), parse_override_value(kv.substr(eq + 1)));
+      } catch (const std::invalid_argument& e) {
+        std::fprintf(stderr, "mps_run: --set: %s\n", e.what());
         return 2;
       }
-      *node = parse_override_value(kv.substr(eq + 1));
     } else {
       std::fprintf(stderr, "mps_run: unknown argument '%s'\n", arg.c_str());
       return 2;
