@@ -5,15 +5,20 @@
 #
 #   scripts/bench_ab.sh <base-rev> <workload> [pairs]
 #   scripts/bench_ab.sh HEAD~1 paper_cells 10
+#   scripts/bench_ab.sh HEAD~1 crowd_10k 0     # the count check alone
 #
-# <base-rev> is built in a temporary `git worktree` with its own
+# <base-rev> is checked out in a temporary shared clone with its own
 # CARGO_TARGET_DIR; the working tree builds into $CARGO_TARGET_DIR (default
-# .bench_build/). Pair i runs both sides at seed i, each for BENCHMARK.json's
-# run_seconds, with the side that goes first alternating between pairs. Each
-# run's raw result line is printed as it finishes; the summary prints every
-# end-to-end metric's median per side, the ratio change/base, the pairs the
-# change won (ties count for neither side), the base runs' interquartile range
-# and the failed-op totals.
+# .bench_build/). Before any timing, both sides run once traced (--trace 1,
+# seed 1, a short run) and the script stops with status 1 if any model count
+# differs: sim.events, net.*, fault.*, tcp.*, mptcp.*, traffic.flows_*. A
+# pure performance change must leave all of them equal, so this one command
+# also checks "counts unchanged". Pair i then runs both sides at seed i, each
+# for BENCHMARK.json's run_seconds, with the side that goes first alternating
+# between pairs. Each run's raw result line is printed as it finishes; the
+# summary prints every end-to-end metric's median per side, the ratio
+# change/base, the pairs the change won (ties count for neither side), the
+# base runs' interquartile range and the failed-op totals.
 set -euo pipefail
 
 if [[ $# -lt 2 || $# -gt 3 ]]; then
@@ -30,12 +35,9 @@ seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run
 base_sha="$(git rev-parse --verify "$base_rev^{commit}")"
 
 tmp="$(mktemp -d)"
-cleanup() {
-  git -C "$root" worktree remove --force "$tmp/tree" 2>/dev/null || true
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach "$tmp/tree" "$base_sha" >/dev/null
+trap 'rm -rf "$tmp"' EXIT
+git clone -q --shared --no-checkout "$root" "$tmp/tree"
+git -C "$tmp/tree" checkout -q --detach "$base_sha"
 
 runs="$tmp/runs.jsonl"
 : > "$runs"
@@ -46,6 +48,27 @@ run_side() {  # <side> <dir> <target-dir> <seed>
     tail -n 1)"
   printf '{"side": "%s", "seed": %s, "result": %s}\n' "$1" "$4" "$line" | tee -a "$runs"
 }
+
+count_run() {  # <dir> <target-dir> <out-file>
+  (cd "$1" && CARGO_TARGET_DIR="$2" python3 perfbench/run.py --workload "$workload" \
+    --seed 1 --seconds 6 --trace 1 2>>"$tmp/build.log" | tail -n 1) > "$3"
+}
+count_run "$tmp/tree" "$tmp/build" "$tmp/counts_base.json"
+count_run "$root" "${CARGO_TARGET_DIR:-.bench_build}" "$tmp/counts_change.json"
+python3 - "$tmp/counts_base.json" "$tmp/counts_change.json" <<'EOF'
+import json, sys
+
+base, change = (json.load(open(f))["metrics"] for f in sys.argv[1:3])
+counted = lambda n: n == "sim.events" or n.startswith(("net.", "fault.", "tcp.", "mptcp.",
+                                                        "traffic.flows_"))
+names = sorted(n for n in base if counted(n))
+diff = [n for n in names if base[n]["value"] != change.get(n, {}).get("value")]
+for n in diff:
+    print(f"count differs: {n} base {base[n]['value']} change {change.get(n, {}).get('value')}")
+print(f"bench_ab: counts {'DIFFER' if diff else 'unchanged'} ({len(names)} metrics, seed 1)")
+sys.exit(1 if diff else 0)
+EOF
+((pairs > 0)) || exit 0  # `... <workload> 0` is the count check alone
 
 echo "bench_ab: $workload, base ${base_sha:0:12} vs working tree, $pairs pairs x ${seconds}s"
 for ((seed = 1; seed <= pairs; ++seed)); do

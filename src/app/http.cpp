@@ -13,6 +13,7 @@ HttpExchange::HttpExchange(Simulator& sim, Connection& conn, Duration request_de
 }
 
 HttpExchange::~HttpExchange() {
+  if (alive_ != nullptr) *alive_ = false;
   conn_.on_sendable = nullptr;
   conn_.on_deliver = nullptr;
   conn_.on_wire_arrival_hook = nullptr;
@@ -79,7 +80,11 @@ void HttpExchange::server_pump() {
 }
 
 void HttpExchange::on_delivered(std::uint64_t bytes, TimePoint when) {
-  const std::weak_ptr<bool> alive = alive_;
+  // Entered only from the connection's deferred delivery post, never from
+  // inside itself, so one flag slot suffices.
+  assert(alive_ == nullptr);
+  bool alive = true;
+  alive_ = &alive;
   delivered_total_ += bytes;
   while (bytes > 0 && head_ < objects_.size()) {
     PendingObject& obj = objects_[head_];
@@ -96,8 +101,9 @@ void HttpExchange::on_delivered(std::uint64_t bytes, TimePoint when) {
     if (done) done(result);
     // The callback may have destroyed this exchange (e.g. WebBrowser
     // retiring an expired keepalive connection); nothing left to do then.
-    if (alive.expired()) return;
+    if (!alive) return;
   }
+  alive_ = nullptr;
   // Freed receive-side accounting may allow more server writes.
   server_pump();
 }

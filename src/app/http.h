@@ -14,6 +14,7 @@
 
 #include "mptcp/connection.h"
 #include "sim/simulator.h"
+#include "traffic/arena.h"
 #include "util/ring.h"
 
 namespace mps {
@@ -30,7 +31,9 @@ struct ObjectResult {
   TimePoint last_arrival_lte;
 };
 
-class HttpExchange {
+// Exchanges churn with their connections, so they recycle arena slots too
+// (traffic/arena.h).
+class HttpExchange : public ArenaAllocated<HttpExchange> {
  public:
   using DoneFn = std::function<void(const ObjectResult&)>;
 
@@ -95,10 +98,11 @@ class HttpExchange {
   // capture `this`, and an exchange torn down under churn used to leave
   // them dangling — and so snapshot forks can rebind them.
   RingDeque<EventId> request_ids_;
-  // Liveness sentinel: a completion callback may destroy this exchange
-  // (WebBrowser retires the connection from inside `done`), so on_delivered
-  // watches a weak_ptr to it and stops touching members once expired.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // Liveness flag on the stack of a running on_delivered (else null): a
+  // completion callback may destroy this exchange (WebBrowser retires the
+  // connection from inside `done`), so the destructor clears the flag and
+  // on_delivered stops touching members once it reads false.
+  bool* alive_ = nullptr;
 };
 
 }  // namespace mps

@@ -53,7 +53,7 @@ EcfDecision ecf_decide(double k_packets, double cwnd_f, double ssthresh_f, doubl
                        double ssthresh_s, double rtt_f_s, double rtt_s_s, double delta_s,
                        bool waiting, double beta, double staged_f = 0.0, double staged_s = 0.0);
 
-class EcfScheduler final : public Scheduler {
+class EcfScheduler final : public Scheduler, public ArenaAllocated<EcfScheduler> {
  public:
   explicit EcfScheduler(EcfConfig config = {}) : config_(config) {}
 

@@ -118,6 +118,7 @@ DownloadResult DownloadRun::finish() {
       total > 0 ? static_cast<double>(res_.path_bytes[fast_path_]) / total : 0.0;
   res_.ooo_delay = conn_->ooo_delay();
   res_.remapped_segments = conn_->meta_stats().remapped_segments;
+  res_.capped = !done_;
   return res_;
 }
 

@@ -49,6 +49,9 @@ struct DownloadResult {
   std::vector<std::uint64_t> path_bytes;
   // Segments re-scheduled after an abandon teardown (meta_stats mirror).
   std::uint64_t remapped_segments = 0;
+  // The run reached its 600 s safety cap before the download completed;
+  // completion then stays zero and must not be read as a time.
+  bool capped = false;
 };
 
 // One download run held as an object so it can be paused mid-simulation and

@@ -194,11 +194,14 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions&
       DownloadParams p = download_params_from_spec(spec);
       p.telemetry = opts.telemetry;
       p.heartbeat = opts.heartbeat;
+      bool capped = false;
       for (std::int64_t r = 0; r < spec.workload.runs; ++r) {
         p.seed += 1;
         out.download = run_download(p);
         out.download_completions.add(out.download.completion.to_seconds());
+        capped = capped || out.download.capped;
       }
+      out.download.capped = capped;  // any run, not only the last
       break;
     }
     case WorkloadKind::kWeb: {
@@ -280,6 +283,9 @@ std::string format_outcome(const ScenarioSpec& spec, const ScenarioOutcome& out)
                 out.download_completions.max());
       }
       appendf(s, ", fast-path fraction %.2f\n", out.download.fraction_fast);
+      if (out.download.capped) {
+        appendf(s, "  capped: a run reached the 600 s cap before its download completed\n");
+      }
       break;
     case WorkloadKind::kWeb: {
       const WebRunResult& r = out.web;

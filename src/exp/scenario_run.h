@@ -49,7 +49,7 @@ struct ScenarioOutcome {
   WorkloadKind kind = WorkloadKind::kStream;
   StreamingResult streaming;       // kStream: averaged over workload.runs
   Samples download_completions;    // kDownload: per-run completion seconds
-  DownloadResult download;         // kDownload: last run's detail
+  DownloadResult download;         // kDownload: last run's detail; capped: any run
   WebRunResult web;                // kWeb: merged over workload.runs
   TrafficResult traffic;           // spec.traffic.enabled: competing-traffic run
 };

@@ -265,10 +265,13 @@ std::vector<ScenarioOutcome> run_scenario_fork_k(const ScenarioSpec& spec,
           },
           sw);
       for (std::size_t j = 0; j < kk; ++j) {
+        bool capped = false;
         for (std::size_t r = 0; r < runs; ++r) {
           outs[j].download_completions.add(groups[r][j].completion.to_seconds());
+          capped = capped || groups[r][j].capped;
           if (r + 1 == runs) outs[j].download = groups[r][j];
         }
+        outs[j].download.capped = capped;
       }
       break;
     }

@@ -9,7 +9,7 @@
 
 namespace mps {
 
-Connection::Connection(Simulator& sim, ConnectionConfig config, std::vector<Path*> paths,
+Connection::Connection(Simulator& sim, ConnectionConfig config, const std::vector<Path*>& paths,
                        std::unique_ptr<Scheduler> scheduler, Mux& down_mux, Mux& up_mux)
     : sim_(sim),
       config_(config),
@@ -37,21 +37,13 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, std::vector<Path
     obs_->reorder_segments = m.gauge("conn.reorder_segments", labels);
   }
 
-  subflows_.reserve(paths.size());
-  receivers_.reserve(paths.size());
+  slots_.reserve(paths.size());
+  subflow_ptrs_.reserve(paths.size());
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const Duration join_delay = i > 0 && config_.delayed_secondary_join
                                     ? paths[i]->rtt_base()  // MP_JOIN handshake
                                     : Duration::zero();
-    const SubflowConfig sc =
-        subflow_config_for(static_cast<std::uint32_t>(i), join_delay);
-    subflows_.push_back(
-        std::make_unique<Subflow>(sim_, sc, *paths[i], make_cc(config_.cc), this));
-    subflow_ptrs_.push_back(subflows_.back().get());
-    receivers_.push_back(std::make_unique<SubflowReceiver>(
-        sim_, config_.conn_id, sc.id, *paths[i], this));
-    slot_paths_.push_back(paths[i]);
-    retired_stats_.emplace_back();
+    open_slot(*paths[i], join_delay);
   }
 
   // Slots may be null after mid-connection teardown; stray packets for a
@@ -59,16 +51,29 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, std::vector<Path
   // the RST-less analogue of landing on a closed port.
   down_mux_.add_route(config_.conn_id, this, [](void* self, const Packet& p) {
     Connection& c = *static_cast<Connection*>(self);
-    if (p.subflow_id < c.receivers_.size() && c.receivers_[p.subflow_id] != nullptr) {
-      c.receivers_[p.subflow_id]->on_data_packet(p);
+    if (p.subflow_id < c.slots_.size() && c.slots_[p.subflow_id].receiver != nullptr) {
+      c.slots_[p.subflow_id].receiver->on_data_packet(p);
     }
   });
   up_mux_.add_route(config_.conn_id, this, [](void* self, const Packet& p) {
     Connection& c = *static_cast<Connection*>(self);
-    if (p.subflow_id < c.subflows_.size() && c.subflows_[p.subflow_id] != nullptr) {
-      c.subflows_[p.subflow_id]->on_ack_packet(p);
+    if (p.subflow_id < c.slots_.size() && c.slots_[p.subflow_id].sender != nullptr) {
+      c.slots_[p.subflow_id].sender->on_ack_packet(p);
     }
   });
+}
+
+std::uint32_t Connection::open_slot(Path& path, Duration join_delay) {
+  const auto id = static_cast<std::uint32_t>(slots_.size());
+  Slot& slot = slots_.emplace_back();
+  slot.sender = std::make_unique<Subflow>(sim_, subflow_config_for(id, join_delay), path,
+                                          config_.cc, this);
+  slot.receiver = std::make_unique<SubflowReceiver>(sim_, config_.conn_id, id, path, this);
+  slot.path = &path;
+  // Live subflows precede the new id, so appending keeps the list compacted
+  // in id order.
+  subflow_ptrs_.push_back(slot.sender.get());
+  return id;
 }
 
 SubflowConfig Connection::subflow_config_for(std::uint32_t id, Duration join_delay) const {
@@ -101,14 +106,7 @@ Connection::~Connection() {
 // Dynamic path management
 
 std::uint32_t Connection::add_subflow(Path& path, Duration join_delay) {
-  const std::uint32_t id = static_cast<std::uint32_t>(subflows_.size());
-  subflows_.push_back(std::make_unique<Subflow>(
-      sim_, subflow_config_for(id, join_delay), path, make_cc(config_.cc), this));
-  receivers_.push_back(
-      std::make_unique<SubflowReceiver>(sim_, config_.conn_id, id, path, this));
-  slot_paths_.push_back(&path);
-  retired_stats_.emplace_back();
-  rebuild_subflow_ptrs();
+  const std::uint32_t id = open_slot(path, join_delay);
   cc_terms_valid_ = false;  // new sibling (and a new establishment horizon)
   scheduler_->on_subflow_change(*this);
   MPS_TRACE_EVENT(sim_, EventType::kSubflowChange, config_.conn_id, id, {"op", "add"});
@@ -116,8 +114,8 @@ std::uint32_t Connection::add_subflow(Path& path, Duration join_delay) {
 }
 
 void Connection::remove_subflow(std::uint32_t id, TeardownMode mode) {
-  assert(id < subflows_.size() && subflows_[id] != nullptr);
-  Subflow& sf = *subflows_[id];
+  assert(id < slots_.size() && slots_[id].sender != nullptr);
+  Subflow& sf = *slots_[id].sender;
   if (mode == TeardownMode::kDrain && !sf.drained()) {
     sf.begin_drain();
     // Membership is unchanged (a draining subflow stays visible so its
@@ -150,8 +148,8 @@ void Connection::remove_subflow(std::uint32_t id, TeardownMode mode) {
 
 std::size_t Connection::finalize_drained() {
   std::size_t finalized = 0;
-  for (std::uint32_t id = 0; id < subflows_.size(); ++id) {
-    Subflow* sf = subflows_[id].get();
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+    Subflow* sf = slots_[id].sender.get();
     if (sf == nullptr || !sf->draining() || !sf->drained()) continue;
     finalize_subflow(id);
     ++finalized;
@@ -161,26 +159,27 @@ std::size_t Connection::finalize_drained() {
 }
 
 void Connection::finalize_subflow(std::uint32_t id) {
-  retired_stats_[id] = subflows_[id]->stats();
-  subflows_[id].reset();
-  receivers_[id].reset();
+  Slot& slot = slots_[id];
+  slot.retired = slot.sender->stats();
+  slot.sender.reset();
+  slot.receiver.reset();
   rebuild_subflow_ptrs();
   cc_terms_valid_ = false;  // sibling left the coupled group
 }
 
 void Connection::rebuild_subflow_ptrs() {
   subflow_ptrs_.clear();
-  for (const auto& sf : subflows_) {
-    if (sf != nullptr) subflow_ptrs_.push_back(sf.get());
+  for (const Slot& slot : slots_) {
+    if (slot.sender != nullptr) subflow_ptrs_.push_back(slot.sender.get());
   }
 }
 
 std::uint64_t Connection::bytes_sent_on(const Path& path) const {
   std::uint64_t total = 0;
-  for (std::size_t slot = 0; slot < subflows_.size(); ++slot) {
-    if (slot_paths_[slot] != &path) continue;
-    total += subflows_[slot] != nullptr ? subflows_[slot]->stats().bytes_sent
-                                        : retired_stats_[slot].bytes_sent;
+  for (const Slot& slot : slots_) {
+    if (slot.path != &path) continue;
+    total += slot.sender != nullptr ? slot.sender->stats().bytes_sent
+                                    : slot.retired.bytes_sent;
   }
   return total;
 }
@@ -261,8 +260,9 @@ void Connection::try_send() {
     scheduler_->note_scheduled(sf->id());
     const std::uint32_t payload =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(config_.mss, send_queue_bytes_));
-    sf->assign_segment(next_data_seq_, payload);
+    const std::uint64_t n = sf->assign_segments(next_data_seq_, payload, run_limit(payload));
     if (scheduler_->duplicate_to_all()) {
+      assert(n == 1);  // duplicating schedulers never declare stable picks
       // Redundant semantics: a copy committed to every other subflow with
       // send-queue room, de-duplicated by the meta receiver. Never onto a
       // draining subflow — a duplicate staged there would keep it from ever
@@ -272,12 +272,22 @@ void Connection::try_send() {
         other->assign_segment(next_data_seq_, payload, /*reinjection=*/true);
       }
     }
-    next_data_seq_ += payload;
-    send_queue_bytes_ -= payload;
-    ++meta_stats_.segments_scheduled;
+    next_data_seq_ += n * payload;
+    send_queue_bytes_ -= n * payload;
+    meta_stats_.segments_scheduled += n;
   }
 
   in_try_send_ = false;
+}
+
+std::uint64_t Connection::run_limit(std::uint32_t payload) const {
+  if (!scheduler_->stable_pick() || scheduler_->explaining()) return 1;
+  // Committing segment i (0-based) needs queued bytes for it and, as the
+  // loop's window check, meta_inflight() + i * payload < rwnd_. A short
+  // final segment (payload < mss) is the whole queue, so it runs alone.
+  const std::uint64_t queued = send_queue_bytes_ / payload;
+  const std::uint64_t window = (rwnd_ - meta_inflight() + payload - 1) / payload;
+  return std::min(queued, window);
 }
 
 void Connection::try_opportunistic_retransmit() {
@@ -342,8 +352,9 @@ void Connection::fire_sendable() {
 }
 
 void Connection::cc_sibling_info(std::vector<CcSiblingInfo>& out) const {
-  out.reserve(subflows_.size());
-  for (const auto& sf : subflows_) {
+  out.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
+    const Subflow* sf = slot.sender.get();
     if (sf == nullptr) continue;
     CcSiblingInfo info;
     info.subflow_id = sf->id();
@@ -363,7 +374,8 @@ const CoupledCcTerms& Connection::coupled_terms() const {
     cc_sibling_info(cc_terms_.siblings);
     cc_terms_.recompute();
     cc_terms_horizon_ = TimePoint::never();
-    for (const auto& sf : subflows_) {
+    for (const Slot& slot : slots_) {
+      const Subflow* sf = slot.sender.get();
       if (sf == nullptr || sf->established()) continue;
       cc_terms_horizon_ = std::min(cc_terms_horizon_, sf->established_at());
     }
@@ -501,18 +513,20 @@ void Connection::restore_from(const Connection& src) {
   // have been re-created in id order (PathManager::restore_topology does
   // this before the connection restore). Slots the source finalized are
   // destroyed here, so the per-slot restores below are null-isomorphic.
-  assert(subflows_.size() == src.subflows_.size());
+  assert(slots_.size() == src.slots_.size());
   bool slots_changed = false;
-  for (std::size_t i = 0; i < subflows_.size(); ++i) {
-    if (src.subflows_[i] == nullptr && subflows_[i] != nullptr) {
-      subflows_[i].reset();
-      receivers_[i].reset();
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    const Slot& from = src.slots_[i];
+    if (from.sender == nullptr && slot.sender != nullptr) {
+      slot.sender.reset();
+      slot.receiver.reset();
       slots_changed = true;
     }
-    assert((subflows_[i] == nullptr) == (src.subflows_[i] == nullptr));
+    assert((slot.sender == nullptr) == (from.sender == nullptr));
+    slot.retired = from.retired;
   }
   if (slots_changed) rebuild_subflow_ptrs();
-  retired_stats_ = src.retired_stats_;
   remap_queue_ = src.remap_queue_;
   remap_bytes_ = src.remap_bytes_;
 
@@ -550,11 +564,10 @@ void Connection::restore_from(const Connection& src) {
   cc_terms_valid_ = false;  // per-subflow restores below rewrite every input
 
   scheduler_->restore_from(*src.scheduler_);
-  for (std::size_t i = 0; i < subflows_.size(); ++i) {
-    if (subflows_[i] != nullptr) subflows_[i]->restore_from(*src.subflows_[i]);
-  }
-  for (std::size_t i = 0; i < receivers_.size(); ++i) {
-    if (receivers_[i] != nullptr) receivers_[i]->restore_from(*src.receivers_[i]);
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].sender == nullptr) continue;  // sender and receiver die together
+    slots_[i].sender->restore_from(*src.slots_[i].sender);
+    slots_[i].receiver->restore_from(*src.slots_[i].receiver);
   }
 }
 

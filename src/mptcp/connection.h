@@ -72,21 +72,18 @@ struct MetaStats {
   std::uint64_t segments_scheduled = 0;
 };
 
-class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
+// Churned connections recycle fixed-size arena slots instead of hitting the
+// global heap (traffic/arena.h).
+class Connection final : public SubflowEnv,
+                         public CcGroup,
+                         public MetaSink,
+                         public ArenaAllocated<Connection> {
  public:
-  // Churned connections recycle fixed-size arena slots instead of hitting
-  // the global heap (traffic/arena.h).
-  static void* operator new(std::size_t size) { return arena_allocate<Connection>(size); }
-  static void operator delete(void* p, std::size_t size) {
-    arena_deallocate<Connection>(p, size);
-  }
-
-
   // `paths` may contain duplicates (several subflows per interface, paper
   // Section 5.2.5); index 0 is the primary subflow. `down_mux`/`up_mux`
   // demultiplex the shared links; the connection registers itself for
   // config.conn_id and unregisters on destruction.
-  Connection(Simulator& sim, ConnectionConfig config, std::vector<Path*> paths,
+  Connection(Simulator& sim, ConnectionConfig config, const std::vector<Path*>& paths,
              std::unique_ptr<Scheduler> scheduler, Mux& down_mux, Mux& up_mux);
   ~Connection() override;
 
@@ -154,17 +151,15 @@ class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
   // running (e.g. a break-before-make window with zero live subflows).
   void kick() { try_send(); }
 
-  std::size_t slot_count() const { return subflows_.size(); }
-  const Subflow* subflow_at(std::size_t slot) const { return subflows_[slot].get(); }
+  std::size_t slot_count() const { return slots_.size(); }
+  const Subflow* subflow_at(std::size_t slot) const { return slots_[slot].sender.get(); }
   const SubflowReceiver* receiver_at(std::size_t slot) const {
-    return receivers_[slot].get();
+    return slots_[slot].receiver.get();
   }
   // The path slot `slot`'s subflow runs (ran) over; survives finalization.
-  const Path* slot_path(std::size_t slot) const { return slot_paths_[slot]; }
+  const Path* slot_path(std::size_t slot) const { return slots_[slot].path; }
   // Final stats of a finalized slot (zeros while the subflow is live).
-  const SubflowStats& retired_stats(std::size_t slot) const {
-    return retired_stats_[slot];
-  }
+  const SubflowStats& retired_stats(std::size_t slot) const { return slots_[slot].retired; }
   // Payload bytes originally sent over `path`, live and retired slots
   // combined (per-interface reporting that survives subflow churn).
   std::uint64_t bytes_sent_on(const Path& path) const;
@@ -198,7 +193,7 @@ class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
   std::uint64_t meta_ooo_bytes() const { return meta_ooo_bytes_; }
   std::size_t meta_ooo_segments() const { return meta_ooo_.size(); }
   std::uint64_t pending_deliver_bytes() const { return pending_deliver_bytes_; }
-  std::size_t receiver_count() const { return receivers_.size(); }
+  std::size_t receiver_count() const { return slots_.size(); }
   // Appends the [data_seq, data_seq + payload) range of every segment held
   // in the meta reorder buffer.
   void collect_ooo_ranges(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const;
@@ -233,6 +228,10 @@ class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
 
  private:
   void try_send();
+  // Segments the next commit to a picked subflow may carry: the whole run up
+  // to the send queue's last full segment and the meta window's edge when
+  // the scheduler's pick is stable (and no decision log listens), else 1.
+  std::uint64_t run_limit(std::uint32_t payload) const;
   void try_opportunistic_retransmit();
   // Re-schedules remap-queue entries (data abandoned with a torn-down
   // subflow) onto scheduler-picked survivors. Runs before the regular
@@ -240,6 +239,9 @@ class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
   // already inside meta_inflight(), so gating them on rwnd would deadlock.
   void service_remap_queue();
   SubflowConfig subflow_config_for(std::uint32_t id, Duration join_delay) const;
+  // Appends slot `slots_.size()` (sender + receiver over `path`) and lists
+  // its subflow as live; returns the new id.
+  std::uint32_t open_slot(Path& path, Duration join_delay);
   void rebuild_subflow_ptrs();
   // Destroys slot `id` (sender + receiver), recording its final stats.
   void finalize_subflow(std::uint32_t id);
@@ -256,12 +258,17 @@ class Connection final : public SubflowEnv, public CcGroup, public MetaSink {
   Mux& down_mux_;
   Mux& up_mux_;
 
-  // Id-indexed slots (null after teardown) plus the compacted live list.
-  std::vector<std::unique_ptr<Subflow>> subflows_;
-  std::vector<Subflow*> subflow_ptrs_;
-  std::vector<std::unique_ptr<SubflowReceiver>> receivers_;
-  std::vector<Path*> slot_paths_;           // per slot; survives finalization
-  std::vector<SubflowStats> retired_stats_;  // per slot; zeros while live
+  // One entry per subflow id, reserved for the initial paths at
+  // construction: sender and receiver (both null after teardown), the path,
+  // and the final stats a finalized slot keeps (zeros while live).
+  struct Slot {
+    std::unique_ptr<Subflow> sender;
+    std::unique_ptr<SubflowReceiver> receiver;
+    Path* path = nullptr;
+    SubflowStats retired;
+  };
+  std::vector<Slot> slots_;
+  std::vector<Subflow*> subflow_ptrs_;  // compacted live list
   // Data ranges abandoned with a torn-down subflow, awaiting re-scheduling.
   RingDeque<SegmentRef> remap_queue_;
   std::uint64_t remap_bytes_ = 0;

@@ -8,7 +8,12 @@
 //
 // The paper's contribution (ECF) lives in src/core; baseline schedulers in
 // src/sched. Connection calls pick() in a loop until it returns nullptr or
-// the send queue / meta window is exhausted.
+// the send queue / meta window is exhausted. A scheduler whose pick is
+// stable (stable_pick()) lets Connection commit a whole run of segments per
+// pick instead of one.
+//
+// Concrete schedulers derive from ArenaAllocated<Self> (traffic/arena.h) so
+// per-flow construction under churn recycles slab slots.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +21,7 @@
 #include <memory>
 
 #include "obs/decision.h"
+#include "traffic/arena.h"
 #include "util/time.h"
 
 // Keeps decision-recording bodies out of the pick() hot path: the explain
@@ -42,6 +48,16 @@ class Scheduler {
   virtual Subflow* pick(Connection& conn) = 0;
 
   virtual const char* name() const = 0;
+
+  // Run-commit contract: true when pick() keeps returning the same subflow
+  // for as long as that subflow can_accept(), i.e. committing segments to
+  // the picked subflow changes no input of the next pick except that
+  // subflow's own send-queue room. Connection then commits the whole run
+  // with one Subflow::assign_segments call instead of re-picking per
+  // segment. Must stay false for any scheduler whose choice reads state a
+  // commit moves (ECF's and BLEST's k, round-robin's cursor), for
+  // duplicate_to_all() schedulers, and for decorators that count picks.
+  virtual bool stable_pick() const { return false; }
 
   // When true, the connection transmits a copy of every scheduled segment
   // on each other subflow with free window space (mptcp.org `redundant`
@@ -85,6 +101,10 @@ class Scheduler {
   // microbenchmark calls pick() directly and must not regress). Skips the
   // record when the scheduler already logged this pick with its full
   // decision terms (ECF's explain path).
+  // True while a flight recorder or decision hook listens; Connection then
+  // commits one segment per pick so every decision is recorded.
+  bool explaining() const { return explain_; }
+
   void note_scheduled(std::int64_t subflow) const {
     if (!explain_) [[likely]] {
       return;

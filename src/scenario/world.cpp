@@ -17,6 +17,9 @@ World::World(WorldConfig config) : config_(std::move(config)), rng_(config_.seed
   for (auto& p : paths_) p->down().set_rng(rng_.fork());
   for (auto& p : paths_) down_mux_.attach_to(p->down());
   for (auto& p : paths_) up_mux_.attach_to(p->up());
+  for (auto& p : paths_) {
+    for (int i = 0; i < config_.subflows_per_path; ++i) conn_paths_.push_back(p.get());
+  }
 }
 
 std::unique_ptr<Connection> World::make_connection(const SchedulerFactory& scheduler) {
@@ -24,13 +27,7 @@ std::unique_ptr<Connection> World::make_connection(const SchedulerFactory& sched
   ConnectionConfig cc = config_.conn;
   cc.conn_id = next_conn_id_++;
 
-  std::vector<Path*> paths;
-  for (auto& p : paths_) {
-    for (int i = 0; i < config_.subflows_per_path; ++i) paths.push_back(p.get());
-  }
-
-  return std::make_unique<Connection>(sim_, cc, std::move(paths), scheduler(), down_mux_,
-                                      up_mux_);
+  return std::make_unique<Connection>(sim_, cc, conn_paths_, scheduler(), down_mux_, up_mux_);
 }
 
 std::unique_ptr<Connection> World::make_connection_on(
@@ -40,10 +37,10 @@ std::unique_ptr<Connection> World::make_connection_on(
   cc.conn_id = next_conn_id_++;
 
   std::vector<Path*> paths;
+  paths.reserve(path_indices.size());
   for (std::size_t idx : path_indices) paths.push_back(paths_[idx].get());
 
-  return std::make_unique<Connection>(sim_, cc, std::move(paths), scheduler(), down_mux_,
-                                      up_mux_);
+  return std::make_unique<Connection>(sim_, cc, paths, scheduler(), down_mux_, up_mux_);
 }
 
 namespace {

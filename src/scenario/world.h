@@ -96,6 +96,9 @@ class World {
   std::vector<std::unique_ptr<Path>> paths_;
   Mux down_mux_;  // attached to every downlink (client side)
   Mux up_mux_;    // attached to every uplink (server side)
+  // make_connection's subflow path list, built once: [path0 x
+  // subflows_per_path, path1 x ..., ...].
+  std::vector<Path*> conn_paths_;
   std::uint32_t next_conn_id_ = 1;
 };
 

@@ -39,7 +39,7 @@ struct BlestConfig {
   double lambda_max = 3.0;
 };
 
-class BlestScheduler final : public Scheduler {
+class BlestScheduler final : public Scheduler, public ArenaAllocated<BlestScheduler> {
  public:
   explicit BlestScheduler(BlestConfig config = {})
       : config_(config), lambda_(config.lambda_initial) {}

@@ -22,7 +22,7 @@
 
 namespace mps {
 
-class DapsScheduler final : public Scheduler {
+class DapsScheduler final : public Scheduler, public ArenaAllocated<DapsScheduler> {
  public:
   Subflow* pick(Connection& conn) override;
   const char* name() const override { return "daps"; }

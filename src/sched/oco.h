@@ -48,7 +48,7 @@ struct OcoConfig {
   double disarm_threshold = 0.005;  // any live path below this -> disarm
 };
 
-class OcoScheduler final : public Scheduler {
+class OcoScheduler final : public Scheduler, public ArenaAllocated<OcoScheduler> {
  public:
   explicit OcoScheduler(OcoConfig config = {}) : config_(config) {}
 

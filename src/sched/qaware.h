@@ -30,7 +30,7 @@
 
 namespace mps {
 
-class QAwareScheduler final : public Scheduler {
+class QAwareScheduler final : public Scheduler, public ArenaAllocated<QAwareScheduler> {
  public:
   Subflow* pick(Connection& conn) override {
     Subflow* best = nullptr;

@@ -10,7 +10,7 @@
 
 namespace mps {
 
-class RedundantScheduler final : public Scheduler {
+class RedundantScheduler final : public Scheduler, public ArenaAllocated<RedundantScheduler> {
  public:
   Subflow* pick(Connection& conn) override {
     // Primary copy rides the fastest available subflow; Connection

@@ -17,7 +17,7 @@
 
 namespace mps {
 
-class RoundRobinScheduler final : public Scheduler {
+class RoundRobinScheduler final : public Scheduler, public ArenaAllocated<RoundRobinScheduler> {
  public:
   Subflow* pick(Connection& conn) override {
     auto& subflows = conn.subflows();

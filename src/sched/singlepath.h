@@ -17,7 +17,7 @@
 
 namespace mps {
 
-class SinglePathScheduler final : public Scheduler {
+class SinglePathScheduler final : public Scheduler, public ArenaAllocated<SinglePathScheduler> {
  public:
   explicit SinglePathScheduler(std::uint32_t subflow_id = 0) : subflow_id_(subflow_id) {}
 

@@ -2,12 +2,6 @@
 
 #include <algorithm>
 
-#include "tcp/cc_balia.h"
-#include "tcp/cc_cubic.h"
-#include "tcp/cc_lia.h"
-#include "tcp/cc_olia.h"
-#include "tcp/cc_reno.h"
-
 namespace mps {
 
 void CoupledCcTerms::recompute() {
@@ -76,17 +70,6 @@ const char* cc_kind_name(CcKind kind) {
     case CcKind::kBalia: return "balia";
   }
   return "?";
-}
-
-std::unique_ptr<CongestionController> make_cc(CcKind kind) {
-  switch (kind) {
-    case CcKind::kReno: return std::make_unique<RenoCc>();
-    case CcKind::kCubic: return std::make_unique<CubicCc>();
-    case CcKind::kLia: return std::make_unique<LiaCc>();
-    case CcKind::kOlia: return std::make_unique<OliaCc>();
-    case CcKind::kBalia: return std::make_unique<BaliaCc>();
-  }
-  return nullptr;
 }
 
 }  // namespace mps

@@ -123,6 +123,5 @@ class CongestionController {
 enum class CcKind { kReno, kCubic, kLia, kOlia, kBalia };
 
 const char* cc_kind_name(CcKind kind);
-std::unique_ptr<CongestionController> make_cc(CcKind kind);
 
 }  // namespace mps

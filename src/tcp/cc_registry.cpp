@@ -22,6 +22,25 @@ CcKind cc_kind_from_name(const std::string& name) {
                               ")");
 }
 
+CcState make_cc_state(CcKind kind) {
+  switch (kind) {
+    case CcKind::kReno: return RenoCc{};
+    case CcKind::kCubic: return CubicCc{};
+    case CcKind::kLia: return LiaCc{};
+    case CcKind::kOlia: return OliaCc{};
+    case CcKind::kBalia: return BaliaCc{};
+  }
+  return RenoCc{};
+}
+
+std::unique_ptr<CongestionController> make_cc(CcKind kind) {
+  return std::visit(
+      [](const auto& cc) -> std::unique_ptr<CongestionController> {
+        return std::make_unique<std::decay_t<decltype(cc)>>(cc);
+      },
+      make_cc_state(kind));
+}
+
 const std::vector<std::string>& cc_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> out;

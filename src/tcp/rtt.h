@@ -15,12 +15,11 @@ struct RttConfig {
   Duration min_rto = Duration::millis(200);  // Linux TCP_RTO_MIN
   Duration max_rto = Duration::seconds(60);
   Duration initial_rto = Duration::seconds(1);
-  std::size_t stddev_window = 16;  // samples feeding ECF's sigma
 };
 
 class RttEstimator {
  public:
-  explicit RttEstimator(RttConfig config = {}) : config_(config), window_(config.stddev_window) {}
+  explicit RttEstimator(RttConfig config = {}) : config_(config) {}
 
   void add_sample(Duration rtt);
 
@@ -51,7 +50,7 @@ class RttEstimator {
   Duration min_rtt_ = Duration::infinite();
   Duration last_ = Duration::zero();
   std::size_t n_samples_ = 0;
-  WindowedStats window_;
+  WindowedStats window_;  // the last 16 samples feed ECF's sigma
   RunningStats lifetime_;
 };
 

@@ -9,19 +9,17 @@
 
 namespace mps {
 
-Subflow::Subflow(Simulator& sim, SubflowConfig config, Path& path,
-                 std::unique_ptr<CongestionController> cc, SubflowEnv* env)
+Subflow::Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, SubflowEnv* env)
     : sim_(sim),
       config_(config),
       path_(path),
-      cc_(std::move(cc)),
+      cc_(make_cc_state(cc)),
       env_(env),
       rtt_(config.rtt),
       cwnd_(config.initial_cwnd),
       rto_timer_(sim),
       rack_timer_(sim),
       established_at_(sim.now() + config.join_delay) {
-  assert(cc_ != nullptr);
   obs_ = &detached_instruments();
   if (FlightRecorder* rec = sim.recorder()) {
     obs_owned_ = std::make_unique<Instruments>();
@@ -107,24 +105,57 @@ bool Subflow::can_accept() const {
   return established() && !draining_ && staged_bytes_ < config_.staging_limit_bytes;
 }
 
-void Subflow::assign_segment(std::uint64_t data_seq, std::uint32_t payload,
-                             bool reinjection) {
-  assert(established());
-  if (available_cwnd() >= 1 && staged_.empty()) {
-    send_segment(data_seq, payload, reinjection);
-    return;
+std::uint64_t Subflow::assign_segments(std::uint64_t data_seq, std::uint32_t payload,
+                                       std::uint64_t max_segments, bool reinjection) {
+  assert(established() && payload > 0 && max_segments > 0);
+  std::uint64_t n = 0;
+  if (staged_.empty()) {
+    // One reservation for the burst, so a first window does not walk the
+    // scoreboard through every doubling on the way to its size.
+    const std::int64_t room = available_cwnd();
+    if (room > 0) {
+      inflight_.reserve(inflight_.size() +
+                        std::min(max_segments, static_cast<std::uint64_t>(room)));
+    }
+    while (n < max_segments && staged_.empty() && available_cwnd() >= 1) {
+      send_segment(data_seq + n * payload, payload, reinjection);
+      ++n;
+    }
   }
-  staged_bytes_ += payload;
+  if (n == max_segments) return n;
+  // The rest is staged. Segment j of the staged part (staged bytes S + j *
+  // payload before it) may be committed while S + j * payload < limit,
+  // except the run's very first segment, which the caller already vetted.
+  const std::uint64_t limit = config_.staging_limit_bytes;
+  std::uint64_t stage =
+      staged_bytes_ < limit ? (limit - staged_bytes_ + payload - 1) / payload : 0;
+  if (n == 0) stage = std::max<std::uint64_t>(stage, 1);
+  stage = std::min(stage, max_segments - n);
+  if (stage == 0) return n;
+  stage_run(data_seq + n * payload, payload, stage, reinjection);
+  return n + stage;
+}
+
+void Subflow::stage_run(std::uint64_t data_seq, std::uint32_t payload, std::uint64_t count,
+                        bool reinjection) {
+  staged_bytes_ += count * payload;
   if (!staged_.empty()) {
     StagedSeg& tail = staged_.back();
     if (tail.payload == payload && tail.reinjection == reinjection &&
-        tail.count < UINT16_MAX &&
         tail.data_seq + std::uint64_t{tail.count} * tail.payload == data_seq) {
-      ++tail.count;
-      return;
+      const std::uint64_t take = std::min<std::uint64_t>(count, UINT16_MAX - tail.count);
+      tail.count = static_cast<std::uint16_t>(tail.count + take);
+      data_seq += take * payload;
+      count -= take;
     }
   }
-  staged_.push_back(StagedSeg{data_seq, payload, 1, reinjection});
+  while (count > 0) {
+    const std::uint64_t take = std::min<std::uint64_t>(count, UINT16_MAX);
+    staged_.push_back(
+        StagedSeg{data_seq, payload, static_cast<std::uint16_t>(take), reinjection});
+    data_seq += take * payload;
+    count -= take;
+  }
 }
 
 void Subflow::transmit_staged() {
@@ -304,7 +335,7 @@ void Subflow::process_new_ack(const Packet& ack) {
         if (in_slow_start()) {
           set_cwnd(cwnd_ + 1.0);
         } else {
-          set_cwnd(cwnd_ + cc_->ca_increase(make_ctx()));
+          set_cwnd(cwnd_ + cc().ca_increase(make_ctx()));
         }
       }
     }
@@ -433,11 +464,11 @@ void Subflow::enter_fast_recovery() {
   recover_point_ = next_seq_;  // recovery ends once everything sent so far acks
   {
     MPS_PROF_SCOPE(kCcUpdate);
-    cc_->on_loss_event(make_ctx());
+    cc().on_loss_event(make_ctx());
   }
   MPS_TRACE_EVENT(sim_, EventType::kFastRecovery, config_.conn_id, config_.id,
                   {"cwnd", cwnd_}, {"recover_point", recover_point_});
-  ssthresh_ = std::max(cwnd_ * cc_->loss_factor(), config_.min_cwnd);
+  ssthresh_ = std::max(cwnd_ * cc().loss_factor(), config_.min_cwnd);
   set_cwnd(ssthresh_);
   inter_loss_bytes_ = 0.0;
   // Reset explicitly: set_cwnd() above may have been a no-op (cwnd already
@@ -501,7 +532,7 @@ void Subflow::on_rto_fire() {
                   {"inflight", static_cast<std::uint64_t>(inflight_.size())});
   {
     MPS_PROF_SCOPE(kCcUpdate);
-    cc_->on_rto(make_ctx());
+    cc().on_rto(make_ctx());
   }
   ssthresh_ = std::max(cwnd_ / 2.0, config_.min_cwnd);
   set_cwnd(config_.min_cwnd);
@@ -614,7 +645,7 @@ void Subflow::restore_from(const Subflow& src) {
   inter_loss_bytes_ = src.inter_loss_bytes_;
   stats_ = src.stats_;
   transmit_counter_ = src.transmit_counter_;
-  cc_->restore_from(*src.cc_);
+  cc().restore_from(src.cc());
   if (env_ != nullptr) env_->on_cc_input_change();
   // The timers hold fixed callbacks per owner (arm_rto / arm_rack_timer), so
   // cloning re-creates the exact closures the source installed.

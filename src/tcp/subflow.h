@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/packet.h"
@@ -23,6 +24,7 @@
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "tcp/cc.h"
+#include "tcp/cc_registry.h"
 #include "tcp/rtt.h"
 #include "traffic/arena.h"
 #include "util/ring.h"
@@ -127,18 +129,12 @@ static_assert(sizeof(StagedSeg) == 16);
 // Each subflow owns two timers (RTO and RACK).
 static_assert(sizeof(Timer) <= 24);
 
-class Subflow final {
+// Churned subflows recycle fixed-size arena slots instead of hitting the
+// global heap (traffic/arena.h).
+class Subflow final : public ArenaAllocated<Subflow> {
  public:
-  // Churned subflows recycle fixed-size arena slots instead of hitting the
-  // global heap (traffic/arena.h).
-  static void* operator new(std::size_t size) { return arena_allocate<Subflow>(size); }
-  static void operator delete(void* p, std::size_t size) {
-    arena_deallocate<Subflow>(p, size);
-  }
-
-
-  Subflow(Simulator& sim, SubflowConfig config, Path& path,
-          std::unique_ptr<CongestionController> cc, SubflowEnv* env);
+  // The congestion controller `cc` is built inline in the subflow.
+  Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, SubflowEnv* env);
 
   // --- wiring -------------------------------------------------------------
   // Handler for ACK packets demuxed from the path's uplink.
@@ -192,12 +188,23 @@ class Subflow final {
   }
 
   // --- transmission -------------------------------------------------------
-  // Commits one segment to this subflow (the scheduler's decision is final,
-  // as in MPTCP 0.89): transmitted immediately if CWND allows, staged in the
-  // subflow send queue otherwise. `reinjection` marks duplicate copies
-  // (redundant scheduling / opportunistic retransmission accounting).
+  // Commits a run of up to `max_segments` consecutive segments of `payload`
+  // bytes starting at `data_seq` (the scheduler's decision is final, as in
+  // MPTCP 0.89). Segments go out immediately while CWND allows and nothing
+  // is staged ahead of them; the rest extend the staging queue in O(1).
+  // The first segment is always committed (the caller checked
+  // can_accept()); each later one only while can_accept() would still hold,
+  // so the run is exactly what committing one segment per can_accept()
+  // check would produce. Returns the number committed (>= 1).
+  // `reinjection` marks duplicate copies (redundant scheduling /
+  // opportunistic retransmission accounting).
+  std::uint64_t assign_segments(std::uint64_t data_seq, std::uint32_t payload,
+                                std::uint64_t max_segments, bool reinjection = false);
+  // The one-segment run.
   void assign_segment(std::uint64_t data_seq, std::uint32_t payload,
-                      bool reinjection = false);
+                      bool reinjection = false) {
+    assign_segments(data_seq, payload, 1, reinjection);
+  }
   // Sends one segment carrying [data_seq, data_seq + payload) immediately.
   // `reinjection` marks opportunistic retransmissions of data owned by
   // another subflow. Precondition: available_cwnd() >= 1.
@@ -213,7 +220,7 @@ class Subflow final {
   const SubflowStats& stats() const { return stats_; }
   TimePoint last_send_time() const { return last_send_time_; }
   TimePoint established_at() const { return established_at_; }
-  const char* cc_name() const { return cc_->name(); }
+  const char* cc_name() const { return cc().name(); }
   double inter_loss_bytes() const { return inter_loss_bytes_; }
 
   // Fired on every CWND change with (time, cwnd); used by trace sinks.
@@ -271,11 +278,21 @@ class Subflow final {
   void arm_rack_timer();
   // Moves staged segments into the network while CWND space allows.
   void transmit_staged();
+  // Appends `count` segments to the staging queue: extends the tail run when
+  // they continue it, else (and past UINT16_MAX) starts new runs.
+  void stage_run(std::uint64_t data_seq, std::uint32_t payload, std::uint64_t count,
+                 bool reinjection);
+  CongestionController& cc() {
+    return std::visit([](auto& c) -> CongestionController& { return c; }, cc_);
+  }
+  const CongestionController& cc() const {
+    return std::visit([](const auto& c) -> const CongestionController& { return c; }, cc_);
+  }
 
   Simulator& sim_;
   SubflowConfig config_;
   Path& path_;
-  std::unique_ptr<CongestionController> cc_;
+  CcState cc_;  // inline: one fewer heap block per subflow under churn
   SubflowEnv* env_;
 
   RttEstimator rtt_;
@@ -353,15 +370,8 @@ class MetaSink {
   virtual std::uint64_t meta_rwnd() const = 0;
 };
 
-class SubflowReceiver final {
+class SubflowReceiver final : public ArenaAllocated<SubflowReceiver> {
  public:
-  static void* operator new(std::size_t size) {
-    return arena_allocate<SubflowReceiver>(size);
-  }
-  static void operator delete(void* p, std::size_t size) {
-    arena_deallocate<SubflowReceiver>(p, size);
-  }
-
   SubflowReceiver(Simulator& sim, std::uint32_t conn_id, std::uint32_t subflow_id,
                   Path& path, MetaSink* sink);
 

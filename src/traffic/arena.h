@@ -8,8 +8,9 @@
 // state churn reuses hot, cache-resident slots and never touches the global
 // allocator.
 //
-// Connection/Subflow/SubflowReceiver opt in with class-level operator
-// new/delete forwarding to arena_allocate<T>() / arena_deallocate<T>() (one
+// Connection, Subflow, SubflowReceiver, HttpExchange and the schedulers opt
+// in by deriving from ArenaAllocated<T>, whose class-level operator
+// new/delete forward to arena_allocate<T>() / arena_deallocate<T>() (one
 // shared pool per type, sized exactly to the type). Slabs themselves come
 // from ::operator new, so MPS_PROF's memory accounting still attributes the
 // bytes to the subsystem that allocated the first block of each slab.
@@ -153,5 +154,16 @@ void arena_deallocate(void* p, std::size_t size) {
   }
   ::operator delete(p);
 }
+
+// Mixin: `class X : public ArenaAllocated<X>` takes every `new X` from X's
+// slab pool. Deleting through a base pointer with a virtual destructor still
+// reaches these (the deallocation function is looked up in the dynamic
+// type), so a Scheduler held by unique_ptr<Scheduler> recycles too.
+template <typename T>
+class ArenaAllocated {
+ public:
+  static void* operator new(std::size_t size) { return arena_allocate<T>(size); }
+  static void operator delete(void* p, std::size_t size) { arena_deallocate<T>(p, size); }
+};
 
 }  // namespace mps

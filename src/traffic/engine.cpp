@@ -39,9 +39,9 @@ TrafficEngine::~TrafficEngine() {
   // Cancel every pending event whose closure captures this engine: an engine
   // destroyed mid-run (harness teardown, a fork discarded early) must not
   // leave arrival / deferred-teardown / tick callbacks live in the queue.
-  for (auto& f : flows_) {
-    if (f->arrival_event != 0) world_.sim().cancel(f->arrival_event);
-    if (f->end_event != 0) world_.sim().cancel(f->end_event);
+  for (const Flow& f : flows_) {
+    if (f.arrival_event != 0) world_.sim().cancel(f.arrival_event);
+    if (f.end_event != 0) world_.sim().cancel(f.end_event);
   }
   if (tick_event_ != 0) world_.sim().cancel(tick_event_);
 }
@@ -66,13 +66,13 @@ std::uint64_t draw_size(Rng& rng, const TrafficSpec& t) {
 
 void TrafficEngine::start_flow(std::size_t idx) {
   MPS_PROF_MEM_SCOPE(kConn);
-  Flow& f = *flows_[idx];
+  Flow& f = flows_[idx];
   f.arrival_event = 0;  // the arrival event just fired
   if (f.rec.cross) {
     f.conn = world_.make_connection_on({static_cast<std::size_t>(f.rec.cross_path)},
-                                       scheduler_factory("default"));
+                                       cross_scheduler_);
   } else {
-    f.conn = world_.make_connection(scheduler_factory(spec_.scheduler));
+    f.conn = world_.make_connection(flow_scheduler_);
   }
   f.rec.conn_id = f.conn->config().conn_id;
   f.rec.started = true;
@@ -89,21 +89,21 @@ void TrafficEngine::start_flow(std::size_t idx) {
   } else {
     f.http = std::make_unique<HttpExchange>(world_.sim(), *f.conn, world_.request_delay());
     f.http->get(f.rec.bytes, [this, idx](const ObjectResult& r) {
-      const double fct = (r.completed - base_).to_seconds() - flows_[idx]->rec.arrival_s;
+      const double fct = (r.completed - base_).to_seconds() - flows_[idx].rec.arrival_s;
       finish_flow(idx, fct);
     });
   }
 }
 
 void TrafficEngine::install_done(std::size_t idx) {
-  flows_[idx]->http->set_outstanding_done(0, [this, idx](const ObjectResult& r) {
-    const double fct = (r.completed - base_).to_seconds() - flows_[idx]->rec.arrival_s;
+  flows_[idx].http->set_outstanding_done(0, [this, idx](const ObjectResult& r) {
+    const double fct = (r.completed - base_).to_seconds() - flows_[idx].rec.arrival_s;
     finish_flow(idx, fct);
   });
 }
 
 void TrafficEngine::finish_flow(std::size_t idx, double fct_s) {
-  Flow& f = *flows_[idx];
+  Flow& f = flows_[idx];
   f.rec.completed = true;
   f.rec.completion_s = fct_s;
   flows_completed_.inc();
@@ -116,7 +116,7 @@ void TrafficEngine::finish_flow(std::size_t idx, double fct_s) {
 }
 
 void TrafficEngine::end_flow(std::size_t idx) {
-  Flow& f = *flows_[idx];
+  Flow& f = flows_[idx];
   // Cancel the deferred post when entered from teardown; when entered from
   // the post itself the id is stale (the slot was freed on fire) and cancel
   // is a generation-checked no-op.
@@ -179,8 +179,14 @@ TrafficResult TrafficEngine::run() {
   return collect();
 }
 
+void TrafficEngine::resolve_schedulers() {
+  flow_scheduler_ = scheduler_factory(spec_.scheduler);
+  cross_scheduler_ = scheduler_factory("default");
+}
+
 void TrafficEngine::start() {
   const TrafficSpec& t = spec_.traffic;
+  resolve_schedulers();
   base_ = world_.sim().now();
   end_ = base_ + Duration::from_seconds(t.duration_s);
 
@@ -218,24 +224,23 @@ void TrafficEngine::start() {
     flows_.clear();
     flows_.reserve(plan.size());
     for (const Plan& p : plan) {
-      auto f = std::make_unique<Flow>();
+      Flow& f = flows_.emplace_back();
       // Fork unconditionally (cross flows too) so the draw sequence is
       // independent of each flow's kind; the fork is consumed here rather
       // than stored per flow.
       Rng flow_rng = master.fork();
-      f->rec.cross = p.cross;
-      f->rec.cross_path = p.path;
-      f->rec.arrival_s = p.arrival_s;
-      if (!p.cross) f->rec.bytes = draw_size(flow_rng, t);
-      flows_.push_back(std::move(f));
+      f.rec.cross = p.cross;
+      f.rec.cross_path = p.path;
+      f.rec.arrival_s = p.arrival_s;
+      if (!p.cross) f.rec.bytes = draw_size(flow_rng, t);
     }
   }
 
   // --- schedule arrivals and ticks ------------------------------------------
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    const double arr = flows_[idx]->rec.arrival_s;
+    const double arr = flows_[idx].rec.arrival_s;
     if (arr >= t.duration_s) continue;  // e.g. a cross group starting too late
-    flows_[idx]->arrival_event =
+    flows_[idx].arrival_event =
         world_.sim().at(base_ + Duration::from_seconds(arr), [this, idx] { start_flow(idx); });
   }
   if (on_tick && tick_s > 0.0) schedule_tick(base_ + Duration::from_seconds(tick_s), end_);
@@ -243,7 +248,7 @@ void TrafficEngine::start() {
 
 void TrafficEngine::finish() {
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    if (flows_[idx]->conn != nullptr) end_flow(idx);
+    if (flows_[idx].conn != nullptr) end_flow(idx);
   }
 }
 
@@ -253,20 +258,22 @@ TrafficResult TrafficEngine::collect() const {
   res.duration_s = t.duration_s;
   res.churned = churned_;
   std::vector<double> mptcp_goodputs;
+  res.flows.reserve(flows_.size());
+  mptcp_goodputs.reserve(flows_.size());
   std::uint64_t delivered_mptcp = 0;
   std::uint64_t delivered_cross = 0;
-  for (const auto& f : flows_) {
-    res.flows.push_back(f->rec);
-    if (!f->rec.started) continue;
+  for (const Flow& f : flows_) {
+    res.flows.push_back(f.rec);
+    if (!f.rec.started) continue;
     ++res.started;
-    if (f->rec.cross) {
-      delivered_cross += f->rec.delivered;
+    if (f.rec.cross) {
+      delivered_cross += f.rec.delivered;
     } else {
-      delivered_mptcp += f->rec.delivered;
-      mptcp_goodputs.push_back(f->rec.goodput_mbps);
-      if (f->rec.completed) {
+      delivered_mptcp += f.rec.delivered;
+      mptcp_goodputs.push_back(f.rec.goodput_mbps);
+      if (f.rec.completed) {
         ++res.completed;
-        res.completion_s.add(f->rec.completion_s);
+        res.completion_s.add(f.rec.completion_s);
       }
     }
   }
@@ -284,6 +291,7 @@ void TrafficEngine::restore_from(const TrafficEngine& src) {
   // World::restore_from already ran, so the world's next_conn_id matches the
   // source; minting twins below clobbers it, so put it back when done.
   const std::uint32_t saved_next_id = world_.next_conn_id();
+  resolve_schedulers();
   base_ = src.base_;
   end_ = src.end_;
   active_ = src.active_;
@@ -291,23 +299,19 @@ void TrafficEngine::restore_from(const TrafficEngine& src) {
   ran_ = src.ran_;
   flows_.clear();
   flows_.reserve(src.flows_.size());
-  for (const auto& s : src.flows_) {
-    auto f = std::make_unique<Flow>();
-    f->rec = s->rec;
-    flows_.push_back(std::move(f));
-  }
+  for (const Flow& s : src.flows_) flows_.emplace_back().rec = s.rec;
   for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    const Flow& s = *src.flows_[idx];
-    Flow& f = *flows_[idx];
+    const Flow& s = src.flows_[idx];
+    Flow& f = flows_[idx];
     if (s.conn != nullptr) {
       world_.set_next_conn_id(s.conn->config().conn_id);
       if (f.rec.cross) {
         f.conn = world_.make_connection_on({static_cast<std::size_t>(f.rec.cross_path)},
-                                           scheduler_factory("default"));
+                                           cross_scheduler_);
         Connection* c = f.conn.get();
         c->on_sendable = [c] { c->send(1u << 30); };
       } else {
-        f.conn = world_.make_connection(scheduler_factory(spec_.scheduler));
+        f.conn = world_.make_connection(flow_scheduler_);
         f.http = std::make_unique<HttpExchange>(world_.sim(), *f.conn, world_.request_delay());
       }
       f.conn->restore_from(*s.conn);

@@ -122,12 +122,16 @@ class TrafficEngine {
   void end_flow(std::size_t idx);  // record stats, fire hook, destroy
   void schedule_tick(TimePoint at, TimePoint end);
   void install_done(std::size_t idx);  // http completion -> finish_flow
+  void resolve_schedulers();           // once per run, not per flow start
 
   World& world_;
   const ScenarioSpec& spec_;
+  SchedulerFactory flow_scheduler_;   // spec.scheduler, for the MPTCP flows
+  SchedulerFactory cross_scheduler_;  // "default", for single-path cross flows
   TimePoint base_;
   TimePoint end_;
-  std::vector<std::unique_ptr<Flow>> flows_;
+  // Plan order; reserved once per run, and closures refer to flows by index.
+  std::vector<Flow> flows_;
   std::size_t active_ = 0;
   std::size_t churned_ = 0;
   bool ran_ = false;

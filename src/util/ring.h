@@ -166,6 +166,12 @@ class SeqRing {
     return buf_[seq & mask_];
   }
 
+  // Makes room for `n` elements in one allocation (a burst about to be
+  // appended), never shrinking and never below the first-block size.
+  void reserve(std::size_t n) {
+    if (n > buf_.size()) grow_to(n);
+  }
+
   // Resets to an empty range based at `lo` (fresh connection state).
   void reset(std::uint64_t lo) {
     buf_.clear();
@@ -176,10 +182,12 @@ class SeqRing {
   }
 
  private:
-  void grow() {
+  void grow() { grow_to(count_ + 1); }
+  void grow_to(std::size_t n) {
     // Same small-first policy as RingDeque::grow — idle flows keep a handful
     // of in-flight segments, so starting at 8 wasted most of the buffer.
-    const std::size_t new_cap = buf_.empty() ? 2 : buf_.size() * 2;
+    std::size_t new_cap = buf_.empty() ? 2 : buf_.size() * 2;
+    while (new_cap < n) new_cap *= 2;
     std::vector<T> next(new_cap);
     const std::uint64_t new_mask = new_cap - 1;
     for (std::uint64_t s = lo_; s != lo_ + count_; ++s) next[s & new_mask] = std::move(buf_[s & mask_]);

@@ -4,6 +4,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -40,22 +42,28 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-// Mean / standard deviation over the most recent `capacity` samples.
-// ECF uses this for sigma_f / sigma_s (RTT variability margin).
+// Mean / standard deviation over the most recent `capacity` samples
+// (at most kMaxWindow). ECF uses this for sigma_f / sigma_s (RTT variability
+// margin). The buffer is a fixed array held inline, so an RTT estimator
+// costs no heap block.
 class WindowedStats {
  public:
-  explicit WindowedStats(std::size_t capacity = 16) : buf_(capacity) {}
+  static constexpr std::size_t kMaxWindow = 16;
+
+  explicit WindowedStats(std::size_t capacity = kMaxWindow) : cap_(capacity) {
+    assert(capacity <= kMaxWindow);
+  }
 
   void add(double x) {
-    if (buf_.empty()) return;
-    if (size_ == buf_.size()) {
+    if (cap_ == 0) return;
+    if (size_ == cap_) {
       sum_ -= buf_[head_];
       sumsq_ -= buf_[head_] * buf_[head_];
     } else {
       ++size_;
     }
     buf_[head_] = x;
-    head_ = (head_ + 1) % buf_.size();
+    head_ = (head_ + 1) % cap_;
     sum_ += x;
     sumsq_ += x * x;
   }
@@ -80,7 +88,8 @@ class WindowedStats {
   }
 
  private:
-  std::vector<double> buf_;
+  std::array<double, kMaxWindow> buf_{};
+  std::size_t cap_;
   std::size_t size_ = 0;
   std::size_t head_ = 0;
   double sum_ = 0.0;

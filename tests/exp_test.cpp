@@ -4,6 +4,8 @@
 #include <cstdlib>
 
 #include "exp/ideal.h"
+#include "exp/scenario_run.h"
+#include "exp/snapshot.h"
 #include "exp/scale.h"
 #include "exp/streaming.h"
 #include "exp/testbed.h"
@@ -84,6 +86,45 @@ TEST(TestbedTest, RunForAdvancesClock) {
   Testbed bed(TestbedConfig{});
   bed.run_for(Duration::seconds(3));
   EXPECT_EQ(bed.sim().now().ns(), Duration::seconds(3).ns());
+}
+
+// --- capped downloads ----------------------------------------------------------
+
+ScenarioSpec download_spec(double rate_mbps) {
+  ScenarioSpec s;
+  s.name = "capped-download";
+  s.paths = {wifi_path(rate_mbps), lte_path(rate_mbps)};
+  s.workload.kind = WorkloadKind::kDownload;
+  s.workload.bytes = 256 * 1024;
+  s.workload.runs = 2;
+  return s;
+}
+
+TEST(CappedDownloadTest, RunPastTheCapIsReportedCapped) {
+  // 1 kbps per path cannot move 256 KB within the 600 s cap.
+  const ScenarioSpec spec = download_spec(0.001);
+  const ScenarioOutcome out = run_scenario(spec);
+  EXPECT_TRUE(out.download.capped);
+  EXPECT_EQ(out.download.completion, Duration::zero());
+  const std::string text = format_outcome(spec, out);
+  EXPECT_NE(text.find("\n  capped: a run reached the 600 s cap before its download "
+                      "completed\n"),
+            std::string::npos)
+      << text;
+}
+
+TEST(CappedDownloadTest, CompletedRunPrintsNoCappedLine) {
+  const ScenarioSpec spec = download_spec(10.0);
+  const ScenarioOutcome out = run_scenario(spec);
+  EXPECT_FALSE(out.download.capped);
+  EXPECT_GT(out.download.completion, Duration::zero());
+  EXPECT_EQ(format_outcome(spec, out).find("capped"), std::string::npos);
+}
+
+TEST(CappedDownloadTest, ForkedRunCarriesCappedFlag) {
+  const ScenarioSpec spec = download_spec(0.001);
+  const ScenarioOutcome out = run_scenario_forked(spec, 1.0);
+  EXPECT_TRUE(out.download.capped);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ struct LossRig {
   explicit LossRig(PathConfig pc = wifi_profile(Rate::mbps(10)))
       : path(sim, pc),
         receiver(sim, 0, 0, path, &sink),
-        subflow(sim, SubflowConfig{}, path, std::make_unique<RenoCc>(), nullptr) {
+        subflow(sim, SubflowConfig{}, path, CcKind::kReno, nullptr) {
     path.down().set_deliver([this](Packet p) {
       if (drop_next > 0) {
         --drop_next;

@@ -97,7 +97,7 @@ class SubflowHarness {
                           SubflowConfig sf_config = {})
       : path(sim, path_config),
         receiver(sim, 0, 0, path, &sink),
-        subflow(sim, sf_config, path, std::make_unique<RenoCc>(), nullptr) {
+        subflow(sim, sf_config, path, CcKind::kReno, nullptr) {
     path.down().set_deliver([this](Packet p) { receiver.on_data_packet(p); });
     path.up().set_deliver([this](Packet p) { subflow.on_ack_packet(p); });
   }
@@ -260,7 +260,7 @@ TEST(SubflowTest, JoinDelayGatesEstablishment) {
   sc.join_delay = Duration::millis(80);
   Simulator sim;
   Path path(sim, lte_profile(Rate::mbps(10)));
-  Subflow sf(sim, sc, path, std::make_unique<RenoCc>(), nullptr);
+  Subflow sf(sim, sc, path, CcKind::kReno, nullptr);
   EXPECT_FALSE(sf.established());
   EXPECT_FALSE(sf.can_send());
   sim.run_until(TimePoint::origin() + Duration::millis(81));
@@ -271,7 +271,7 @@ TEST(SubflowTest, JoinDelayGatesEstablishment) {
 TEST(SubflowTest, RttEstimateFallsBackToPathBase) {
   Simulator sim;
   Path path(sim, lte_profile(Rate::mbps(10)));
-  Subflow sf(sim, SubflowConfig{}, path, std::make_unique<RenoCc>(), nullptr);
+  Subflow sf(sim, SubflowConfig{}, path, CcKind::kReno, nullptr);
   EXPECT_EQ(sf.rtt_estimate().ns(), path.rtt_base().ns());
 }
 
@@ -341,7 +341,7 @@ struct StagingLane {
   StagingLane(Simulator& sim, PathConfig path_config, std::uint32_t id)
       : path(sim, path_config),
         receiver(sim, 0, id, path, &sink),
-        subflow(sim, config_with_id(id), path, std::make_unique<RenoCc>(), nullptr) {
+        subflow(sim, config_with_id(id), path, CcKind::kReno, nullptr) {
     path.down().set_deliver([this](const Packet& p) {
       if (p.subflow_seq >= delivered.size()) delivered.resize(p.subflow_seq + 1);
       delivered[p.subflow_seq] = {p.data_seq, p.data_seq + p.payload};

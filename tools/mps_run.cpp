@@ -34,6 +34,10 @@
 //                     outcomes are identical before printing; a `fork-check`
 //                     line reports the verdict to stderr.
 //
+// Exit status: 0 on success, 1 on a runtime error, 2 on bad usage or input,
+// 3 when the run completed but is capped (a download reached its 600 s cap
+// before completing; the output says so on a `capped:` line).
+//
 // The run goes through the same spec -> params conversion as the bench
 // drivers (exp/scenario_run.h), so a preset that mirrors a bench cell
 // reproduces that cell's numbers exactly.
@@ -249,6 +253,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       pf << profile_report_to_json(report).dump(2) << "\n";
+    }
+    if (out.download.capped) {
+      std::fprintf(stderr, "mps_run: capped run: the download did not complete\n");
+      return 3;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mps_run: %s\n", e.what());
