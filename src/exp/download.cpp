@@ -101,8 +101,7 @@ void DownloadRun::set_scheduler(const SchedulerFactory& factory) {
 DownloadResult DownloadRun::finish() {
   if (!done_) world_->sim().run_until(cap_);
   if (params_.telemetry != nullptr) {
-    params_.telemetry->events += world_->sim().events_processed();
-    params_.telemetry->sim_s += (world_->sim().now() - TimePoint::origin()).to_seconds();
+    params_.telemetry->add(world_->sim(), 0, TimePoint::origin());
   }
 
   // Per-path byte totals via the connection's slot accounting, which

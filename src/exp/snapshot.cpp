@@ -108,8 +108,7 @@ TrafficResult TrafficRun::finish() {
     world_->sim().run_until(engine_->end_time());
     if (world_->sim().heartbeat_attached()) world_->sim().set_heartbeat(0.0, nullptr);
     if (opts_.telemetry != nullptr) {
-      opts_.telemetry->events += world_->sim().events_processed() - events_before_;
-      opts_.telemetry->sim_s += (world_->sim().now() - base_).to_seconds();
+      opts_.telemetry->add(world_->sim(), events_before_, base_);
     }
     engine_->finish();
     finished_ = true;

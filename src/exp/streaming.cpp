@@ -185,8 +185,7 @@ void StreamingRun::set_scheduler(const SchedulerFactory& factory) {
 StreamingResult StreamingRun::finish() {
   if (!done_) bed_->sim().run_until(cap_);
   if (params_.telemetry != nullptr) {
-    params_.telemetry->events += bed_->sim().events_processed();
-    params_.telemetry->sim_s += (bed_->sim().now() - TimePoint::origin()).to_seconds();
+    params_.telemetry->add(bed_->sim(), 0, TimePoint::origin());
   }
 
   // --- collect --------------------------------------------------------------

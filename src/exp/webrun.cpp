@@ -86,8 +86,7 @@ std::unique_ptr<WebPageRun> WebPageRun::fork() const {
 void WebPageRun::finish(WebRunResult& res, double& page_load_sum) {
   if (!done_) bed_->sim().run_until(cap_);
   if (params_.telemetry != nullptr) {
-    params_.telemetry->events += bed_->sim().events_processed();
-    params_.telemetry->sim_s += (bed_->sim().now() - TimePoint::origin()).to_seconds();
+    params_.telemetry->add(bed_->sim(), 0, TimePoint::origin());
   }
 
   res.object_times.merge(browser_->object_times());

@@ -75,6 +75,7 @@ bool EventQueue::pop_until(TimePoint deadline, Fired& out) {
   --(heap == &ready_ ? ready_live_ : far_live_);
   Slot& s = slots_[slot];
   out.when = s.when;
+  out.seq = s.seq;
   out.fn = std::move(s.fn);
   release(slot);
   return true;

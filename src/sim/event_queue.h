@@ -75,6 +75,7 @@ class EventQueue {
 
   struct Fired {
     TimePoint when;
+    std::uint64_t seq = 0;  // the event's FIFO stamp; (when, seq) is its rank
     Callback fn;
   };
   // Pops the earliest live event into `out` if there is one at or before

@@ -12,7 +12,15 @@ EventId Simulator::at(TimePoint when, Callback fn) {
   if (when < now_) {
     throw std::logic_error("Simulator::at: scheduling into the past");
   }
+  ++scheduled_;
   return queue_.schedule(when, std::move(fn));
+}
+
+void RunTelemetry::add(const Simulator& sim, std::uint64_t events_before, TimePoint base) {
+  events += sim.events_processed() - events_before;
+  sim_s += (sim.now() - base).to_seconds();
+  scheduled += sim.events_scheduled();
+  fire_digest = (fire_digest ^ sim.fire_digest()) * 0x100000001b3ULL + 1;
 }
 
 std::uint64_t Simulator::run_until(TimePoint deadline) {
@@ -24,7 +32,7 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
       MPS_PROF_SCOPE(kEventPop);
       if (!queue_.pop_until(deadline, fired)) break;
     }
-    now_ = fired.when;
+    enter(fired);
     {
       MPS_PROF_SCOPE(kEventDispatch);
       fired.fn();
@@ -49,7 +57,7 @@ bool Simulator::step() {
     if (!queue_.pop_until(TimePoint::never(), fired)) return false;
   }
   assert(fired.when >= now_);
-  now_ = fired.when;
+  enter(fired);
   {
     MPS_PROF_SCOPE(kEventDispatch);
     fired.fn();

@@ -46,6 +46,8 @@ struct HeartbeatConfig {
   bool enabled() const { return interval_s > 0.0 && static_cast<bool>(fn); }
 };
 
+class Simulator;
+
 // Per-run kernel accounting the runners add into (borrowed out-param on the
 // runner parameter structs): total events executed and sim time covered,
 // accumulated across a scenario's repeated runs. Wall-clock-free, so filling
@@ -53,6 +55,15 @@ struct HeartbeatConfig {
 struct RunTelemetry {
   std::uint64_t events = 0;
   double sim_s = 0.0;
+  // Schedule calls (queue insertions) over each run's whole simulator.
+  std::uint64_t scheduled = 0;
+  // Each run's Simulator::fire_digest(), folded in run order: equal digests
+  // mean the same events fired in the same (when, seq) order.
+  std::uint64_t fire_digest = 0;
+
+  // Adds one finished run: events fired since `events_before`, sim time
+  // since `base`, and the simulator's schedule count and fire digest.
+  void add(const Simulator& sim, std::uint64_t events_before, TimePoint base);
 };
 
 class Simulator {
@@ -96,6 +107,11 @@ class Simulator {
 
   bool idle() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }
+  std::uint64_t events_scheduled() const { return scheduled_; }
+  // A 64-bit mix of every fired event's (when, seq), in fire order. Always
+  // on and wall-clock-free: two runs with equal digests fired the same
+  // events in the same order (used to prove kernel changes order-neutral).
+  std::uint64_t fire_digest() const { return digest_; }
 
   // Requests run loops to stop after the current event; used by scenario
   // drivers that detect their stop condition from inside a callback.
@@ -118,6 +134,8 @@ class Simulator {
     queue_.clone_structure_from(src.queue_);
     now_ = src.now_;
     processed_ = src.processed_;
+    scheduled_ = src.scheduled_;
+    digest_ = src.digest_;
   }
   // Re-installs a cloned event's callback; false if `id` is not live.
   bool rebind(EventId id, Callback fn) { return queue_.rebind(id, std::move(fn)); }
@@ -143,10 +161,20 @@ class Simulator {
   };
 
   void heartbeat_poll();
+  // Advances the clock to a popped event and folds it into the digest.
+  void enter(const EventQueue::Fired& fired) {
+    now_ = fired.when;
+    digest_ = (digest_ ^ (static_cast<std::uint64_t>(fired.when.ns()) * 0x9e3779b97f4a7c15ULL +
+                          fired.seq)) *
+              0xff51afd7ed558ccdULL;
+    digest_ ^= digest_ >> 32;
+  }
 
   EventQueue queue_;
   TimePoint now_ = TimePoint::origin();
   std::uint64_t processed_ = 0;
+  std::uint64_t scheduled_ = 0;
+  std::uint64_t digest_ = 0;
   bool stop_requested_ = false;
   FlightRecorder* recorder_ = nullptr;
   std::unique_ptr<Heartbeat> heartbeat_;

@@ -171,8 +171,7 @@ TrafficResult TrafficEngine::run() {
   world_.sim().run_until(end_);
   if (world_.sim().heartbeat_attached()) world_.sim().set_heartbeat(0.0, nullptr);
   if (telemetry != nullptr) {
-    telemetry->events += world_.sim().events_processed() - events_before;
-    telemetry->sim_s += (world_.sim().now() - base_).to_seconds();
+    telemetry->add(world_.sim(), events_before, base_);
   }
   ran_ = true;
   finish();

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,7 @@
 
 #include "exp/scenario_run.h"
 #include "obs/recorder.h"
+#include "traffic/engine.h"
 
 namespace mps {
 namespace {
@@ -66,11 +68,12 @@ void apply_smoke_overrides(ScenarioSpec& spec) {
 
 // Mirrors tools/mps_run.cpp main(): name line, outcome, optional recorder
 // summary. Kept in lockstep so the goldens certify the CLI's actual output.
-std::string render(const ScenarioSpec& spec) {
+std::string render(const ScenarioSpec& spec, RunTelemetry* telemetry = nullptr) {
   std::string out;
   if (!spec.name.empty()) out += "scenario: " + spec.name + "\n";
 
   ScenarioRunOptions opts;
+  opts.telemetry = telemetry;
   FlightRecorder recorder;
   if (spec.record.summarize &&
       (spec.traffic.enabled || spec.workload.kind == WorkloadKind::kStream)) {
@@ -136,6 +139,44 @@ TEST(GoldenCorpus, RenderIsDeterministic) {
   ScenarioSpec spec = scenario_from_json(Json::parse(slurp(files.front())));
   apply_smoke_overrides(spec);
   EXPECT_EQ(render(spec), render(spec));
+}
+
+// Fire-order digests: every preset (at the goldens' smoke scale, rendered
+// exactly as above) and a churned 200-flow crowd cell, each with the fold of
+// its runs' Simulator::fire_digest(), events fired and schedule calls. The
+// digest changes if any event fires at another time or in another order, so
+// a kernel or link change that claims to be order-neutral must leave the
+// digest and event columns untouched; the schedule column is what such a
+// change is allowed (and meant) to move. Regenerated with
+// MPS_UPDATE_GOLDENS=1 like the goldens.
+TEST(FireDigest, EveryPresetAndAChurnCellMatchFixture) {
+  auto line = [](const std::string& name, const RunTelemetry& t) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, "%s %016llx %llu %llu\n", name.c_str(),
+                  static_cast<unsigned long long>(t.fire_digest),
+                  static_cast<unsigned long long>(t.events),
+                  static_cast<unsigned long long>(t.scheduled));
+    return std::string(buf);
+  };
+  std::string actual = "# name fire_digest events scheduled\n";
+  for (const fs::path& file : scenario_files()) {
+    ScenarioSpec spec = scenario_from_json(Json::parse(slurp(file)));
+    apply_smoke_overrides(spec);
+    RunTelemetry t;
+    render(spec, &t);
+    ASSERT_GT(t.events, 0u) << file;
+    actual += line(file.stem().string(), t);
+  }
+  RunTelemetry churn;
+  run_traffic(fairness_cell_spec("default", 200, 2.0, 32 * 1024, 1), nullptr, &churn);
+  actual += line("churn_200_default", churn);
+
+  const fs::path fixture = fs::path(MPS_SOURCE_DIR) / "tests" / "data" / "fire_digests.txt";
+  if (update_goldens()) {
+    std::ofstream(fixture, std::ios::binary) << actual;
+    return;
+  }
+  EXPECT_EQ(slurp(fixture), actual) << "fire order or schedule count drifted from " << fixture;
 }
 
 }  // namespace
