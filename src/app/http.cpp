@@ -15,8 +15,8 @@ HttpExchange::HttpExchange(Simulator& sim, Connection& conn, Duration request_de
 HttpExchange::~HttpExchange() {
   if (alive_ != nullptr) *alive_ = false;
   conn_.on_sendable = nullptr;
-  conn_.on_deliver = nullptr;
-  conn_.on_wire_arrival_hook = nullptr;
+  conn_.on_deliver.reset();
+  conn_.on_wire_arrival_hook.reset();
   // Cancel in-flight GETs: their closures capture `this`, and an exchange
   // torn down mid-request (connection churn) must not leave them live.
   while (!request_ids_.empty()) {

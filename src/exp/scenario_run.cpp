@@ -271,6 +271,10 @@ std::string format_outcome(const ScenarioSpec& spec, const ScenarioOutcome& out)
               static_cast<unsigned long long>(r.iw_resets_lte), r.mean_rtt_wifi_ms,
               r.mean_rtt_lte_ms, r.ooo_delay.quantile(0.5), r.ooo_delay.quantile(0.99),
               r.rebuffer_time.to_seconds());
+      if (r.capped) {
+        appendf(s, "  capped: a run reached the 30 x video + 600 s cap before its session "
+                   "finished\n");
+      }
       break;
     }
     case WorkloadKind::kDownload:
@@ -296,6 +300,9 @@ std::string format_outcome(const ScenarioSpec& spec, const ScenarioOutcome& out)
               spec.workload.runs == 1 ? "" : "s", r.mean_page_load_s, r.object_times.mean(),
               r.object_times.quantile(0.9), r.object_times.quantile(0.99),
               r.ooo_delay.quantile(0.99));
+      if (r.capped) {
+        appendf(s, "  capped: a run reached the 3600 s cap before its page finished loading\n");
+      }
       break;
     }
   }

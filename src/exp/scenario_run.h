@@ -52,6 +52,10 @@ struct ScenarioOutcome {
   DownloadResult download;         // kDownload: last run's detail; capped: any run
   WebRunResult web;                // kWeb: merged over workload.runs
   TrafficResult traffic;           // spec.traffic.enabled: competing-traffic run
+
+  // A run stopped at its runner's safety cap (only the live slot can be set;
+  // format_outcome prints a `capped:` line then).
+  bool capped() const { return streaming.capped || download.capped || web.capped; }
 };
 
 // Runs the spec's workload: streaming -> run_streaming_avg(workload.runs),

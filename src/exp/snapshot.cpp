@@ -120,42 +120,6 @@ TrafficResult TrafficRun::finish() {
 
 namespace {
 
-// run_streaming_avg's exact aggregation, over per-repetition results already
-// computed (rep order).
-StreamingResult aggregate_streaming(std::vector<StreamingResult> reps) {
-  StreamingResult acc;
-  const int runs = static_cast<int>(reps.size());
-  for (int r = 0; r < runs; ++r) {
-    StreamingResult one = std::move(reps[static_cast<std::size_t>(r)]);
-    if (r == 0) {
-      acc = std::move(one);
-      continue;
-    }
-    acc.mean_bitrate_mbps += one.mean_bitrate_mbps;
-    acc.mean_throughput_mbps += one.mean_throughput_mbps;
-    acc.fraction_fast += one.fraction_fast;
-    acc.iw_resets_wifi += one.iw_resets_wifi;
-    acc.iw_resets_lte += one.iw_resets_lte;
-    acc.reinjections += one.reinjections;
-    acc.mean_rtt_wifi_ms += one.mean_rtt_wifi_ms;
-    acc.mean_rtt_lte_ms += one.mean_rtt_lte_ms;
-    acc.ooo_delay.merge(one.ooo_delay);
-    acc.last_packet_gap.merge(one.last_packet_gap);
-  }
-  if (runs > 1) {
-    const double n = runs;
-    acc.mean_bitrate_mbps /= n;
-    acc.mean_throughput_mbps /= n;
-    acc.fraction_fast /= n;
-    acc.iw_resets_wifi = static_cast<std::uint64_t>(acc.iw_resets_wifi / runs);
-    acc.iw_resets_lte = static_cast<std::uint64_t>(acc.iw_resets_lte / runs);
-    acc.reinjections = static_cast<std::uint64_t>(acc.reinjections / runs);
-    acc.mean_rtt_wifi_ms /= n;
-    acc.mean_rtt_lte_ms /= n;
-  }
-  return acc;
-}
-
 // Shared out-params (a caller recorder, telemetry accumulation) cannot take
 // concurrent cells; degrade those sweeps to serial.
 SweepOptions effective_sweep(const SweepOptions& sweep, const ScenarioRunOptions& opts) {
@@ -303,6 +267,7 @@ std::vector<ScenarioOutcome> run_scenario_fork_k(const ScenarioSpec& spec,
           outs[j].web.object_times.merge(c.res.object_times);
           outs[j].web.ooo_delay.merge(c.res.ooo_delay);
           outs[j].web.iw_resets += c.res.iw_resets;
+          outs[j].web.capped = outs[j].web.capped || c.res.capped;
           page_load_sum += c.page_load;
         }
         outs[j].web.mean_page_load_s = page_load_sum / base.runs;
@@ -431,11 +396,14 @@ std::vector<ScenarioOutcome> run_whatif_grid(const ScenarioSpec& spec,
         sw);
   }
   for (std::size_t b = 0; b < k; ++b) {
+    bool capped = false;
     for (std::size_t r = 0; r < runs; ++r) {
       const DownloadResult& res = cells[r * k + b];
       out[b].download_completions.add(res.completion.to_seconds());
+      capped = capped || res.capped;
       if (r + 1 == runs) out[b].download = res;
     }
+    out[b].download.capped = capped;  // any run, as run_scenario reports it
   }
   return out;
 }

@@ -196,6 +196,7 @@ StreamingResult StreamingRun::finish() {
   res.chunks_fetched = static_cast<int>(session_->chunks().size());
   res.chunks = session_->chunks();
   res.ooo_delay = conn_->ooo_delay();
+  res.capped = !done_;
   for (const auto& c : session_->chunks()) {
     if (c.last_packet_gap_s >= 0.0) res.last_packet_gap.add(c.last_packet_gap_s);
   }
@@ -266,11 +267,11 @@ StreamingResult run_streaming(const StreamingParams& params) {
   return run.finish();
 }
 
-StreamingResult run_streaming_avg(StreamingParams params, int runs) {
+StreamingResult aggregate_streaming(std::vector<StreamingResult> reps) {
   StreamingResult acc;
+  const int runs = static_cast<int>(reps.size());
   for (int r = 0; r < runs; ++r) {
-    params.seed = params.seed + static_cast<std::uint64_t>(r == 0 ? 0 : 1);
-    StreamingResult one = run_streaming(params);
+    StreamingResult one = std::move(reps[static_cast<std::size_t>(r)]);
     if (r == 0) {
       acc = std::move(one);
       continue;
@@ -286,6 +287,7 @@ StreamingResult run_streaming_avg(StreamingParams params, int runs) {
     acc.mean_rtt_lte_ms += one.mean_rtt_lte_ms;
     acc.ooo_delay.merge(one.ooo_delay);
     acc.last_packet_gap.merge(one.last_packet_gap);
+    acc.capped = acc.capped || one.capped;
   }
   if (runs > 1) {
     const double n = runs;
@@ -300,6 +302,15 @@ StreamingResult run_streaming_avg(StreamingParams params, int runs) {
     acc.mean_rtt_lte_ms /= n;
   }
   return acc;
+}
+
+StreamingResult run_streaming_avg(StreamingParams params, int runs) {
+  std::vector<StreamingResult> reps;
+  for (int r = 0; r < runs; ++r) {
+    params.seed = params.seed + static_cast<std::uint64_t>(r == 0 ? 0 : 1);
+    reps.push_back(run_streaming(params));
+  }
+  return aggregate_streaming(std::move(reps));
 }
 
 }  // namespace mps

@@ -86,6 +86,9 @@ struct StreamingResult {
   // Average measured RTT per path (paper Table 2).
   double mean_rtt_wifi_ms = 0.0;
   double mean_rtt_lte_ms = 0.0;
+  // A run reached its 30 x video + 600 s safety cap before the session
+  // finished; its figures then describe a truncated session.
+  bool capped = false;
 };
 
 // One streaming run held as an object so it can be paused mid-simulation and
@@ -148,5 +151,8 @@ StreamingResult run_streaming(const StreamingParams& params);
 // Averages `runs` seeded repetitions of the scalar metrics (sample sets are
 // merged). Seeds are base_seed, base_seed+1, ...
 StreamingResult run_streaming_avg(StreamingParams params, int runs);
+// run_streaming_avg's aggregation over per-repetition results already
+// computed (rep order); capped if any repetition was.
+StreamingResult aggregate_streaming(std::vector<StreamingResult> reps);
 
 }  // namespace mps

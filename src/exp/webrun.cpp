@@ -92,6 +92,7 @@ void WebPageRun::finish(WebRunResult& res, double& page_load_sum) {
   res.object_times.merge(browser_->object_times());
   res.ooo_delay.merge(browser_->ooo_delays());
   res.iw_resets += browser_->iw_resets();
+  res.capped = res.capped || !done_;
   page_load_sum += browser_->page_load_time().to_seconds();
 }
 

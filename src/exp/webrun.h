@@ -37,6 +37,9 @@ struct WebRunResult {
   Samples ooo_delay;     // seconds, per packet across all runs
   double mean_page_load_s = 0.0;
   std::uint64_t iw_resets = 0;
+  // A page load reached the 3600 s safety cap before it finished; its
+  // object times then cover only the objects that completed.
+  bool capped = false;
 };
 
 // One repetition of the web workload (one page load at seed + rep) held as

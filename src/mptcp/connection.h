@@ -103,11 +103,15 @@ class Connection final : public SubflowEnv,
   std::function<void()> on_sendable;
 
   // --- receiver-side application API ---------------------------------------
+  // Per-packet hooks: move-only BasicCallbacks with 24 inline bytes, as
+  // large as the std::function they replace, so invoking or installing one
+  // never allocates for a capture of up to three pointers.
   // In-order meta-level delivery of `bytes` at `when`.
-  std::function<void(std::uint64_t bytes, TimePoint when)> on_deliver;
+  BasicCallback<void(std::uint64_t bytes, TimePoint when), 24> on_deliver;
   // Raw per-packet wire arrivals (before reordering), for trace analyses.
-  std::function<void(std::uint32_t subflow_id, std::uint64_t data_seq,
-                     std::uint32_t payload, TimePoint when)>
+  BasicCallback<void(std::uint32_t subflow_id, std::uint64_t data_seq, std::uint32_t payload,
+                     TimePoint when),
+                24>
       on_wire_arrival_hook;
 
   // --- scheduler-facing state ----------------------------------------------

@@ -27,7 +27,7 @@ Link::Link(Simulator& sim, LinkConfig config, std::string name)
   }
 }
 
-void Link::send(Packet pkt) {
+void Link::send(const Packet& pkt) {
   ++stats_.packets_in;
   if (config_.loss_rate > 0.0 && rng_.bernoulli(config_.loss_rate)) {
     ++stats_.drops_random;
@@ -48,28 +48,30 @@ void Link::send(Packet pkt) {
                     {"link", name_.c_str()}, {"reason", "fault"});
     return;
   }
-  if (busy_) {
-    if (queue_.size() >= config_.queue_packets) {
-      ++stats_.drops_queue;
-      obs_.drops_queue.inc();
-      MPS_TRACE_EVENT(sim_, EventType::kLinkDrop, pkt.conn_id, pkt.subflow_id,
-                      {"link", name_.c_str()}, {"reason", "queue"},
-                      {"depth", static_cast<std::uint64_t>(queue_.size())});
-      MPS_DEBUG("%s: drop (queue full, depth=%zu)", name_.c_str(), queue_.size());
-      return;
-    }
-    queue_.push_back(pkt);
+  if (busy() && queue_.size() >= config_.queue_packets) {
+    ++stats_.drops_queue;
+    obs_.drops_queue.inc();
+    MPS_TRACE_EVENT(sim_, EventType::kLinkDrop, pkt.conn_id, pkt.subflow_id,
+                    {"link", name_.c_str()}, {"reason", "queue"},
+                    {"depth", static_cast<std::uint64_t>(queue_.size())});
+    MPS_DEBUG("%s: drop (queue full, depth=%zu)", name_.c_str(), queue_.size());
+    return;
+  }
+  Packet* p = pool_.acquire();
+  *p = pkt;
+  p->prop_event = 0;  // set again only if it ever overtakes the FIFO
+  if (busy()) {
+    queue_.push_back(p);
     stats_.max_queue_depth = std::max(stats_.max_queue_depth, queue_.size());
     obs_.queue_depth.set(sim_.now(), static_cast<double>(queue_.size()));
     return;
   }
-  in_service_ = pkt;
-  busy_ = true;
+  in_service_ = p;
   start_transmission();
 }
 
 void Link::start_transmission() {
-  const Duration tx = config_.rate.transmit_time(in_service_.wire_size());
+  const Duration tx = config_.rate.transmit_time(in_service_->wire_size());
   if (tx.is_infinite()) {
     // A zero-rate link parks the packet until the rate is raised again; we
     // model this by polling on a coarse timer so rate changes do not need to
@@ -84,10 +86,10 @@ void Link::start_transmission() {
 }
 
 void Link::finish_transmission() {
-  assert(busy_);
-  Packet delivered = in_service_;
+  assert(busy());
+  Packet* p = in_service_;
   ++stats_.packets_delivered;
-  stats_.bytes_delivered += delivered.wire_size();
+  stats_.bytes_delivered += p->wire_size();
 
   if (!queue_.empty()) {
     in_service_ = queue_.front();
@@ -95,13 +97,12 @@ void Link::finish_transmission() {
     obs_.queue_depth.set(sim_.now(), static_cast<double>(queue_.size()));
     start_transmission();
   } else {
-    busy_ = false;
+    in_service_ = nullptr;
   }
 
-  // Propagation: schedule the arrival at the far end. Delivery order is
-  // preserved because prop_delay changes are rare and monotone arrivals are
-  // guaranteed for a constant delay. A fault model may add per-packet extra
-  // delay here, which deliberately breaks that monotonicity (reordering).
+  // Propagation: the arrival at the far end. A fault model may add
+  // per-packet extra delay here, which deliberately breaks FIFO arrival
+  // (reordering).
   Duration prop = config_.prop_delay;
   if (fault_ != nullptr) {
     MPS_PROF_SCOPE(kFaultDraw);
@@ -111,24 +112,47 @@ void Link::finish_transmission() {
       prop += extra;
     }
   }
-  // Pooled propagation: the closure captures {this, slot} and stays inside
-  // Callback's inline buffer — no per-packet allocation (see packet_pool.h).
-  Packet* slot = prop_pool_.acquire();
-  *slot = delivered;
-  slot->prop_event = sim_.after(prop, [this, slot] {
-    if (deliver_) deliver_(*slot);
-    prop_pool_.release(slot);
-  });
+  // The stamp is taken here, where a per-packet schedule would take it.
+  const TimePoint when = sim_.now() + prop;
+  const std::uint64_t seq = sim_.reserve_seq();
+  if (!prop_.empty() && when < prop_.back().when) {
+    p->prop_event = sim_.at_reserved(when, seq, [this, p] { deliver(p); });
+    return;
+  }
+  prop_.push_back({p, when, seq});
+  if (prop_.size() == 1) head_event_ = sim_.at_reserved(when, seq, [this] { deliver_head(); });
+}
+
+void Link::deliver_head() {
+  Packet* p = prop_.front().pkt;
+  prop_.pop_front();
+  if (!prop_.empty()) {
+    const InFlight& next = prop_.front();
+    head_event_ = sim_.at_reserved(next.when, next.seq, [this] { deliver_head(); });
+  }
+  deliver(p);
+}
+
+void Link::deliver(Packet* p) {
+  if (deliver_) deliver_(*p);
+  pool_.release(p);
 }
 
 void Link::restore_from(const Link& src) {
+  assert(!busy() && prop_.empty());  // a fork shell's link, fresh from construction
   config_ = src.config_;
   rng_ = src.rng_;
   if (fault_ != nullptr && src.fault_ != nullptr) fault_->restore_from(*src.fault_);
-  queue_ = src.queue_;
-  busy_ = src.busy_;
-  in_service_ = src.in_service_;
   stats_ = src.stats_;
+  // Slot addresses differ from src's, which is behavior-neutral: identity
+  // lives in the EventIds and stamps, not the slot.
+  auto copy = [this](const Packet& from) {
+    Packet* p = pool_.acquire();
+    *p = from;
+    return p;
+  };
+  for (std::size_t i = 0; i < src.queue_.size(); ++i) queue_.push_back(copy(*src.queue_.at(i)));
+  in_service_ = src.busy() ? copy(*src.in_service_) : nullptr;
   tx_parked_ = src.tx_parked_;
   if (src.tx_timer_.pending()) {
     if (tx_parked_) {
@@ -137,18 +161,17 @@ void Link::restore_from(const Link& src) {
       tx_timer_.clone_from(src.tx_timer_, [this] { finish_transmission(); });
     }
   }
-  // In-propagation packets: mirror each live slot of src's pool into ours and
-  // adopt the cloned delivery event. Pool layout may differ from src's (slots
-  // are acquired fresh here), which is behavior-neutral: identity lives in
-  // the EventId, not the slot address.
-  src.prop_pool_.for_each_slot([this](const Packet& p) {
-    if (p.prop_event == 0) return;
-    Packet* slot = prop_pool_.acquire();
-    *slot = p;
-    sim_.rebind(p.prop_event, [this, slot] {
-      if (deliver_) deliver_(*slot);
-      prop_pool_.release(slot);
-    });
+  for (std::size_t i = 0; i < src.prop_.size(); ++i) {
+    const InFlight& f = src.prop_.at(i);
+    prop_.push_back({copy(*f.pkt), f.when, f.seq});
+  }
+  head_event_ = src.head_event_;
+  if (!prop_.empty()) sim_.rebind(head_event_, [this] { deliver_head(); });
+  // Overtaking packets are the only slots with an event of their own.
+  src.pool_.for_each_slot([&](const Packet& from) {
+    if (from.prop_event == 0) return;
+    Packet* p = copy(from);
+    sim_.rebind(p->prop_event, [this, p] { deliver(p); });
   });
 }
 

@@ -67,7 +67,10 @@ class Link {
   FaultModel* fault_model() const { return fault_.get(); }
 
   // Offers a packet to the link. May drop (queue overflow or random loss).
-  void send(Packet pkt);
+  // An admitted packet is copied once, into a pool slot that carries it
+  // through the queue, serialization and propagation; a dropped one is not
+  // copied at all.
+  void send(const Packet& pkt);
 
   void set_rate(Rate rate) { config_.rate = rate; }
   Rate rate() const { return config_.rate; }
@@ -76,7 +79,10 @@ class Link {
   void set_loss_rate(double p) { config_.loss_rate = p; }
 
   std::size_t queue_depth() const { return queue_.size(); }
-  bool busy() const { return busy_; }
+  bool busy() const { return in_service_ != nullptr; }
+  // Packet slots ever created (diagnostics): the high-water of packets
+  // queued, in service and propagating, rounded up to a pool chunk.
+  std::size_t pool_slots() const { return pool_.capacity(); }
   const LinkStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
 
@@ -87,14 +93,26 @@ class Link {
 
   // Snapshot support (exp/snapshot.h): copies `src`'s dynamic state — queue,
   // in-service packet, stats, RNG, fault-model state — and adopts its pending
-  // events (serializer timer, every in-propagation delivery) by EventId. The
+  // events (serializer timer, propagation head, overtaking packets) by
+  // EventId. The
   // simulator's queue must already be structure-cloned from src's; deliver_
   // is left alone (the fork's mux installed its own at attach time).
   void restore_from(const Link& src);
 
  private:
+  // A packet in propagation with the stamp it reserved at tx-done.
+  struct InFlight {
+    Packet* pkt;
+    TimePoint when;
+    std::uint64_t seq;
+  };
+
   void start_transmission();
   void finish_transmission();
+  // Delivers the FIFO head after placing the next entry's event.
+  void deliver_head();
+  // Hands `p` to the receiver and frees its slot.
+  void deliver(Packet* p);
 
   Simulator& sim_;
   LinkConfig config_;
@@ -103,17 +121,23 @@ class Link {
   Rng rng_{0xabcdef12345678ULL};
   std::unique_ptr<FaultModel> fault_;
 
-  RingDeque<Packet> queue_;
-  bool busy_ = false;
-  Packet in_service_;
+  PacketPool pool_;  // every admitted packet's slot until it is delivered
+  RingDeque<Packet*> queue_;
+  Packet* in_service_ = nullptr;
   Timer tx_timer_;
   // Which callback tx_timer_ holds: true = parked zero-rate poll
   // (start_transmission), false = serialization end (finish_transmission).
   // Cannot be inferred from the rate — it may change while parked — and
   // restore_from() needs it to rebuild the right closure.
   bool tx_parked_ = false;
-  // Packets in their propagation stage; slots recycle as deliveries fire.
-  PacketPool prop_pool_;
+  // Propagation (htsim's Pipe): packets leave in FIFO order of (when, seq),
+  // so only the head holds a queue event, placed with its reserved stamp
+  // when the previous head fires; the fire order is the same as with one
+  // event per packet. A packet that would overtake the tail (fault-model
+  // extra delay ahead of it, or a shorter prop delay) keeps an event of its
+  // own, recorded in its prop_event.
+  RingDeque<InFlight> prop_;
+  EventId head_event_ = kInvalidEventId;
   LinkStats stats_;
 
   // Flight-recorder instruments, labelled entity=name_ (no-ops unless a

@@ -51,9 +51,9 @@ struct Packet {
   // --- bookkeeping ---------------------------------------------------------
   bool retransmit = false;
   std::uint64_t transmit_seq = 0;  // global order stamp for traces
-  // Pending delivery event while the packet sits in a link's propagation
-  // pool (EventId; 0 = not in propagation). Lets snapshot forks enumerate
-  // in-flight packets and re-bind their arrival events (exp/snapshot.h).
+  // Delivery event of a packet that overtook its link's propagation FIFO
+  // and so holds an event of its own (EventId; 0 otherwise). Lets snapshot
+  // forks find those packets and re-bind their arrivals (exp/snapshot.h).
   std::uint64_t prop_event = 0;
 
   std::uint32_t wire_size() const { return is_ack ? kAckBytes : payload + kHeaderBytes; }

@@ -1,13 +1,12 @@
-// Free-list pool of Packet buffers for in-propagation packets.
+// Free-list pool of Packet buffers for a link's packets.
 //
-// A link's propagation stage used to capture each ~200-byte Packet by value
-// inside the delivery closure, which overflows Callback's inline buffer and
-// heap-allocated on every single delivery. The pool hands out stable Packet
-// slots from chunked storage instead: the closure captures only {link,
-// Packet*} (16 bytes, always inline) and the slot returns to the free list
-// as soon as the delivery fires. Chunks are never freed, so a link's pool
-// high-water tracks its maximum packets simultaneously in propagation
-// (roughly bandwidth-delay product / packet size), not its traffic volume.
+// A link copies each admitted packet once into a slot from this pool and
+// passes the slot pointer through its queue, serializer and propagation
+// FIFO, so a hop moves 8-byte pointers instead of ~230-byte Packets and a
+// delivery closure captures only {link, Packet*} (always inline). Slots
+// return to the free list as deliveries fire. Chunks are never freed, so a
+// link's pool high-water tracks its maximum packets simultaneously queued,
+// in service or propagating, not its traffic volume.
 #pragma once
 
 #include <cstddef>
@@ -28,17 +27,17 @@ class PacketPool {
   }
 
   void release(Packet* p) {
-    p->prop_event = 0;  // free slots must not look in-flight to snapshot scans
+    p->prop_event = 0;  // free slots must not look like overtakers to snapshot scans
     free_.push_back(p);
   }
 
-  // Total slots ever created (diagnostics; equals the in-propagation
+  // Total slots ever created (diagnostics; equals the live-packet
   // high-water rounded up to a chunk).
   std::size_t capacity() const { return chunks_.size() * kChunkPackets; }
 
-  // Visits every slot, live and free; callers distinguish in-flight packets
-  // by prop_event != 0 (snapshot forks enumerate a link's propagation stage
-  // this way — the pool keeps no per-slot liveness bit of its own).
+  // Visits every slot, live and free; snapshot forks find a link's
+  // overtaking packets by prop_event != 0 (the pool keeps no per-slot
+  // liveness bit of its own).
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
     for (const auto& chunk : chunks_) {

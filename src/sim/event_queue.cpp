@@ -11,13 +11,21 @@ namespace mps {
 
 EventQueue::EventQueue() : heads_(kLevels * kSlotsPerLevel, kNoPos) {}
 
-EventId EventQueue::schedule(TimePoint when, Callback fn) {
-  MPS_PROF_MEM_SCOPE(kEvents);
-  // Both limits are checked before a slot is taken, so a throwing schedule
-  // leaves the queue unchanged.
+std::uint64_t EventQueue::reserve_seq() {
   if (next_seq_ >> (64 - kSlotBits) != 0) {
     throw std::length_error("EventQueue: more than 2^40 events scheduled");
   }
+  return next_seq_++;
+}
+
+EventId EventQueue::schedule(TimePoint when, Callback fn) {
+  return schedule_reserved(when, reserve_seq(), std::move(fn));
+}
+
+EventId EventQueue::schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn) {
+  MPS_PROF_MEM_SCOPE(kEvents);
+  // Checked before a slot is taken, so a throwing schedule leaves the slots
+  // unchanged.
   if (free_.empty() && slots_.size() > kKeySlotMask) {
     throw std::length_error("EventQueue: more than 2^24 pending events");
   }
@@ -31,7 +39,7 @@ EventId EventQueue::schedule(TimePoint when, Callback fn) {
   }
   Slot& s = slots_[slot];
   s.when = when;
-  s.seq = next_seq_++;
+  s.seq = seq;
   s.fn = std::move(fn);
 
   // With nothing pending near the cursor it carries no placement history, so
@@ -58,6 +66,26 @@ void EventQueue::cancel(EventId id) {
     case Loc::kFar: maybe_compact(far_, --far_live_); break;
     case Loc::kNone: break;
   }
+}
+
+bool EventQueue::postpone(EventId id, TimePoint when, Callback&& fn) {
+  const std::uint32_t slot = live_slot(id);
+  if (slot == kNoPos || when < slots_[slot].when) return false;
+  const std::uint64_t seq = reserve_seq();
+  Slot& s = slots_[slot];
+  s.when = when;
+  s.seq = seq;  // a heap key carrying the old stamp is stale from here on
+  s.fn = std::move(fn);
+  if (s.loc == Loc::kReady) {
+    --ready_live_;
+    place(slot);
+    maybe_compact(ready_, ready_live_);
+  } else if (s.loc == Loc::kFar) {
+    --far_live_;
+    place(slot);
+    maybe_compact(far_, far_live_);
+  }
+  return true;
 }
 
 TimePoint EventQueue::next_time() {
@@ -176,7 +204,8 @@ void EventQueue::advance() {
     const std::uint32_t found = scan_occupancy(level, pos + 1);
     if (found == kSlotsPerLevel) continue;
     // Enter the bucket's window and re-place its residents: the ones at the
-    // new cursor tick go to the ready heap, the rest strictly lower levels.
+    // new cursor tick go to the ready heap, the rest strictly lower levels,
+    // or anywhere later when postpone() moved their time on.
     const int above = shift + kLevelBits;
     cur_tick_ = ((cur_tick_ >> above) << above) | (std::uint64_t{found} << shift);
     const std::uint32_t bucket = static_cast<std::uint32_t>(level) * kSlotsPerLevel + found;
@@ -187,7 +216,7 @@ void EventQueue::advance() {
       const std::uint32_t next = slots_[slot].next;
       --wheel_live_;
       place(slot);
-      assert(slots_[slot].loc == Loc::kReady || slots_[slot].bucket < bucket);
+      assert(slots_[slot].loc != Loc::kWheel || slots_[slot].bucket != bucket);
       slot = next;
     }
     return;

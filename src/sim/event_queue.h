@@ -27,6 +27,9 @@
 // to the deepest level whose window contains both it and the cursor), so no
 // level ever wraps and a drain only moves events downward.
 //
+// postpone() only re-stamps a wheel resident (its bucket is a lower bound
+// on its time), so a drain may send a resident to a later bucket.
+//
 // cancel() unlinks a wheel resident at once. A heap key is left in place and
 // dropped when it reaches the top: releasing a slot zeroes its seq, so a key
 // is live only while its seq still matches its slot's. size()/empty() are
@@ -54,8 +57,25 @@ class EventQueue {
   // Schedules `fn` at absolute time `when`. Returns an id usable with
   // cancel(). Owners must cancel events capturing them before destruction
   // (see Timer for the RAII wrapper). Throws std::length_error past 2^24
-  // simultaneously pending events or 2^40 schedules (the heap keys' fields).
+  // simultaneously pending events or 2^40 stamps (the heap keys' fields).
   EventId schedule(TimePoint when, Callback fn);
+
+  // Reserved stamps. reserve_seq() takes the next FIFO stamp now;
+  // schedule_reserved() places an event with it later. The event then ranks
+  // exactly as if schedule() had been called at the moment the stamp was
+  // taken, so an owner may hold work back (a link's propagation FIFO keeps
+  // one event for its head) without changing the fire order. The caller
+  // must place it before any event ranked after it fires.
+  std::uint64_t reserve_seq();
+  EventId schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn);
+
+  // Gives a live event the later time `when`, a fresh stamp and `fn`, which
+  // ranks it exactly as a cancel plus schedule would, without moving it: a
+  // wheel resident stays in its bucket and is re-placed when the bucket
+  // drains; a heap resident's old key goes stale. Returns false, leaving
+  // `fn` untouched, when `id` is not live or `when` is earlier than the
+  // event's time.
+  bool postpone(EventId id, TimePoint when, Callback&& fn);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
   // no-op.

@@ -9,11 +9,15 @@
 namespace mps {
 
 EventId Simulator::at(TimePoint when, Callback fn) {
+  return at_reserved(when, queue_.reserve_seq(), std::move(fn));
+}
+
+EventId Simulator::at_reserved(TimePoint when, std::uint64_t seq, Callback fn) {
   if (when < now_) {
     throw std::logic_error("Simulator::at: scheduling into the past");
   }
   ++scheduled_;
-  return queue_.schedule(when, std::move(fn));
+  return queue_.schedule_reserved(when, seq, std::move(fn));
 }
 
 void RunTelemetry::add(const Simulator& sim, std::uint64_t events_before, TimePoint base) {

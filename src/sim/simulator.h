@@ -90,6 +90,15 @@ class Simulator {
   // events (useful to break call-stack re-entrancy).
   EventId post(Callback fn) { return at(now_, std::move(fn)); }
 
+  // Reserved stamps and in-place re-arm (EventQueue::reserve_seq,
+  // schedule_reserved, postpone). at_reserved() counts as a schedule call;
+  // postpone() does not.
+  std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventId at_reserved(TimePoint when, std::uint64_t seq, Callback fn);
+  bool postpone(EventId id, TimePoint when, Callback&& fn) {
+    return queue_.postpone(id, when, std::move(fn));
+  }
+
   void cancel(EventId id) { queue_.cancel(id); }
   // True while `id` is scheduled and has neither fired nor been cancelled.
   bool pending(EventId id) const { return queue_.live(id); }
@@ -186,8 +195,11 @@ class Simulator {
 //
 // The owner's closure goes straight into the event queue's slot, the only
 // copy of it; the timer keeps just the event id and deadline and asks the
-// queue whether that event is still live. A reschedule (every ACK restarts
-// the RTO timer) is one cancel plus one schedule, and the timer is 24 bytes.
+// queue whether that event is still live. A reschedule to a deadline no
+// earlier than the pending one (every ACK pushes the RTO timer out) is a
+// postpone: the event keeps its slot and takes a fresh stamp, ranking as a
+// cancel plus schedule would. Anything else is a cancel plus a schedule.
+// The timer is 24 bytes.
 class Timer {
  public:
   explicit Timer(Simulator& sim) : sim_(sim) {}
@@ -196,9 +208,11 @@ class Timer {
   Timer& operator=(const Timer&) = delete;
 
   void schedule_at(TimePoint when, Callback fn) {
-    cancel();
+    if (!sim_.postpone(id_, when, std::move(fn))) {  // leaves fn intact when false
+      cancel();
+      id_ = sim_.at(when, std::move(fn));
+    }
     deadline_ = when;
-    id_ = sim_.at(when, std::move(fn));
   }
 
   void schedule_after(Duration delay, Callback fn) {

@@ -127,5 +127,51 @@ TEST(CappedDownloadTest, ForkedRunCarriesCappedFlag) {
   EXPECT_TRUE(out.download.capped);
 }
 
+// --- capped streams and page loads ----------------------------------------------
+
+ScenarioSpec workload_spec(WorkloadKind kind, double rate_mbps) {
+  ScenarioSpec s = download_spec(rate_mbps);
+  s.name = "capped-workload";
+  s.workload.kind = kind;
+  s.workload.video_s = 5.0;  // stream cap: 30 x 5 s + 600 s = 750 s
+  return s;
+}
+
+TEST(CappedStreamTest, StallingStreamIsReportedCappedAndCompletedIsNot) {
+  // 1 kbps per path cannot fetch 5 s of video within 750 s.
+  const ScenarioSpec slow = workload_spec(WorkloadKind::kStream, 0.001);
+  const ScenarioOutcome out = run_scenario(slow);
+  EXPECT_TRUE(out.streaming.capped);
+  EXPECT_TRUE(out.capped());
+  EXPECT_NE(format_outcome(slow, out).find("\n  capped: a run reached the 30 x video + 600 s "
+                                            "cap before its session finished\n"),
+            std::string::npos)
+      << format_outcome(slow, out);
+  EXPECT_TRUE(run_scenario_forked(slow, 1.0).streaming.capped);
+
+  const ScenarioSpec fast = workload_spec(WorkloadKind::kStream, 10.0);
+  const ScenarioOutcome done = run_scenario(fast);
+  EXPECT_FALSE(done.capped());
+  EXPECT_EQ(format_outcome(fast, done).find("capped"), std::string::npos);
+}
+
+TEST(CappedWebTest, StallingPageLoadIsReportedCappedAndCompletedIsNot) {
+  // 1 kbps per path cannot load the page's objects within 3600 s.
+  const ScenarioSpec slow = workload_spec(WorkloadKind::kWeb, 0.001);
+  const ScenarioOutcome out = run_scenario(slow);
+  EXPECT_TRUE(out.web.capped);
+  EXPECT_TRUE(out.capped());
+  EXPECT_NE(format_outcome(slow, out).find("\n  capped: a run reached the 3600 s cap before "
+                                            "its page finished loading\n"),
+            std::string::npos)
+      << format_outcome(slow, out);
+  EXPECT_TRUE(run_scenario_forked(slow, 1.0).web.capped);
+
+  const ScenarioSpec fast = workload_spec(WorkloadKind::kWeb, 10.0);
+  const ScenarioOutcome done = run_scenario(fast);
+  EXPECT_FALSE(done.capped());
+  EXPECT_EQ(format_outcome(fast, done).find("capped"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace mps

@@ -2,6 +2,7 @@
 // reassembly, out-of-order delay measurement, window autotuning,
 // opportunistic retransmission, and multi-connection demultiplexing.
 #include <gtest/gtest.h>
+#include <cstdio>
 
 #include <fstream>
 #include <memory>
@@ -30,6 +31,17 @@ TestbedConfig hetero_config() {
   tb.wifi = wifi_profile(Rate::mbps(1.0));
   tb.lte = lte_profile(Rate::mbps(10.0));
   return tb;
+}
+
+// The per-packet hooks left std::function without growing the connection:
+// each is a 32-byte BasicCallback (24 inline bytes), as large as the
+// std::function it replaced, and the connection stays at 872 bytes on
+// x86-64 with libstdc++.
+TEST(ConnectionTest, PerPacketHooksKeepTheConnectionSize) {
+  static_assert(sizeof(Connection::on_deliver) == 32);
+  static_assert(sizeof(Connection::on_wire_arrival_hook) == 32);
+  std::printf("sizeof(Connection) = %zu\n", sizeof(Connection));
+  EXPECT_LE(sizeof(Connection), 872u);
 }
 
 TEST(ConnectionTest, SendLimitedBySndbuf) {

@@ -1,6 +1,10 @@
 // Tests for src/net: links, paths, demux, bandwidth schedules, wild profiles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <memory>
+#include <tuple>
 #include <vector>
 
 #include "net/link.h"
@@ -8,6 +12,7 @@
 #include "net/path.h"
 #include "net/varbw.h"
 #include "net/wild.h"
+#include "fault/fault.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
 
@@ -141,6 +146,178 @@ TEST_F(LinkTest, ZeroRateParksPacketUntilRateRestored) {
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_GE(delivered[0].first.to_seconds(), 0.35);
   EXPECT_LT(delivered[0].first.to_seconds(), 0.6);
+}
+
+// --- propagation pipeline vs a per-packet reference --------------------------
+//
+// N packets are offered at t = 0 to an 8 Mbps link (tx = 1.488 ms each), so
+// packet i finishes serialization at (i+1)*tx. Before any send, a marker
+// event is scheduled at every arrival time the reference predicts; a marker
+// holds an older stamp than every packet, so it fires first among equal
+// times. A per-packet event model fires everything in (time, stamp) order:
+// markers first at a shared time, then packets in tx-done order. The link's
+// head-only FIFO must produce exactly that log.
+
+// Adds `extra` to every packet whose tx-done index is 1 mod 4: with extra =
+// 2*tx it arrives together with packet i+2 (a tie) and packet i+1 overtakes
+// it. Stateless, so a fork needs no fault state.
+class EveryFourthDelayed final : public FaultModel {
+ public:
+  EveryFourthDelayed(Duration tx, Duration extra) : tx_(tx), extra_(extra) {}
+  bool should_drop(TimePoint, Rng&) override { return false; }
+  Duration extra_delay(TimePoint now, Rng&) override {
+    return (now.ns() / tx_.ns() - 1) % 4 == 1 ? extra_ : Duration::zero();
+  }
+  const char* name() const override { return "every_fourth"; }
+
+ private:
+  Duration tx_, extra_;
+};
+
+struct PipelineLog {
+  // (time ns, label): label >= 0 is a packet's subflow_seq, -1 a marker.
+  std::vector<std::pair<std::int64_t, std::int64_t>> events;
+};
+
+class PipelineTest : public ::testing::Test {
+ protected:
+  static constexpr int kPackets = 40;
+  LinkConfig cfg() const {
+    LinkConfig c;
+    c.rate = Rate::mbps(8);
+    c.prop_delay = Duration::millis(10);
+    c.queue_packets = kPackets;
+    return c;
+  }
+  Duration tx() const { return cfg().rate.transmit_time(1428 + kHeaderBytes); }
+
+  // Per-packet reference: packet i arrives at (i+1)*tx + prop(i) + extra(i),
+  // where prop(i) follows the delay in force at its tx-done.
+  std::vector<std::int64_t> arrivals(bool fault, std::int64_t change_at_ns,
+                                     Duration new_prop) const {
+    std::vector<std::int64_t> at;
+    for (int i = 0; i < kPackets; ++i) {
+      const std::int64_t done = (i + 1) * tx().ns();
+      std::int64_t a = done + (done > change_at_ns ? new_prop : cfg().prop_delay).ns();
+      if (fault && i % 4 == 1) a += 2 * tx().ns();
+      at.push_back(a);
+    }
+    return at;
+  }
+  static std::vector<std::pair<std::int64_t, std::int64_t>> expected(
+      const std::vector<std::int64_t>& at, std::int64_t after_ns) {
+    std::vector<std::tuple<std::int64_t, int, std::int64_t>> order;
+    for (std::size_t i = 0; i < at.size(); ++i) {
+      if (at[i] <= after_ns) continue;
+      order.emplace_back(at[i], 0, -1);  // marker: older stamp
+      order.emplace_back(at[i], 1, static_cast<std::int64_t>(i));
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<std::pair<std::int64_t, std::int64_t>> out;
+    for (const auto& [t, kind, label] : order) out.emplace_back(t, label);
+    return out;
+  }
+
+  // Wires a link's deliveries and the markers into `log`; returns marker ids.
+  std::vector<EventId> arm(Simulator& sim, Link& link, PipelineLog& log,
+                           const std::vector<std::int64_t>& at) {
+    link.set_deliver([&sim, &log](const Packet& p) {
+      log.events.emplace_back(sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
+    });
+    std::vector<EventId> ids;
+    for (const std::int64_t t : at) {
+      ids.push_back(sim.at(TimePoint::from_ns(t), marker(sim, log)));
+    }
+    return ids;
+  }
+  static Callback marker(Simulator& sim, PipelineLog& log) {
+    return [&sim, &log] { log.events.emplace_back(sim.now().ns(), -1); };
+  }
+  void send_all(Link& link) {
+    for (int i = 0; i < kPackets; ++i) link.send(data_packet(1428, static_cast<std::uint64_t>(i)));
+  }
+};
+
+TEST_F(PipelineTest, ReorderFaultMatchesPerPacketOrder) {
+  Simulator sim;
+  Link link(sim, cfg());
+  link.set_fault_model(std::make_unique<EveryFourthDelayed>(tx(), tx() * std::int64_t{2}));
+  const auto at = arrivals(true, std::numeric_limits<std::int64_t>::max(), Duration::zero());
+  PipelineLog log;
+  arm(sim, link, log, at);
+  send_all(link);
+  sim.run();
+  EXPECT_EQ(log.events, expected(at, -1));
+  EXPECT_EQ(link.stats().reordered, static_cast<std::uint64_t>(kPackets / 4));
+}
+
+TEST_F(PipelineTest, MidFlightPropDelayDecreaseMatchesPerPacketOrder) {
+  Simulator sim;
+  Link link(sim, cfg());
+  // Halfway through packet 10's serialization the delay drops from 10 ms to
+  // 1 ms, so packets 10.. overtake every packet still propagating.
+  const std::int64_t change = 10 * tx().ns() + tx().ns() / 2;
+  const auto at = arrivals(false, change, Duration::millis(1));
+  PipelineLog log;
+  arm(sim, link, log, at);
+  sim.at(TimePoint::from_ns(change), [&link] { link.set_prop_delay(Duration::millis(1)); });
+  send_all(link);
+  sim.run();
+  EXPECT_EQ(log.events, expected(at, -1));
+}
+
+TEST_F(PipelineTest, ForkMidPropagationMatchesPerPacketOrder) {
+  Simulator sim;
+  Link link(sim, cfg());
+  link.set_fault_model(std::make_unique<EveryFourthDelayed>(tx(), tx() * std::int64_t{2}));
+  const auto at = arrivals(true, std::numeric_limits<std::int64_t>::max(), Duration::zero());
+  PipelineLog log;
+  const std::vector<EventId> markers = arm(sim, link, log, at);
+  send_all(link);
+  // Mid-run: packets queued, one in service, a propagation FIFO and
+  // overtakers with events of their own.
+  const TimePoint fork_at = TimePoint::from_ns(12 * tx().ns() + 10'000'000 + tx().ns() / 3);
+  sim.run_until(fork_at);
+  ASSERT_TRUE(link.busy());
+
+  Simulator fork_sim;
+  Link fork(fork_sim, cfg());
+  fork.set_fault_model(std::make_unique<EveryFourthDelayed>(tx(), tx() * std::int64_t{2}));
+  PipelineLog fork_log;
+  fork.set_deliver([&fork_sim, &fork_log](const Packet& p) {
+    fork_log.events.emplace_back(fork_sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
+  });
+  fork_sim.clone_events_from(sim);
+  fork.restore_from(link);
+  for (const EventId id : markers) {
+    if (sim.pending(id)) {
+      ASSERT_TRUE(fork_sim.rebind(id, marker(fork_sim, fork_log)));
+    }
+  }
+  std::vector<std::pair<EventId, TimePoint>> unbound;
+  fork_sim.collect_unbound_events(unbound);
+  ASSERT_TRUE(unbound.empty());
+
+  sim.run();
+  fork_sim.run();
+  EXPECT_EQ(log.events, expected(at, -1));
+  EXPECT_EQ(fork_log.events, expected(at, fork_at.ns()));
+  EXPECT_EQ(fork_sim.fire_digest(), sim.fire_digest());
+}
+
+TEST_F(LinkTest, QueueFullDropsGrowNoPoolSlot) {
+  LinkConfig cfg;
+  cfg.queue_packets = 5;
+  Link link(sim, cfg);
+  attach(link);
+  for (int i = 0; i < 6; ++i) link.send(data_packet());  // 1 in service + 5 queued
+  const std::size_t slots = link.pool_slots();
+  ASSERT_GT(slots, 0u);
+  for (int i = 0; i < 1000; ++i) link.send(data_packet());  // every one drops
+  EXPECT_EQ(link.stats().drops_queue, 1000u);
+  EXPECT_EQ(link.pool_slots(), slots);
+  sim.run();
+  EXPECT_EQ(delivered.size(), 6u);
 }
 
 TEST(PathTest, ProfilesMatchPaperBaseRtts) {

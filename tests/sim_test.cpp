@@ -217,9 +217,13 @@ TEST(EventQueueTest, ChurnMatchesReferenceModel) {
 // mixes same-tick ties, schedules behind the cursor (they land in the ready
 // heap), events past the 2^41 ns wheel horizon interleaved with near ones,
 // cancels followed at once by a schedule that reuses the freed slot, and
-// pop_until exactly at (and just before) the earliest deadline. Midway the
-// queue is cloned with clone_structure_from + rebind; from then on every op
-// goes to both queues, which must issue the same ids and pop the same
+// pop_until exactly at (and just before) the earliest deadline. It also
+// drives the reserved-stamp calls: reserve_seq + schedule_reserved placed in
+// reverse order around a plain schedule, and postpone of wheel, ready and
+// far residents (to a tie, to the upper levels, past the horizon, refused
+// when earlier or stale, and cancelled right after). Midway the queue is
+// cloned with clone_structure_from + rebind; from then on every op goes to
+// both queues, which must issue the same ids and stamps and pop the same
 // sequence as the reference.
 TEST(EventQueueTest, KernelPathsMatchReferenceModel) {
   constexpr std::int64_t kTick = std::int64_t{1} << 17;
@@ -255,6 +259,54 @@ TEST(EventQueueTest, KernelPathsMatchReferenceModel) {
       ASSERT_EQ(clone.schedule(TimePoint::from_ns(when), recorder(fired_clone, t)), id);
     }
     model.push_back({when, order++, t, id});
+  };
+  // Takes two stamps around a plain schedule and places them in reverse
+  // order; each must rank where its stamp was taken.
+  auto reserve_and_place = [&](std::int64_t when_a, std::int64_t when_b) {
+    struct Held {
+      std::int64_t when;
+      std::uint64_t order;
+      std::uint64_t seq;
+    };
+    auto reserve = [&](std::int64_t when) {
+      const std::uint64_t seq = src.reserve_seq();
+      if (cloned) {
+        EXPECT_EQ(clone.reserve_seq(), seq);
+      }
+      return Held{when, order++, seq};
+    };
+    const Held a = reserve(when_a);
+    schedule(when_b);
+    const Held b = reserve(when_b);
+    for (const Held& h : {b, a}) {
+      const int t = tag++;
+      const EventId id =
+          src.schedule_reserved(TimePoint::from_ns(h.when), h.seq, recorder(fired_src, t));
+      if (cloned) {
+        ASSERT_EQ(clone.schedule_reserved(TimePoint::from_ns(h.when), h.seq,
+                                          recorder(fired_clone, t)),
+                  id);
+      }
+      model.push_back({h.when, h.order, t, id});
+    }
+  };
+  // Postpones model[k] to `when`: accepted (a fresh rank, same id) unless
+  // `when` is earlier, in which case the callback must come back untouched.
+  auto postpone = [&](std::size_t k, std::int64_t when) {
+    Ref& r = model[k];
+    const bool expect = when >= r.when;
+    Callback a = recorder(fired_src, r.tag);
+    Callback b = recorder(fired_clone, r.tag);
+    ASSERT_EQ(src.postpone(r.id, TimePoint::from_ns(when), std::move(a)), expect);
+    if (cloned) {
+      ASSERT_EQ(clone.postpone(r.id, TimePoint::from_ns(when), std::move(b)), expect);
+    }
+    if (!expect) {
+      ASSERT_TRUE(a);
+      return;
+    }
+    r.when = when;
+    r.order = order++;
   };
   auto model_min = [&model] {
     std::size_t best = 0;
@@ -311,6 +363,31 @@ TEST(EventQueueTest, KernelPathsMatchReferenceModel) {
         if (cloned) clone.cancel(model[k].id);
         model.erase(model.begin() + static_cast<std::ptrdiff_t>(k));
       }
+    }
+    const std::uint64_t kop = rnd(100);
+    if (kop < 12 && !model.empty()) {
+      // Postpone: to a tie a few half ticks on, up to 2^34 ns on (upper
+      // levels), past the wheel horizon, or (refused) 1 ns earlier. Every
+      // third accepted one is cancelled at once; its id must then be inert.
+      const std::size_t k = rnd(model.size());
+      const std::int64_t base = model[k].when;
+      std::int64_t when = base + static_cast<std::int64_t>(rnd(4)) * (kTick / 2);
+      if (kop % 4 == 1) when = base + kHorizon;
+      if (kop % 4 == 2) when = base + static_cast<std::int64_t>(rnd(std::uint64_t{1} << 34));
+      if (kop % 4 == 3 && base > 0) when = base - 1;
+      postpone(k, when);
+      if (kop % 3 == 0 && when >= base) {
+        const EventId stale = model[k].id;
+        src.cancel(stale);
+        if (cloned) clone.cancel(stale);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(k));
+        Callback fn = [] {};
+        ASSERT_FALSE(src.postpone(stale, TimePoint::never(), std::move(fn)));
+        ASSERT_TRUE(fn);
+      }
+    } else if (kop < 20) {
+      reserve_and_place(now + static_cast<std::int64_t>(rnd(4)) * (kTick / 2),
+                        kop % 2 == 0 ? now : now + kHorizon);
     }
     std::uint64_t op = rnd(100);
     // Hold a population of a few dozen events so every home stays occupied

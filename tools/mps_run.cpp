@@ -35,8 +35,9 @@
 //                     line reports the verdict to stderr.
 //
 // Exit status: 0 on success, 1 on a runtime error, 2 on bad usage or input,
-// 3 when the run completed but is capped (a download reached its 600 s cap
-// before completing; the output says so on a `capped:` line).
+// 3 when the run completed but is capped (a download reached its 600 s cap,
+// a stream its 30 x video + 600 s cap or a page load its 3600 s cap before
+// finishing; the output says so on a `capped:` line).
 //
 // The run goes through the same spec -> params conversion as the bench
 // drivers (exp/scenario_run.h), so a preset that mirrors a bench cell
@@ -254,8 +255,8 @@ int main(int argc, char** argv) {
       }
       pf << profile_report_to_json(report).dump(2) << "\n";
     }
-    if (out.download.capped) {
-      std::fprintf(stderr, "mps_run: capped run: the download did not complete\n");
+    if (out.capped()) {
+      std::fprintf(stderr, "mps_run: capped run: the workload did not complete\n");
       return 3;
     }
   } catch (const std::exception& e) {
