@@ -92,11 +92,11 @@ class Link {
   }
 
   // Snapshot support (exp/snapshot.h): copies `src`'s dynamic state — queue,
-  // in-service packet, stats, RNG, fault-model state — and adopts its pending
-  // events (serializer timer, propagation head, overtaking packets) by
-  // EventId. The
-  // simulator's queue must already be structure-cloned from src's; deliver_
-  // is left alone (the fork's mux installed its own at attach time).
+  // in-service packet, propagation FIFO, stats, RNG, fault-model state — and
+  // adopts its pending events (serializer timer, propagation head,
+  // overtaking packets) by EventId. The simulator's queue must already be
+  // structure-cloned from src's; deliver_ is left alone (the fork's mux
+  // installed its own at attach time).
   void restore_from(const Link& src);
 
  private:

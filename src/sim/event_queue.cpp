@@ -11,11 +11,8 @@ namespace mps {
 
 EventQueue::EventQueue() : heads_(kLevels * kSlotsPerLevel, kNoPos) {}
 
-std::uint64_t EventQueue::reserve_seq() {
-  if (next_seq_ >> (64 - kSlotBits) != 0) {
-    throw std::length_error("EventQueue: more than 2^40 events scheduled");
-  }
-  return next_seq_++;
+void EventQueue::throw_seq_overflow() {
+  throw std::length_error("EventQueue: more than 2^40 events scheduled");
 }
 
 EventId EventQueue::schedule(TimePoint when, Callback fn) {
@@ -212,13 +209,25 @@ void EventQueue::advance() {
     std::uint32_t slot = heads_[bucket];
     heads_[bucket] = kNoPos;
     occ_[level][found >> 6] &= ~(std::uint64_t{1} << (found & 63));
+    // The ready heap is empty here (locate_min drains it first), and a
+    // bucket lists its residents newest first, so pushing them one by one
+    // would sift nearly every key to the root: append them and heapify once.
+    assert(ready_.empty());
     while (slot != kNoPos) {
-      const std::uint32_t next = slots_[slot].next;
+      Slot& s = slots_[slot];
+      const std::uint32_t next = s.next;
       --wheel_live_;
-      place(slot);
-      assert(slots_[slot].loc != Loc::kWheel || slots_[slot].bucket != bucket);
+      if (tick_of(s.when) <= cur_tick_) {
+        s.loc = Loc::kReady;
+        ready_.push_back({s.when.ns(), (s.seq << kSlotBits) | slot});
+        ++ready_live_;
+      } else {
+        place(slot);
+        assert(s.loc != Loc::kWheel || s.bucket != bucket);
+      }
       slot = next;
     }
+    std::make_heap(ready_.begin(), ready_.end(), later);
     return;
   }
   assert(false && "wheel_live_ > 0 with every level empty");

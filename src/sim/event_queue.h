@@ -66,7 +66,10 @@ class EventQueue {
   // taken, so an owner may hold work back (a link's propagation FIFO keeps
   // one event for its head) without changing the fire order. The caller
   // must place it before any event ranked after it fires.
-  std::uint64_t reserve_seq();
+  std::uint64_t reserve_seq() {
+    if (next_seq_ >> (64 - kSlotBits) != 0) [[unlikely]] throw_seq_overflow();
+    return next_seq_++;
+  }
   EventId schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn);
 
   // Gives a live event the later time `when`, a fresh stamp and `fn`, which
@@ -214,6 +217,7 @@ class EventQueue {
 
   // Returns the slot to the free list (destroys its callback, zeroes seq).
   void release(std::uint32_t slot);
+  [[noreturn]] static void throw_seq_overflow();
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // released slot numbers, reused LIFO
