@@ -144,8 +144,7 @@ void Link::restore_from(const Link& src) {
   rng_ = src.rng_;
   if (fault_ != nullptr && src.fault_ != nullptr) fault_->restore_from(*src.fault_);
   stats_ = src.stats_;
-  // Slot addresses differ from src's, which is behavior-neutral: identity
-  // lives in the EventIds and stamps, not the slot.
+  // Fresh slots: identity lives in the EventIds and stamps, not the address.
   auto copy = [this](const Packet& from) {
     Packet* p = pool_.acquire();
     *p = from;
@@ -162,8 +161,7 @@ void Link::restore_from(const Link& src) {
     }
   }
   for (std::size_t i = 0; i < src.prop_.size(); ++i) {
-    const InFlight& f = src.prop_.at(i);
-    prop_.push_back({copy(*f.pkt), f.when, f.seq});
+    prop_.push_back({copy(*src.prop_.at(i).pkt), src.prop_.at(i).when, src.prop_.at(i).seq});
   }
   head_event_ = src.head_event_;
   if (!prop_.empty()) sim_.rebind(head_event_, [this] { deliver_head(); });

@@ -64,12 +64,10 @@ class Link {
   // Installs (or clears) an impairment model; normally built from
   // LinkConfig::fault at construction. Tests may swap in custom models.
   void set_fault_model(std::unique_ptr<FaultModel> model) { fault_ = std::move(model); }
-  FaultModel* fault_model() const { return fault_.get(); }
 
   // Offers a packet to the link. May drop (queue overflow or random loss).
-  // An admitted packet is copied once, into a pool slot that carries it
-  // through the queue, serialization and propagation; a dropped one is not
-  // copied at all.
+  // Only an admitted packet is copied, once, into a pool slot it keeps
+  // until delivery.
   void send(const Packet& pkt);
 
   void set_rate(Rate rate) { config_.rate = rate; }
@@ -80,8 +78,7 @@ class Link {
 
   std::size_t queue_depth() const { return queue_.size(); }
   bool busy() const { return in_service_ != nullptr; }
-  // Packet slots ever created (diagnostics): the high-water of packets
-  // queued, in service and propagating, rounded up to a pool chunk.
+  // Packet slots ever created (diagnostics).
   std::size_t pool_slots() const { return pool_.capacity(); }
   const LinkStats& stats() const { return stats_; }
   const std::string& name() const { return name_; }
@@ -93,10 +90,9 @@ class Link {
 
   // Snapshot support (exp/snapshot.h): copies `src`'s dynamic state — queue,
   // in-service packet, propagation FIFO, stats, RNG, fault-model state — and
-  // adopts its pending events (serializer timer, propagation head,
-  // overtaking packets) by EventId. The simulator's queue must already be
-  // structure-cloned from src's; deliver_ is left alone (the fork's mux
-  // installed its own at attach time).
+  // adopts its pending events (serializer, FIFO head, overtakers) by EventId.
+  // The simulator's queue must already be structure-cloned from src's;
+  // deliver_ is left alone (the fork's mux installed its own at attach time).
   void restore_from(const Link& src);
 
  private:
@@ -109,9 +105,7 @@ class Link {
 
   void start_transmission();
   void finish_transmission();
-  // Delivers the FIFO head after placing the next entry's event.
-  void deliver_head();
-  // Hands `p` to the receiver and frees its slot.
+  void deliver_head();  // places the next entry's event, then delivers
   void deliver(Packet* p);
 
   Simulator& sim_;
@@ -130,12 +124,10 @@ class Link {
   // Cannot be inferred from the rate — it may change while parked — and
   // restore_from() needs it to rebuild the right closure.
   bool tx_parked_ = false;
-  // Propagation (htsim's Pipe): packets leave in FIFO order of (when, seq),
-  // so only the head holds a queue event, placed with its reserved stamp
-  // when the previous head fires; the fire order is the same as with one
-  // event per packet. A packet that would overtake the tail (fault-model
-  // extra delay ahead of it, or a shorter prop delay) keeps an event of its
-  // own, recorded in its prop_event.
+  // Propagation (htsim's Pipe): entries leave in (when, seq) order, so only
+  // the head holds a queue event, placed with its reserved stamp when the
+  // previous head fires. A packet that would overtake the tail (fault delay
+  // ahead of it, or a shorter prop delay) keeps its own event (prop_event).
   RingDeque<InFlight> prop_;
   EventId head_event_ = kInvalidEventId;
   LinkStats stats_;

@@ -11,8 +11,11 @@ namespace mps {
 
 EventQueue::EventQueue() : heads_(kLevels * kSlotsPerLevel, kNoPos) {}
 
-void EventQueue::throw_seq_overflow() {
-  throw std::length_error("EventQueue: more than 2^40 events scheduled");
+std::uint64_t EventQueue::reserve_seq() {
+  if (next_seq_ >> (64 - kSlotBits) != 0) {
+    throw std::length_error("EventQueue: more than 2^40 events scheduled");
+  }
+  return next_seq_++;
 }
 
 EventId EventQueue::schedule(TimePoint when, Callback fn) {
@@ -21,8 +24,7 @@ EventId EventQueue::schedule(TimePoint when, Callback fn) {
 
 EventId EventQueue::schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn) {
   MPS_PROF_MEM_SCOPE(kEvents);
-  // Checked before a slot is taken, so a throwing schedule leaves the slots
-  // unchanged.
+  // Checked before a slot is taken, so a throw leaves the slots unchanged.
   if (free_.empty() && slots_.size() > kKeySlotMask) {
     throw std::length_error("EventQueue: more than 2^24 pending events");
   }
@@ -71,16 +73,14 @@ bool EventQueue::postpone(EventId id, TimePoint when, Callback&& fn) {
   const std::uint64_t seq = reserve_seq();
   Slot& s = slots_[slot];
   s.when = when;
-  s.seq = seq;  // a heap key carrying the old stamp is stale from here on
+  s.seq = seq;  // any heap key with the old stamp is stale from here on
   s.fn = std::move(fn);
-  if (s.loc == Loc::kReady) {
-    --ready_live_;
+  if (s.loc != Loc::kWheel) {
+    const bool ready = s.loc == Loc::kReady;
+    std::size_t& live = ready ? ready_live_ : far_live_;
+    --live;
     place(slot);
-    maybe_compact(ready_, ready_live_);
-  } else if (s.loc == Loc::kFar) {
-    --far_live_;
-    place(slot);
-    maybe_compact(far_, far_live_);
+    maybe_compact(ready ? ready_ : far_, live);
   }
   return true;
 }
@@ -116,14 +116,14 @@ std::vector<EventQueue::Key>* EventQueue::locate_min() {
   return &far_;
 }
 
-void EventQueue::place(std::uint32_t slot) {
+void EventQueue::place(std::uint32_t slot, bool sift) {
   Slot& s = slots_[slot];
   const std::uint64_t t = tick_of(s.when);
   // At or behind the cursor's tick: the ready heap restores the exact
   // (when, seq) rank, so overdue timestamps still fire in global order.
   if (t <= cur_tick_) {
     s.loc = Loc::kReady;
-    push_key(ready_, slot);
+    push_key(ready_, slot, sift);
     ++ready_live_;
     return;
   }
@@ -141,10 +141,10 @@ void EventQueue::place(std::uint32_t slot) {
   ++far_live_;
 }
 
-void EventQueue::push_key(std::vector<Key>& heap, std::uint32_t slot) {
+void EventQueue::push_key(std::vector<Key>& heap, std::uint32_t slot, bool sift) {
   const Slot& s = slots_[slot];
   heap.push_back({s.when.ns(), (s.seq << kSlotBits) | slot});
-  std::push_heap(heap.begin(), heap.end(), later);
+  if (sift) std::push_heap(heap.begin(), heap.end(), later);
 }
 
 void EventQueue::pop_key(std::vector<Key>& heap) {
@@ -210,21 +210,14 @@ void EventQueue::advance() {
     heads_[bucket] = kNoPos;
     occ_[level][found >> 6] &= ~(std::uint64_t{1} << (found & 63));
     // The ready heap is empty here (locate_min drains it first), and a
-    // bucket lists its residents newest first, so pushing them one by one
-    // would sift nearly every key to the root: append them and heapify once.
+    // bucket lists its residents newest first, so sifting each one in would
+    // take it to the root: append them and heapify once.
     assert(ready_.empty());
     while (slot != kNoPos) {
-      Slot& s = slots_[slot];
-      const std::uint32_t next = s.next;
+      const std::uint32_t next = slots_[slot].next;
       --wheel_live_;
-      if (tick_of(s.when) <= cur_tick_) {
-        s.loc = Loc::kReady;
-        ready_.push_back({s.when.ns(), (s.seq << kSlotBits) | slot});
-        ++ready_live_;
-      } else {
-        place(slot);
-        assert(s.loc != Loc::kWheel || s.bucket != bucket);
-      }
+      place(slot, /*sift=*/false);
+      assert(slots_[slot].loc != Loc::kWheel || slots_[slot].bucket != bucket);
       slot = next;
     }
     std::make_heap(ready_.begin(), ready_.end(), later);

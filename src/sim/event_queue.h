@@ -28,7 +28,7 @@
 // level ever wraps and a drain only moves events downward.
 //
 // postpone() only re-stamps a wheel resident (its bucket is a lower bound
-// on its time), so a drain may send a resident to a later bucket.
+// on its time), so a drain may also send a resident to a later bucket.
 //
 // cancel() unlinks a wheel resident at once. A heap key is left in place and
 // dropped when it reaches the top: releasing a slot zeroes its seq, so a key
@@ -60,24 +60,16 @@ class EventQueue {
   // simultaneously pending events or 2^40 stamps (the heap keys' fields).
   EventId schedule(TimePoint when, Callback fn);
 
-  // Reserved stamps. reserve_seq() takes the next FIFO stamp now;
-  // schedule_reserved() places an event with it later. The event then ranks
-  // exactly as if schedule() had been called at the moment the stamp was
-  // taken, so an owner may hold work back (a link's propagation FIFO keeps
-  // one event for its head) without changing the fire order. The caller
-  // must place it before any event ranked after it fires.
-  std::uint64_t reserve_seq() {
-    if (next_seq_ >> (64 - kSlotBits) != 0) [[unlikely]] throw_seq_overflow();
-    return next_seq_++;
-  }
+  // Reserved stamps: an event placed later with a stamp from reserve_seq()
+  // ranks exactly as if schedule() had run when the stamp was taken. The
+  // caller must place it before any event ranked after it fires.
+  std::uint64_t reserve_seq();
   EventId schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn);
 
-  // Gives a live event the later time `when`, a fresh stamp and `fn`, which
-  // ranks it exactly as a cancel plus schedule would, without moving it: a
-  // wheel resident stays in its bucket and is re-placed when the bucket
-  // drains; a heap resident's old key goes stale. Returns false, leaving
-  // `fn` untouched, when `id` is not live or `when` is earlier than the
-  // event's time.
+  // Gives a live event the later time `when`, a fresh stamp and `fn` (the
+  // rank a cancel plus schedule would give) without unlinking it; a heap
+  // resident's old key goes stale. Returns false, leaving `fn` untouched,
+  // for an id that is not live or a `when` earlier than the event's.
   bool postpone(EventId id, TimePoint when, Callback&& fn);
 
   // Cancels a pending event. Cancelling an already-fired or unknown id is a
@@ -98,7 +90,7 @@ class EventQueue {
 
   struct Fired {
     TimePoint when;
-    std::uint64_t seq = 0;  // the event's FIFO stamp; (when, seq) is its rank
+    std::uint64_t seq = 0;
     Callback fn;
   };
   // Pops the earliest live event into `out` if there is one at or before
@@ -197,8 +189,9 @@ class EventQueue {
     return static_cast<std::uint64_t>(when.ns()) >> kTickBits;
   }
   // Files `slot` in its home for the current cursor and counts it live there.
-  void place(std::uint32_t slot);
-  void push_key(std::vector<Key>& heap, std::uint32_t slot);
+  // With sift false a ready key is appended without restoring the heap.
+  void place(std::uint32_t slot, bool sift = true);
+  void push_key(std::vector<Key>& heap, std::uint32_t slot, bool sift = true);
   void pop_key(std::vector<Key>& heap);
   void drop_stale(std::vector<Key>& heap);
   // Rebuilds `heap` without its stale keys once they outnumber the live ones
@@ -217,7 +210,6 @@ class EventQueue {
 
   // Returns the slot to the free list (destroys its callback, zeroes seq).
   void release(std::uint32_t slot);
-  [[noreturn]] static void throw_seq_overflow();
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;  // released slot numbers, reused LIFO

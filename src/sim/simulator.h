@@ -55,14 +55,10 @@ class Simulator;
 struct RunTelemetry {
   std::uint64_t events = 0;
   double sim_s = 0.0;
-  // Schedule calls (queue insertions) over each run's whole simulator.
-  std::uint64_t scheduled = 0;
-  // Each run's Simulator::fire_digest(), folded in run order: equal digests
-  // mean the same events fired in the same (when, seq) order.
-  std::uint64_t fire_digest = 0;
+  std::uint64_t scheduled = 0;    // schedule calls, each run's whole simulator
+  std::uint64_t fire_digest = 0;  // each run's Simulator::fire_digest(), folded
 
-  // Adds one finished run: events fired since `events_before`, sim time
-  // since `base`, and the simulator's schedule count and fire digest.
+  // Adds a finished run: events since `events_before`, sim time since `base`.
   void add(const Simulator& sim, std::uint64_t events_before, TimePoint base);
 };
 
@@ -90,9 +86,7 @@ class Simulator {
   // events (useful to break call-stack re-entrancy).
   EventId post(Callback fn) { return at(now_, std::move(fn)); }
 
-  // Reserved stamps and in-place re-arm (EventQueue::reserve_seq,
-  // schedule_reserved, postpone). at_reserved() counts as a schedule call;
-  // postpone() does not.
+  // Reserved stamps and in-place re-arm: see EventQueue.
   std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
   EventId at_reserved(TimePoint when, std::uint64_t seq, Callback fn);
   bool postpone(EventId id, TimePoint when, Callback&& fn) {
@@ -116,10 +110,9 @@ class Simulator {
 
   bool idle() const { return queue_.empty(); }
   std::uint64_t events_processed() const { return processed_; }
-  std::uint64_t events_scheduled() const { return scheduled_; }
-  // A 64-bit mix of every fired event's (when, seq), in fire order. Always
-  // on and wall-clock-free: two runs with equal digests fired the same
-  // events in the same order (used to prove kernel changes order-neutral).
+  std::uint64_t events_scheduled() const { return scheduled_; }  // postpones not counted
+  // Always-on 64-bit digest of every fired (when, seq) in fire order: equal
+  // digests mean the same events fired in the same order.
   std::uint64_t fire_digest() const { return digest_; }
 
   // Requests run loops to stop after the current event; used by scenario
@@ -170,16 +163,13 @@ class Simulator {
   };
 
   void heartbeat_poll();
-  // Advances the clock to a popped event and folds it into the digest: a
-  // sum of per-event hashes of (when, seq, fire index). The index makes it
-  // order-sensitive, and unlike a chained hash it adds no serial
-  // multiply latency between consecutive events.
+  // Advances the clock and adds a hash of (when, seq, fire index) to the
+  // digest; a sum, unlike a chained hash, adds no serial latency per event.
   void enter(const EventQueue::Fired& fired) {
     now_ = fired.when;
-    std::uint64_t h = (static_cast<std::uint64_t>(fired.when.ns()) +
-                       processed_ * 0x9e3779b97f4a7c15ULL) ^
-                      (fired.seq * 0xc2b2ae3d27d4eb4fULL);
-    h *= 0xff51afd7ed558ccdULL;
+    const std::uint64_t h =
+        ((static_cast<std::uint64_t>(fired.when.ns()) + processed_ * 0x9e3779b97f4a7c15ULL) ^
+         (fired.seq * 0xc2b2ae3d27d4eb4fULL)) * 0xff51afd7ed558ccdULL;
     digest_ += h ^ (h >> 32);
   }
 
@@ -200,10 +190,8 @@ class Simulator {
 // The owner's closure goes straight into the event queue's slot, the only
 // copy of it; the timer keeps just the event id and deadline and asks the
 // queue whether that event is still live. A reschedule to a deadline no
-// earlier than the pending one (every ACK pushes the RTO timer out) is a
-// postpone: the event keeps its slot and takes a fresh stamp, ranking as a
-// cancel plus schedule would. Anything else is a cancel plus a schedule.
-// The timer is 24 bytes.
+// earlier than the pending one (every ACK pushes the RTO out) is a
+// postpone, otherwise a cancel plus a schedule. The timer is 24 bytes.
 class Timer {
  public:
   explicit Timer(Simulator& sim) : sim_(sim) {}
