@@ -4,7 +4,7 @@
 // cost must stay within tens of nanoseconds of the default scheduler's.
 #include <benchmark/benchmark.h>
 
-#include "exp/testbed.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 
 namespace mps {
@@ -14,15 +14,14 @@ namespace {
 // partially used windows, so every scheduler exercises its full logic.
 struct MidTransferRig {
   explicit MidTransferRig(const std::string& sched) {
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(0.7));
-    tb.lte = lte_profile(Rate::mbps(8.6));
-    bed = std::make_unique<Testbed>(tb);
+    WorldConfig tb;
+    tb.paths = {wifi_profile(Rate::mbps(0.7)), lte_profile(Rate::mbps(8.6))};
+    bed = std::make_unique<World>(tb);
     conn = bed->make_connection(scheduler_factory(sched));
     conn->send(6'000'000);
     bed->sim().run_until(TimePoint::origin() + Duration::seconds(2));
   }
-  std::unique_ptr<Testbed> bed;
+  std::unique_ptr<World> bed;
   std::unique_ptr<Connection> conn;
 };
 
@@ -58,10 +57,9 @@ BENCHMARK(BM_SimulatorEventThroughput);
 void BM_EndToEndTransferSimulation(benchmark::State& state) {
   // Wall cost of simulating a full 1 MB two-path transfer.
   for (auto _ : state) {
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(2));
-    tb.lte = lte_profile(Rate::mbps(8));
-    Testbed bed(tb);
+    WorldConfig tb;
+    tb.paths = {wifi_profile(Rate::mbps(2)), lte_profile(Rate::mbps(8))};
+    World bed(tb);
     auto conn = bed.make_connection(scheduler_factory("ecf"));
     conn->send(1'000'000);
     bed.sim().run_until(TimePoint::origin() + Duration::seconds(30));

@@ -16,10 +16,10 @@
 #include "exp/scenario_run.h"
 #include "exp/streaming.h"
 #include "exp/sweep.h"
-#include "exp/testbed.h"
 #include "exp/webrun.h"
 #include "net/wild.h"
 #include "obs/recorder.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 #include "trace/emit.h"
 

@@ -11,8 +11,8 @@
 
 #include "app/http.h"
 #include "core/scheduler_util.h"
-#include "exp/testbed.h"
 #include "mptcp/scheduler.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 
 namespace {
@@ -39,10 +39,9 @@ class RttThresholdScheduler final : public Scheduler {
 };
 
 double run_one(const SchedulerFactory& factory, const char* label) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(0.7));
-  tb.lte = lte_profile(Rate::mbps(8.6));
-  Testbed bed(tb);
+  WorldConfig tb;
+  tb.paths = {wifi_profile(Rate::mbps(0.7)), lte_profile(Rate::mbps(8.6))};
+  World bed(tb);
   auto conn = bed.make_connection(factory);
   HttpExchange http(bed.sim(), *conn, bed.request_delay());
 

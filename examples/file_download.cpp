@@ -24,10 +24,9 @@ int main(int argc, char** argv) {
     std::printf("%8lluKB", static_cast<unsigned long long>(kb));
     for (const auto& sched : paper_schedulers()) {
       DownloadParams p;
-      p.wifi_mbps = wifi_mbps;
-      p.lte_mbps = lte_mbps;
+      p.paths = {wifi_profile(Rate::mbps(wifi_mbps)), lte_profile(Rate::mbps(lte_mbps))};
       p.bytes = kb * 1024;
-      p.scheduler = sched;
+      p.scheduler = scheduler_factory(sched);
       std::printf("%12.3f", run_download(p).completion.to_seconds());
     }
     std::printf("\n");

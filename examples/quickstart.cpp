@@ -4,7 +4,7 @@
 //   ./build/examples/quickstart
 //   ./build/examples/quickstart --trace-out events.jsonl
 //
-// This is the smallest end-to-end use of the public API: Testbed (paths +
+// This is the smallest end-to-end use of the public API: World (paths +
 // simulator), Connection (MPTCP), HttpExchange (request/response), the
 // scheduler registry, and the flight recorder. With --trace-out, every
 // structured stack event (packet sends/acks, losses, scheduler picks and
@@ -16,8 +16,8 @@
 #include <memory>
 
 #include "app/http.h"
-#include "exp/testbed.h"
 #include "obs/recorder.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 
 int main(int argc, char** argv) {
@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
     // 0.3 Mbps WiFi (primary) against 8.6 Mbps LTE. This is the regime where
     // ECF's wait-for-the-fast-path decisions actually fire, so the trace
     // contains sched_wait records with the Algorithm 1 terms.
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(0.3));
-    tb.lte = lte_profile(Rate::mbps(8.6));
+    WorldConfig tb;
+    tb.paths = {wifi_profile(Rate::mbps(0.3)), lte_profile(Rate::mbps(8.6))};
     tb.recorder = &recorder;
-    Testbed bed(tb);
+    World bed(tb);
 
     auto conn = bed.make_connection(scheduler_factory(sched));
     HttpExchange http(bed.sim(), *conn, bed.request_delay());

@@ -16,7 +16,7 @@
 #include "app/dash.h"
 #include "app/http.h"
 #include "exp/ideal.h"
-#include "exp/testbed.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 
 int main(int argc, char** argv) {
@@ -26,10 +26,9 @@ int main(int argc, char** argv) {
   const double lte_mbps = argc > 2 ? std::atof(argv[2]) : 8.6;
   const std::string sched = argc > 3 ? argv[3] : "ecf";
 
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(wifi_mbps));
-  tb.lte = lte_profile(Rate::mbps(lte_mbps));
-  Testbed bed(tb);
+  WorldConfig tb;
+  tb.paths = {wifi_profile(Rate::mbps(wifi_mbps)), lte_profile(Rate::mbps(lte_mbps))};
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory(sched));
   HttpExchange http(bed.sim(), *conn, bed.request_delay());
 

@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "app/web.h"
-#include "exp/testbed.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 
 int main(int argc, char** argv) {
@@ -24,10 +24,9 @@ int main(int argc, char** argv) {
               "page(s)", "IW resets");
 
   for (const auto& sched : paper_schedulers()) {
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(wifi_mbps));
-    tb.lte = lte_profile(Rate::mbps(lte_mbps));
-    Testbed bed(tb);
+    WorldConfig tb;
+    tb.paths = {wifi_profile(Rate::mbps(wifi_mbps)), lte_profile(Rate::mbps(lte_mbps))};
+    World bed(tb);
 
     WebPageConfig wc;
     Rng page_rng(0xC0FFEE);  // identical page for every scheduler

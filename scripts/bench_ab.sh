@@ -31,13 +31,12 @@ pairs="${3:-5}"
 
 cd "$(dirname "$0")/.."
 root="$(pwd)"
+source scripts/clone_base.sh
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
-base_sha="$(git rev-parse --verify "$base_rev^{commit}")"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-git clone -q --shared --no-checkout "$root" "$tmp/tree"
-git -C "$tmp/tree" checkout -q --detach "$base_sha"
+base_sha="$(clone_base "$base_rev" "$tmp/tree")"
 
 runs="$tmp/runs.jsonl"
 : > "$runs"

@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "exp/ideal.h"
-#include "tcp/cc_registry.h"
+#include "sched/registry.h"
 
 namespace mps {
 
@@ -27,139 +27,92 @@ void require_two_paths(const ScenarioSpec& spec, const char* fn) {
   }
 }
 
-// Label rate for a pure-profile path: the spec's Mbps literal, except that a
-// random-bandwidth path is labelled by its trace's first level — both exactly
-// as the hand-wired bench drivers computed them.
-double pure_label_mbps(const PathSpec& p, const std::vector<RateChange>& trace) {
-  if (p.variation.kind == VariationKind::kRandom && !trace.empty()) {
-    return trace.front().rate.to_mbps();
+// Download and web runs model constant-rate paths with one subflow each,
+// and their results carry no time series: inputs asking otherwise are
+// rejected rather than dropped.
+void require_plain_paths(const ScenarioSpec& spec, const char* fn, const char* what) {
+  for (const PathSpec& path : spec.paths) {
+    if (path.variation.kind != VariationKind::kNone) {
+      throw std::invalid_argument(std::string(fn) + ": bandwidth variation is not supported for " +
+                                  what);
+    }
   }
-  return p.rate_mbps;
+  if (spec.subflows_per_path != 1) {
+    throw std::invalid_argument(std::string(fn) + ": " + what + " use 1 subflow per path");
+  }
+  if (spec.record.collect_traces) {
+    throw std::invalid_argument(std::string(fn) + ": record.collect_traces is not supported for " +
+                                what + " (the result carries no time series)");
+  }
+}
+
+// The fields every runner takes: WorldBuilder's resolved world and
+// connection template, the scheduler, path management and `opts`.
+void fill_common(RunParams& p, const ScenarioSpec& spec, const ScenarioRunOptions& opts,
+                 const char* fn) {
+  const WorldBuilder b(spec);
+  p.paths = b.path_configs();
+  p.traces = b.path_traces();
+  p.subflows_per_path = static_cast<int>(spec.subflows_per_path);
+  p.conn = b.conn_config();
+  p.scheduler = opts.scheduler_override ? opts.scheduler_override
+                                        : scheduler_factory(spec.scheduler);
+  p.seed = spec.seed;
+  if (spec.path_manager.enabled) {
+    p.path_manager = path_manager_config_from_spec(spec.path_manager);
+    if (spec.path_manager.backup.enabled) {
+      p.initial_paths = initial_path_indices(spec.path_manager, spec.paths.size());
+      if (p.initial_paths.empty()) {
+        throw std::invalid_argument(std::string(fn) + ": every path is a backup path");
+      }
+    }
+  }
+  p.recorder = opts.recorder;
+  p.telemetry = opts.telemetry;
+  p.heartbeat = opts.heartbeat;
 }
 
 }  // namespace
 
 StreamingParams streaming_params_from_spec(const ScenarioSpec& spec,
                                            const ScenarioRunOptions& opts) {
-  require_kind(spec, WorkloadKind::kStream, "streaming_params_from_spec");
-  require_two_paths(spec, "streaming_params_from_spec");
-  WorldBuilder b(spec);
-
+  const char* fn = "streaming_params_from_spec";
+  require_kind(spec, WorkloadKind::kStream, fn);
+  require_two_paths(spec, fn);
   StreamingParams p;
-  const bool pure = b.pure_profile(0) && b.pure_profile(1);
-  p.use_path_overrides = !pure;
-  if (pure) {
-    p.wifi_mbps = pure_label_mbps(spec.paths[0], b.path_traces()[0]);
-    p.lte_mbps = pure_label_mbps(spec.paths[1], b.path_traces()[1]);
-  } else {
-    p.wifi_override = b.path_configs()[0];
-    p.lte_override = b.path_configs()[1];
-    p.wifi_mbps = p.wifi_override.down_rate.to_mbps();
-    p.lte_mbps = p.lte_override.down_rate.to_mbps();
-  }
-  p.wifi_trace = b.path_traces()[0];
-  p.lte_trace = b.path_traces()[1];
-  p.scheduler = spec.scheduler;
-  p.scheduler_override = opts.scheduler_override;
-  p.cc = cc_kind_from_name(spec.conn.cc);
-  p.staging_bytes = static_cast<std::uint64_t>(spec.conn.staging_bytes);
-  p.idle_cwnd_reset = spec.conn.idle_cwnd_reset;
-  p.opportunistic_rtx = spec.conn.opportunistic_rtx;
-  p.penalization = spec.conn.penalization;
+  fill_common(p, spec, opts, fn);
   p.video = Duration::from_seconds(spec.workload.video_s);
   p.abr = spec.workload.abr == "rate" ? AbrKind::kRateBased : AbrKind::kBufferBased;
-  p.subflows_per_path = static_cast<int>(spec.subflows_per_path);
-  p.seed = spec.seed;
   p.collect_traces = spec.record.collect_traces;
-  p.recorder = opts.recorder;
-  p.telemetry = opts.telemetry;
-  p.heartbeat = opts.heartbeat;
-  if (spec.path_manager.enabled) {
-    p.use_path_manager = true;
-    p.path_manager = path_manager_config_from_spec(spec.path_manager);
-    if (spec.path_manager.backup.enabled) {
-      p.initial_paths = initial_path_indices(spec.path_manager, spec.paths.size());
-      if (p.initial_paths.empty()) {
-        throw std::invalid_argument(
-            "streaming_params_from_spec: every path is a backup path");
-      }
-    }
-  }
   return p;
 }
 
-DownloadParams download_params_from_spec(const ScenarioSpec& spec) {
-  require_kind(spec, WorkloadKind::kDownload, "download_params_from_spec");
+DownloadParams download_params_from_spec(const ScenarioSpec& spec,
+                                         const ScenarioRunOptions& opts) {
+  const char* fn = "download_params_from_spec";
+  require_kind(spec, WorkloadKind::kDownload, fn);
   if (spec.paths.size() < 2) {
     throw std::invalid_argument("download_params_from_spec: need at least 2 paths");
   }
-  WorldBuilder b(spec);
-  for (const PathSpec& path : spec.paths) {
-    if (path.variation.kind != VariationKind::kNone) {
-      throw std::invalid_argument(
-          "download_params_from_spec: bandwidth variation is not supported for downloads");
-    }
-  }
-  if (spec.subflows_per_path != 1) {
-    throw std::invalid_argument(
-        "download_params_from_spec: downloads use 1 subflow per path");
-  }
-
+  require_plain_paths(spec, fn, "downloads");
   DownloadParams p;
-  // The historical two-path pure-profile form keeps the legacy construction
-  // (bench/golden byte-identity); anything else — more paths, tweaked path
-  // knobs — ships resolved PathConfigs to the runner's N-path world.
-  if (spec.paths.size() == 2 && b.pure_profile(0) && b.pure_profile(1)) {
-    p.wifi_mbps = spec.paths[0].rate_mbps;
-    p.lte_mbps = spec.paths[1].rate_mbps;
-  } else {
-    p.paths = b.path_configs();
-  }
+  fill_common(p, spec, opts, fn);
   p.bytes = static_cast<std::uint64_t>(spec.workload.bytes);
-  p.scheduler = spec.scheduler;
-  p.cc = cc_kind_from_name(spec.conn.cc);
-  p.seed = spec.seed;
-  if (spec.path_manager.enabled) {
-    p.use_path_manager = true;
-    p.path_manager = path_manager_config_from_spec(spec.path_manager);
-    if (spec.path_manager.backup.enabled) {
-      p.initial_paths = initial_path_indices(spec.path_manager, spec.paths.size());
-      if (p.initial_paths.empty()) {
-        throw std::invalid_argument(
-            "download_params_from_spec: every path is a backup path");
-      }
-    }
-  }
   return p;
 }
 
-WebRunParams web_params_from_spec(const ScenarioSpec& spec) {
-  require_kind(spec, WorkloadKind::kWeb, "web_params_from_spec");
-  require_two_paths(spec, "web_params_from_spec");
-  WorldBuilder b(spec);
-  for (const PathSpec& path : spec.paths) {
-    if (path.variation.kind != VariationKind::kNone) {
-      throw std::invalid_argument(
-          "web_params_from_spec: bandwidth variation is not supported for web runs");
-    }
+WebRunParams web_params_from_spec(const ScenarioSpec& spec, const ScenarioRunOptions& opts) {
+  const char* fn = "web_params_from_spec";
+  require_kind(spec, WorkloadKind::kWeb, fn);
+  require_two_paths(spec, fn);
+  require_plain_paths(spec, fn, "web runs");
+  if (spec.path_manager.enabled) {
+    throw std::invalid_argument(
+        "web_params_from_spec: path_manager is not supported for web runs (one page load "
+        "uses several connections)");
   }
-  if (spec.subflows_per_path != 1) {
-    throw std::invalid_argument("web_params_from_spec: web runs use 1 subflow per path");
-  }
-
   WebRunParams p;
-  const bool pure = b.pure_profile(0) && b.pure_profile(1);
-  p.use_path_overrides = !pure;
-  if (pure) {
-    p.wifi_mbps = spec.paths[0].rate_mbps;
-    p.lte_mbps = spec.paths[1].rate_mbps;
-  } else {
-    p.wifi_override = b.path_configs()[0];
-    p.lte_override = b.path_configs()[1];
-  }
-  p.scheduler = spec.scheduler;
-  p.cc = cc_kind_from_name(spec.conn.cc);
-  p.seed = spec.seed;
+  fill_common(p, spec, opts, fn);
   p.runs = static_cast<int>(spec.workload.runs);
   return p;
 }
@@ -172,48 +125,7 @@ DownloadResult run_download(const ScenarioSpec& spec) {
   return run_download(download_params_from_spec(spec));
 }
 
-WebRunResult run_web(const ScenarioSpec& spec) {
-  return run_web(web_params_from_spec(spec));
-}
-
-ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& opts) {
-  ScenarioOutcome out;
-  out.kind = spec.workload.kind;
-  if (spec.traffic.enabled) {
-    out.traffic = run_traffic(spec, opts.recorder, opts.telemetry, &opts.heartbeat);
-    return out;
-  }
-  switch (spec.workload.kind) {
-    case WorkloadKind::kStream:
-      out.streaming = run_streaming_avg(streaming_params_from_spec(spec, opts),
-                                        static_cast<int>(spec.workload.runs));
-      break;
-    case WorkloadKind::kDownload: {
-      // Mirrors run_download_samples' seed advance (seed+1 before each run)
-      // while also keeping the last run's detail.
-      DownloadParams p = download_params_from_spec(spec);
-      p.telemetry = opts.telemetry;
-      p.heartbeat = opts.heartbeat;
-      bool capped = false;
-      for (std::int64_t r = 0; r < spec.workload.runs; ++r) {
-        p.seed += 1;
-        out.download = run_download(p);
-        out.download_completions.add(out.download.completion.to_seconds());
-        capped = capped || out.download.capped;
-      }
-      out.download.capped = capped;  // any run, not only the last
-      break;
-    }
-    case WorkloadKind::kWeb: {
-      WebRunParams p = web_params_from_spec(spec);
-      p.telemetry = opts.telemetry;
-      p.heartbeat = opts.heartbeat;
-      out.web = run_web(p);
-      break;
-    }
-  }
-  return out;
-}
+WebRunResult run_web(const ScenarioSpec& spec) { return run_scenario(spec).web; }
 
 namespace {
 
@@ -227,6 +139,14 @@ void appendf(std::string& out, const char* fmt, ...) {
   std::vsnprintf(buf, sizeof buf, fmt, ap);
   va_end(ap);
   out += buf;
+}
+
+// A stream path's label: the spec's Mbps literal (DESIGN §8.1: to_mbps()
+// is not bit-exact), or for a random path its trace's first level.
+double label_mbps(const WorldBuilder& b, std::size_t i) {
+  const PathSpec& p = b.spec().paths[i];
+  return p.variation.kind == VariationKind::kRandom ? b.path_traces()[i].front().rate.to_mbps()
+                                                    : p.rate_mbps;
 }
 
 std::string format_traffic(const ScenarioSpec& spec, const TrafficResult& t) {
@@ -258,15 +178,17 @@ std::string format_outcome(const ScenarioSpec& spec, const ScenarioOutcome& out)
   if (spec.traffic.enabled) return format_traffic(spec, out.traffic);
   switch (out.kind) {
     case WorkloadKind::kStream: {
-      const StreamingParams p = streaming_params_from_spec(spec);
+      const WorldBuilder b(spec);
+      const double wifi_mbps = label_mbps(b, 0);
+      const double lte_mbps = label_mbps(b, 1);
       const StreamingResult& r = out.streaming;
       appendf(s,
               "stream %s %.2f/%.2f Mbps (%lld run%s): bitrate %.2f Mbps (ideal %.2f),\n"
               "  tput %.2f Mbps, fast-path fraction %.2f, lte IW resets %llu,\n"
               "  rtt wifi/lte %.0f/%.0f ms, ooo p50/p99 %.3f/%.3f s, rebuffer %.1f s\n",
-              spec.scheduler.c_str(), p.wifi_mbps, p.lte_mbps,
+              spec.scheduler.c_str(), wifi_mbps, lte_mbps,
               static_cast<long long>(spec.workload.runs), spec.workload.runs == 1 ? "" : "s",
-              r.mean_bitrate_mbps, ideal_bitrate_mbps(p.wifi_mbps, p.lte_mbps),
+              r.mean_bitrate_mbps, ideal_bitrate_mbps(wifi_mbps, lte_mbps),
               r.mean_throughput_mbps, r.fraction_fast,
               static_cast<unsigned long long>(r.iw_resets_lte), r.mean_rtt_wifi_ms,
               r.mean_rtt_lte_ms, r.ooo_delay.quantile(0.5), r.ooo_delay.quantile(0.99),

@@ -1,9 +1,8 @@
 // Declarative entry point for the exp/ runners: resolve a ScenarioSpec into
-// the runner parameter structs (bench-exact — same double literals, same RNG
-// fork order as the hand-wired bench drivers) and dispatch on the workload
-// kind. Every bench cell and the mps_run CLI go through these conversions,
-// so a spec file and the equivalent hand-written parameters produce
-// byte-identical output.
+// the runners' parameters and dispatch on the workload kind. Every runner
+// takes the same resolved world (WorldBuilder's path configs, traces and
+// connection template), so a spec and the equivalent hand-built parameters
+// produce byte-identical output.
 #pragma once
 
 #include <string>
@@ -20,7 +19,7 @@ namespace mps {
 // ECF with a non-default beta) and a caller-owned recorder (must outlive the
 // run; when null, spec.record decides whether the run owns one).
 struct ScenarioRunOptions {
-  SchedulerFactory scheduler_override;  // streaming only
+  SchedulerFactory scheduler_override;  // replaces spec.scheduler when set
   FlightRecorder* recorder = nullptr;
   // Kernel accounting out-param and progress heartbeat (sim/simulator.h);
   // forwarded to whichever runner the workload dispatches to. Telemetry
@@ -29,16 +28,19 @@ struct ScenarioRunOptions {
   HeartbeatConfig heartbeat;
 };
 
-// spec -> runner params. The workload kind must match the function
-// (checked); workload.runs rides along via run_scenario / the *_samples and
-// *_avg helpers.
+// spec -> runner params: the common RunParams from WorldBuilder and `opts`,
+// plus the workload's own fields. The workload kind must match the function
+// (checked), and inputs a runner cannot honour are rejected naming their
+// key; workload.runs rides along via run_scenario.
 StreamingParams streaming_params_from_spec(const ScenarioSpec& spec,
                                            const ScenarioRunOptions& opts = {});
-DownloadParams download_params_from_spec(const ScenarioSpec& spec);
-WebRunParams web_params_from_spec(const ScenarioSpec& spec);
+DownloadParams download_params_from_spec(const ScenarioSpec& spec,
+                                         const ScenarioRunOptions& opts = {});
+WebRunParams web_params_from_spec(const ScenarioSpec& spec, const ScenarioRunOptions& opts = {});
 
-// Spec-accepting runner overloads (single streaming run ignores
-// workload.runs; use run_scenario for the averaged form).
+// Spec-accepting runner overloads. A single stream or download run ignores
+// workload.runs (run_scenario repeats them); run_web is run_scenario's web
+// slot, merged over workload.runs page loads.
 StreamingResult run_streaming(const ScenarioSpec& spec, const ScenarioRunOptions& opts = {});
 DownloadResult run_download(const ScenarioSpec& spec);
 WebRunResult run_web(const ScenarioSpec& spec);
@@ -58,9 +60,10 @@ struct ScenarioOutcome {
   bool capped() const { return streaming.capped || download.capped || web.capped; }
 };
 
-// Runs the spec's workload: streaming -> run_streaming_avg(workload.runs),
-// download -> run_download_samples(workload.runs), web -> run_web. A spec
-// with a traffic block dispatches to traffic/engine.h instead.
+// Runs the spec's workload.runs repetitions serially and folds them
+// (streaming averaged, download per-run completions, web merged); a spec
+// with a traffic block runs the traffic engine once. One of the thin calls
+// of run_branches (exp/snapshot.h), defined there.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& opts = {});
 
 // Renders the outcome exactly as tools/mps_run prints it — shared so the

@@ -1,6 +1,5 @@
 #include "exp/snapshot.h"
 
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 
@@ -9,94 +8,32 @@
 
 namespace mps {
 
-namespace snapshot {
-
-void require_construction_event_free(Simulator& sim, const char* who) {
-  if (sim.pending_events() != 0) {
-    throw std::logic_error(std::string(who) + ": fork-shell construction scheduled " +
-                           std::to_string(sim.pending_events()) +
-                           " event(s); model construction must be event-free");
-  }
-}
-
-void require_fully_rebound(Simulator& sim, const char* who) {
-  std::vector<std::pair<EventId, TimePoint>> unbound;
-  sim.collect_unbound_events(unbound);
-  if (unbound.empty()) return;
-  std::string msg = std::string(who) + ": " + std::to_string(unbound.size()) +
-                    " pending event(s) not rebound after fork:";
-  const std::size_t show = unbound.size() < 8 ? unbound.size() : 8;
-  for (std::size_t i = 0; i < show; ++i) {
-    msg += " [id " + std::to_string(unbound[i].first) + " @ " +
-           std::to_string((unbound[i].second - TimePoint::origin()).to_seconds()) + "s]";
-  }
-  throw std::logic_error(msg);
-}
-
-}  // namespace snapshot
-
 // --- TrafficRun -------------------------------------------------------------
 
 TrafficRun::TrafficRun(const ScenarioSpec& spec, const ScenarioRunOptions& opts)
-    : opts_(opts) {
-  construct(spec, opts_.recorder);
+    : RunShell(opts.recorder, opts.telemetry, opts.heartbeat) {
+  // As WorldBuilder::build, but the shell owns the recorder so it outlives
+  // the world.
+  if (rec_ == nullptr && (spec.record.collect_traces || spec.record.summarize)) own_recorder();
+  construct(spec);
 }
 
-TrafficRun::TrafficRun(const TrafficRun& src, ForkTag) : opts_(src.opts_) {
-  FlightRecorder* rec = nullptr;
-  if (src.builder_->recorder() != nullptr) {
-    owned_rec_ = std::make_unique<FlightRecorder>();
-    owned_rec_->clone_from(*src.builder_->recorder());
-    rec = owned_rec_.get();
-  }
-  construct(src.builder_->spec(), rec);
-  snapshot::require_construction_event_free(sim(), "TrafficRun::fork");
-  world_->restore_from(*src.world_);
-  engine_->restore_from(*src.engine_);
-  base_ = src.base_;
-  events_before_ = src.events_before_;
-  started_ = src.started_;
-  finished_ = src.finished_;
-  if (started_ && opts_.heartbeat.enabled()) {
-    world_->sim().set_heartbeat(opts_.heartbeat.interval_s, opts_.heartbeat.fn);
-  }
-  if (rec != nullptr) rec->restore_data_from(*src.builder_->recorder());
-  snapshot::require_fully_rebound(sim(), "TrafficRun::fork");
+TrafficRun::TrafficRun(const TrafficRun& src, ForkTag) : RunShell(src, ForkTag{}) {
+  construct(src.builder_->spec());
+  adopt(src, "TrafficRun::fork", [&] { engine_->restore_from(*src.engine_); });
 }
 
 TrafficRun::~TrafficRun() = default;
 
-void TrafficRun::construct(const ScenarioSpec& spec, FlightRecorder* recorder) {
+void TrafficRun::construct(const ScenarioSpec& spec) {
   builder_ = std::make_unique<WorldBuilder>(spec);
-  world_ = builder_->build(recorder);
+  world_ = builder_->build(rec_);
   engine_ = std::make_unique<TrafficEngine>(*world_, builder_->spec());
-  engine_->telemetry = opts_.telemetry;
-  engine_->heartbeat = &opts_.heartbeat;
 }
 
-Simulator& TrafficRun::sim() { return world_->sim(); }
-
-FlightRecorder* TrafficRun::recorder() const { return builder_->recorder(); }
-
-void TrafficRun::start() {
-  assert(!started_);
-  started_ = true;
-  base_ = world_->sim().now();
+void TrafficRun::begin() {
   engine_->start();
-  if (opts_.heartbeat.enabled()) {
-    world_->sim().set_heartbeat(opts_.heartbeat.interval_s, opts_.heartbeat.fn);
-  }
-  events_before_ = world_->sim().events_processed();
-}
-
-void TrafficRun::run_to(TimePoint t) {
-  if (finished_) return;
-  const TimePoint end = engine_->end_time();
-  world_->sim().run_until(t < end ? t : end);
-}
-
-bool TrafficRun::done() const {
-  return finished_ || !(world_->sim().now() < engine_->end_time());
+  end_ = engine_->end_time();
 }
 
 std::unique_ptr<TrafficRun> TrafficRun::fork() const {
@@ -104,19 +41,15 @@ std::unique_ptr<TrafficRun> TrafficRun::fork() const {
 }
 
 TrafficResult TrafficRun::finish() {
-  if (!finished_) {
-    world_->sim().run_until(engine_->end_time());
-    if (world_->sim().heartbeat_attached()) world_->sim().set_heartbeat(0.0, nullptr);
-    if (opts_.telemetry != nullptr) {
-      opts_.telemetry->add(world_->sim(), events_before_, base_);
-    }
+  if (!done_) {
+    settle();
     engine_->finish();
-    finished_ = true;
+    done_ = true;
   }
   return engine_->collect();
 }
 
-// --- forked scenario driver -------------------------------------------------
+// --- the repetition driver ----------------------------------------------------
 
 namespace {
 
@@ -128,12 +61,203 @@ SweepOptions effective_sweep(const SweepOptions& sweep, const ScenarioRunOptions
   return sw;
 }
 
-struct WebCell {
-  WebRunResult res;
-  double page_load = 0.0;
+// Per workload kind: make(r) builds repetition r's Run, finish() turns a
+// finished branch into a cell, and fold() folds one branch's cells, in
+// repetition order, into its outcome.
+struct StreamKind {
+  StreamingParams base;
+  std::unique_ptr<StreamingRun> make(std::size_t r) const {
+    StreamingParams p = base;
+    p.seed += r;
+    return std::make_unique<StreamingRun>(p);
+  }
+  static StreamingResult finish(StreamingRun& run) { return run.finish(); }
+  // Scalar metrics averaged over the repetitions, sample sets merged; capped
+  // if any repetition was.
+  static void fold(ScenarioOutcome& out, std::vector<StreamingResult>& reps) {
+    StreamingResult& acc = out.streaming;
+    acc = std::move(reps.front());
+    for (std::size_t r = 1; r < reps.size(); ++r) {
+      const StreamingResult& one = reps[r];
+      acc.mean_bitrate_mbps += one.mean_bitrate_mbps;
+      acc.mean_throughput_mbps += one.mean_throughput_mbps;
+      acc.fraction_fast += one.fraction_fast;
+      acc.iw_resets_wifi += one.iw_resets_wifi;
+      acc.iw_resets_lte += one.iw_resets_lte;
+      acc.reinjections += one.reinjections;
+      acc.remapped_segments += one.remapped_segments;
+      acc.mean_rtt_wifi_ms += one.mean_rtt_wifi_ms;
+      acc.mean_rtt_lte_ms += one.mean_rtt_lte_ms;
+      acc.ooo_delay.merge(one.ooo_delay);
+      acc.last_packet_gap.merge(one.last_packet_gap);
+      acc.capped = acc.capped || one.capped;
+    }
+    if (reps.size() > 1) {
+      const auto runs = static_cast<int>(reps.size());
+      const double n = runs;
+      acc.mean_bitrate_mbps /= n;
+      acc.mean_throughput_mbps /= n;
+      acc.fraction_fast /= n;
+      acc.iw_resets_wifi = static_cast<std::uint64_t>(acc.iw_resets_wifi / runs);
+      acc.iw_resets_lte = static_cast<std::uint64_t>(acc.iw_resets_lte / runs);
+      acc.reinjections = static_cast<std::uint64_t>(acc.reinjections / runs);
+      acc.remapped_segments = static_cast<std::uint64_t>(acc.remapped_segments / runs);
+      acc.mean_rtt_wifi_ms /= n;
+      acc.mean_rtt_lte_ms /= n;
+    }
+  }
 };
 
+struct DownloadKind {
+  DownloadParams base;
+  std::unique_ptr<DownloadRun> make(std::size_t r) const {
+    DownloadParams p = base;
+    p.seed += r + 1;
+    return std::make_unique<DownloadRun>(p);
+  }
+  static DownloadResult finish(DownloadRun& run) { return run.finish(); }
+  // Per-run completion times and the last run's detail; capped if any run
+  // was.
+  static void fold(ScenarioOutcome& out, std::vector<DownloadResult>& reps) {
+    bool capped = false;
+    for (const DownloadResult& res : reps) {
+      out.download_completions.add(res.completion.to_seconds());
+      capped = capped || res.capped;
+    }
+    out.download = std::move(reps.back());
+    out.download.capped = capped;
+  }
+};
+
+struct WebKind {
+  WebRunParams base;
+  std::unique_ptr<WebPageRun> make(std::size_t r) const {
+    return std::make_unique<WebPageRun>(base, static_cast<int>(r));
+  }
+  // One page load, its load time parked in mean_page_load_s until the fold.
+  static WebRunResult finish(WebPageRun& run) {
+    WebRunResult res;
+    run.finish(res, res.mean_page_load_s);
+    return res;
+  }
+  static void fold(ScenarioOutcome& out, std::vector<WebRunResult>& reps) {
+    double page_load_sum = 0.0;
+    for (const WebRunResult& res : reps) {
+      out.web.object_times.merge(res.object_times);
+      out.web.ooo_delay.merge(res.ooo_delay);
+      out.web.iw_resets += res.iw_resets;
+      out.web.capped = out.web.capped || res.capped;
+      page_load_sum += res.mean_page_load_s;
+    }
+    out.web.mean_page_load_s = page_load_sum / static_cast<double>(reps.size());
+  }
+};
+
+struct TrafficKind {
+  const ScenarioSpec& spec;
+  const ScenarioRunOptions& opts;
+  std::unique_ptr<TrafficRun> make(std::size_t) const {
+    return std::make_unique<TrafficRun>(spec, opts);
+  }
+  static TrafficResult finish(TrafficRun& run) { return run.finish(); }
+  static void fold(ScenarioOutcome& out, std::vector<TrafficResult>& reps) {
+    out.traffic = std::move(reps.front());
+  }
+};
+
+template <typename Kind>
+std::vector<ScenarioOutcome> drive(const Kind& kind, std::size_t runs,
+                                   const ScenarioSpec& spec, const BranchPlan& plan,
+                                   const ScenarioRunOptions& opts, const SweepOptions& sweep) {
+  using Run = typename decltype(kind.make(0))::element_type;
+  using Cell = decltype(Kind::finish(std::declval<Run&>()));
+  const std::size_t k = plan.branches;
+  if (k == 0) return {};
+  const SweepOptions sw = effective_sweep(sweep, opts);
+  const auto prefix = [&](std::size_t r) {
+    std::unique_ptr<Run> run = kind.make(r);
+    run->start();
+    if (plan.split) run->run_to(*plan.split);
+    return run;
+  };
+  const auto diverge = [&](Run& run, std::size_t b) {
+    if (!plan.schedulers.empty()) run.set_scheduler(plan.schedulers[b]);
+  };
+
+  // cells[r * k + b]: repetition r, branch b.
+  std::vector<Cell> cells(runs * k);
+  if (plan.fork) {
+    auto groups = sweep_map<std::vector<Cell>>(
+        runs,
+        [&](std::size_t r) {
+          std::vector<std::unique_ptr<Run>> forks;
+          {
+            const std::unique_ptr<Run> run = prefix(r);
+            for (std::size_t b = 0; b < k; ++b) {
+              forks.push_back(run->fork());
+              diverge(*forks.back(), b);
+            }
+          }
+          std::vector<Cell> branch(k);
+          for (std::size_t b = 0; b < k; ++b) branch[b] = Kind::finish(*forks[b]);
+          // The caller recorder saw only the prefix (each fork owns a clone);
+          // copy a finished fork's data back. The sweep is serial then, so
+          // the next repetition's prefix sees this repetition's data exactly
+          // as an unforked sequential run would.
+          if (opts.recorder != nullptr && forks.front()->recorder() != nullptr) {
+            opts.recorder->clone_from(*forks.front()->recorder());
+          }
+          return branch;
+        },
+        sw);
+    for (std::size_t r = 0; r < runs; ++r) {
+      for (std::size_t b = 0; b < k; ++b) cells[r * k + b] = std::move(groups[r][b]);
+    }
+  } else {
+    cells = sweep_map<Cell>(
+        runs * k,
+        [&](std::size_t i) {
+          const std::unique_ptr<Run> run = prefix(i / k);
+          diverge(*run, i % k);
+          return Kind::finish(*run);
+        },
+        sw);
+  }
+
+  std::vector<ScenarioOutcome> out(k);
+  for (std::size_t b = 0; b < k; ++b) {
+    out[b].kind = spec.workload.kind;
+    if (runs == 0) continue;
+    std::vector<Cell> reps(runs);
+    for (std::size_t r = 0; r < runs; ++r) reps[r] = std::move(cells[r * k + b]);
+    Kind::fold(out[b], reps);
+  }
+  return out;
+}
+
 }  // namespace
+
+std::vector<ScenarioOutcome> run_branches(const ScenarioSpec& spec, const BranchPlan& plan,
+                                          const ScenarioRunOptions& opts,
+                                          const SweepOptions& sweep) {
+  if (spec.traffic.enabled) return drive(TrafficKind{spec, opts}, 1, spec, plan, opts, sweep);
+  const auto runs = static_cast<std::size_t>(spec.workload.runs);
+  switch (spec.workload.kind) {
+    case WorkloadKind::kStream:
+      return drive(StreamKind{streaming_params_from_spec(spec, opts)}, runs, spec, plan, opts,
+                   sweep);
+    case WorkloadKind::kDownload:
+      return drive(DownloadKind{download_params_from_spec(spec, opts)}, runs, spec, plan, opts,
+                   sweep);
+    case WorkloadKind::kWeb:
+      return drive(WebKind{web_params_from_spec(spec, opts)}, runs, spec, plan, opts, sweep);
+  }
+  return {};
+}
+
+ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& opts) {
+  return std::move(run_branches(spec, BranchPlan{}, opts, SweepOptions{1}).front());
+}
 
 ScenarioOutcome run_scenario_forked(const ScenarioSpec& spec, double snapshot_at_s,
                                     const ScenarioRunOptions& opts,
@@ -146,139 +270,12 @@ std::vector<ScenarioOutcome> run_scenario_fork_k(const ScenarioSpec& spec,
                                                  const ScenarioRunOptions& opts,
                                                  const SweepOptions& sweep) {
   if (k < 1) throw std::invalid_argument("run_scenario_fork_k: k must be >= 1");
-  const auto kk = static_cast<std::size_t>(k);
-  std::vector<ScenarioOutcome> outs(kk);
-  for (ScenarioOutcome& o : outs) o.kind = spec.workload.kind;
-  const TimePoint snap = TimePoint::origin() + Duration::from_seconds(snapshot_at_s);
-  const SweepOptions sw = effective_sweep(sweep, opts);
-
-  if (spec.traffic.enabled) {
-    std::vector<std::unique_ptr<TrafficRun>> forks;
-    {
-      TrafficRun run(spec, opts);
-      run.start();
-      run.run_to(snap);
-      for (std::size_t j = 0; j < kk; ++j) forks.push_back(run.fork());
-    }
-    for (std::size_t j = 0; j < kk; ++j) outs[j].traffic = forks[j]->finish();
-    // A caller-supplied recorder only saw the prefix (each fork owns a
-    // clone); wholesale-copy a finished fork's data back so the caller reads
-    // exactly what an unforked run would have recorded.
-    if (opts.recorder != nullptr && forks.front()->recorder() != nullptr) {
-      opts.recorder->clone_from(*forks.front()->recorder());
-    }
-    return outs;
-  }
-
-  switch (spec.workload.kind) {
-    case WorkloadKind::kStream: {
-      const StreamingParams base = streaming_params_from_spec(spec, opts);
-      const auto runs = static_cast<std::size_t>(spec.workload.runs);
-      auto groups = sweep_map<std::vector<StreamingResult>>(
-          runs,
-          [&](std::size_t r) {
-            StreamingParams p = base;
-            p.seed = base.seed + r;
-            std::vector<std::unique_ptr<StreamingRun>> forks;
-            {
-              StreamingRun run(p);
-              run.start();
-              run.run_to(snap);
-              for (std::size_t j = 0; j < kk; ++j) forks.push_back(run.fork());
-            }
-            std::vector<StreamingResult> branch(kk);
-            for (std::size_t j = 0; j < kk; ++j) branch[j] = forks[j]->finish();
-            // See the traffic branch: publish a fork's recorder data back
-            // into a caller recorder (the sweep is serial in that case, so
-            // the next repetition's prefix sees this repetition's data
-            // exactly as an unforked sequential run would).
-            if (opts.recorder != nullptr && forks.front()->recorder() != nullptr) {
-              opts.recorder->clone_from(*forks.front()->recorder());
-            }
-            return branch;
-          },
-          sw);
-      for (std::size_t j = 0; j < kk; ++j) {
-        std::vector<StreamingResult> reps(runs);
-        for (std::size_t r = 0; r < runs; ++r) reps[r] = std::move(groups[r][j]);
-        outs[j].streaming = aggregate_streaming(std::move(reps));
-      }
-      break;
-    }
-    case WorkloadKind::kDownload: {
-      DownloadParams base = download_params_from_spec(spec);
-      base.telemetry = opts.telemetry;
-      base.heartbeat = opts.heartbeat;
-      const auto runs = static_cast<std::size_t>(spec.workload.runs);
-      auto groups = sweep_map<std::vector<DownloadResult>>(
-          runs,
-          [&](std::size_t r) {
-            DownloadParams p = base;
-            p.seed = base.seed + r + 1;  // run_download_samples advances first
-            std::vector<std::unique_ptr<DownloadRun>> forks;
-            {
-              DownloadRun run(p);
-              run.start();
-              run.run_to(snap);
-              for (std::size_t j = 0; j < kk; ++j) forks.push_back(run.fork());
-            }
-            std::vector<DownloadResult> branch(kk);
-            for (std::size_t j = 0; j < kk; ++j) branch[j] = forks[j]->finish();
-            return branch;
-          },
-          sw);
-      for (std::size_t j = 0; j < kk; ++j) {
-        bool capped = false;
-        for (std::size_t r = 0; r < runs; ++r) {
-          outs[j].download_completions.add(groups[r][j].completion.to_seconds());
-          capped = capped || groups[r][j].capped;
-          if (r + 1 == runs) outs[j].download = groups[r][j];
-        }
-        outs[j].download.capped = capped;
-      }
-      break;
-    }
-    case WorkloadKind::kWeb: {
-      WebRunParams base = web_params_from_spec(spec);
-      base.telemetry = opts.telemetry;
-      base.heartbeat = opts.heartbeat;
-      const auto runs = static_cast<std::size_t>(base.runs);
-      auto groups = sweep_map<std::vector<WebCell>>(
-          runs,
-          [&](std::size_t r) {
-            std::vector<std::unique_ptr<WebPageRun>> forks;
-            {
-              WebPageRun run(base, static_cast<int>(r));
-              run.start();
-              run.run_to(snap);
-              for (std::size_t j = 0; j < kk; ++j) forks.push_back(run.fork());
-            }
-            std::vector<WebCell> branch(kk);
-            for (std::size_t j = 0; j < kk; ++j) {
-              forks[j]->finish(branch[j].res, branch[j].page_load);
-            }
-            return branch;
-          },
-          sw);
-      for (std::size_t j = 0; j < kk; ++j) {
-        double page_load_sum = 0.0;
-        for (std::size_t r = 0; r < runs; ++r) {
-          const WebCell& c = groups[r][j];
-          outs[j].web.object_times.merge(c.res.object_times);
-          outs[j].web.ooo_delay.merge(c.res.ooo_delay);
-          outs[j].web.iw_resets += c.res.iw_resets;
-          outs[j].web.capped = outs[j].web.capped || c.res.capped;
-          page_load_sum += c.page_load;
-        }
-        outs[j].web.mean_page_load_s = page_load_sum / base.runs;
-      }
-      break;
-    }
-  }
-  return outs;
+  BranchPlan plan;
+  plan.split = TimePoint::origin() + Duration::from_seconds(snapshot_at_s);
+  plan.branches = static_cast<std::size_t>(k);
+  plan.fork = true;
+  return run_branches(spec, plan, opts, sweep);
 }
-
-// --- what-if scheduler grid -------------------------------------------------
 
 std::vector<ScenarioOutcome> run_whatif_grid(const ScenarioSpec& spec,
                                              const std::vector<std::string>& schedulers,
@@ -291,121 +288,12 @@ std::vector<ScenarioOutcome> run_whatif_grid(const ScenarioSpec& spec,
         "run_whatif_grid: only stream and download workloads (single connection) support "
         "a scheduler switch");
   }
-  const TimePoint switch_at = TimePoint::origin() + Duration::from_seconds(switch_at_s);
-  const SweepOptions sw = effective_sweep(sweep, opts);
-  const std::size_t k = schedulers.size();
-  const auto runs = static_cast<std::size_t>(spec.workload.runs);
-
-  std::vector<SchedulerFactory> factories;
-  factories.reserve(k);
-  for (const std::string& name : schedulers) factories.push_back(scheduler_factory(name));
-
-  std::vector<ScenarioOutcome> out(k);
-  for (ScenarioOutcome& o : out) o.kind = spec.workload.kind;
-  if (k == 0 || runs == 0) return out;
-
-  if (spec.workload.kind == WorkloadKind::kStream) {
-    const StreamingParams base = streaming_params_from_spec(spec, opts);
-    // cells[r * k + b]: repetition r diverged into branch b.
-    std::vector<StreamingResult> cells(runs * k);
-    if (share_prefix) {
-      auto groups = sweep_map<std::vector<StreamingResult>>(
-          runs,
-          [&](std::size_t r) {
-            StreamingParams p = base;
-            p.seed = base.seed + r;
-            StreamingRun prefix(p);
-            prefix.start();
-            prefix.run_to(switch_at);
-            std::vector<StreamingResult> branch(k);
-            for (std::size_t b = 0; b < k; ++b) {
-              auto f = prefix.fork();
-              f->set_scheduler(factories[b]);
-              branch[b] = f->finish();
-            }
-            return branch;
-          },
-          sw);
-      for (std::size_t r = 0; r < runs; ++r) {
-        for (std::size_t b = 0; b < k; ++b) cells[r * k + b] = std::move(groups[r][b]);
-      }
-    } else {
-      cells = sweep_map<StreamingResult>(
-          runs * k,
-          [&](std::size_t i) {
-            const std::size_t r = i / k;
-            const std::size_t b = i % k;
-            StreamingParams p = base;
-            p.seed = base.seed + r;
-            StreamingRun run(p);
-            run.start();
-            run.run_to(switch_at);
-            run.set_scheduler(factories[b]);
-            return run.finish();
-          },
-          sw);
-    }
-    for (std::size_t b = 0; b < k; ++b) {
-      std::vector<StreamingResult> reps(runs);
-      for (std::size_t r = 0; r < runs; ++r) reps[r] = std::move(cells[r * k + b]);
-      out[b].streaming = aggregate_streaming(std::move(reps));
-    }
-    return out;
-  }
-
-  // Download.
-  DownloadParams base = download_params_from_spec(spec);
-  base.telemetry = opts.telemetry;
-  base.heartbeat = opts.heartbeat;
-  std::vector<DownloadResult> cells(runs * k);
-  if (share_prefix) {
-    auto groups = sweep_map<std::vector<DownloadResult>>(
-        runs,
-        [&](std::size_t r) {
-          DownloadParams p = base;
-          p.seed = base.seed + r + 1;
-          DownloadRun prefix(p);
-          prefix.start();
-          prefix.run_to(switch_at);
-          std::vector<DownloadResult> branch(k);
-          for (std::size_t b = 0; b < k; ++b) {
-            auto f = prefix.fork();
-            f->set_scheduler(factories[b]);
-            branch[b] = f->finish();
-          }
-          return branch;
-        },
-        sw);
-    for (std::size_t r = 0; r < runs; ++r) {
-      for (std::size_t b = 0; b < k; ++b) cells[r * k + b] = std::move(groups[r][b]);
-    }
-  } else {
-    cells = sweep_map<DownloadResult>(
-        runs * k,
-        [&](std::size_t i) {
-          const std::size_t r = i / k;
-          const std::size_t b = i % k;
-          DownloadParams p = base;
-          p.seed = base.seed + r + 1;
-          DownloadRun run(p);
-          run.start();
-          run.run_to(switch_at);
-          run.set_scheduler(factories[b]);
-          return run.finish();
-        },
-        sw);
-  }
-  for (std::size_t b = 0; b < k; ++b) {
-    bool capped = false;
-    for (std::size_t r = 0; r < runs; ++r) {
-      const DownloadResult& res = cells[r * k + b];
-      out[b].download_completions.add(res.completion.to_seconds());
-      capped = capped || res.capped;
-      if (r + 1 == runs) out[b].download = res;
-    }
-    out[b].download.capped = capped;  // any run, as run_scenario reports it
-  }
-  return out;
+  BranchPlan plan;
+  plan.split = TimePoint::origin() + Duration::from_seconds(switch_at_s);
+  plan.branches = schedulers.size();
+  plan.fork = share_prefix;
+  for (const std::string& name : schedulers) plan.schedulers.push_back(scheduler_factory(name));
+  return run_branches(spec, plan, opts, sweep);
 }
 
 }  // namespace mps

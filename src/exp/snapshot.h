@@ -2,8 +2,8 @@
 // fork it into independent, bit-reproducible copies that share the computed
 // prefix (DESIGN.md §13).
 //
-// Mechanism, shared by every Run class (StreamingRun, DownloadRun,
-// WebPageRun, TrafficRun here):
+// Mechanism, shared by every Run class through the Run shell (exp/run.h;
+// StreamingRun, DownloadRun, WebPageRun, and TrafficRun here):
 //  1. clone the source's FlightRecorder *first*, so the fork's construction
 //     resolves instrument handles into the copied storage;
 //  2. re-run the normal construction path ("fork shell") — construction is
@@ -22,45 +22,27 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "exp/run.h"
 #include "exp/scenario_run.h"
 #include "exp/sweep.h"
 #include "scenario/world.h"
-#include "sim/simulator.h"
 #include "traffic/engine.h"
 
 namespace mps {
 
-namespace snapshot {
-
-// Throws std::logic_error when `sim` has pending events: a fork shell's
-// construction scheduled something, which would collide with the adopted
-// source events. `who` names the offending fork path in the message.
-void require_construction_event_free(Simulator& sim, const char* who);
-
-// Throws std::logic_error when any live event has no callback bound — a
-// restore_from path forgot to adopt it. Run as the last step of every fork.
-void require_fully_rebound(Simulator& sim, const char* who);
-
-}  // namespace snapshot
-
 // One competing-traffic run held as an object so it can be paused and forked
-// (spec.traffic workloads). Mirrors StreamingRun's shape; the engine's
-// staged-driving API (TrafficEngine::start/finish/collect) does the work.
-class TrafficRun {
+// (spec.traffic workloads). The engine's staged-driving API
+// (TrafficEngine::start/finish/collect) does the work; done() turns true at
+// finish().
+class TrafficRun final : public RunShell {
  public:
   TrafficRun(const ScenarioSpec& spec, const ScenarioRunOptions& opts = {});
-  ~TrafficRun();
-  TrafficRun(const TrafficRun&) = delete;
-  TrafficRun& operator=(const TrafficRun&) = delete;
+  ~TrafficRun() override;
 
-  void start();
-  void run_to(TimePoint t);
-  bool done() const;
-  Simulator& sim();
-  FlightRecorder* recorder() const;
   TrafficEngine& engine() { return *engine_; }
 
   std::unique_ptr<TrafficRun> fork() const;
@@ -68,20 +50,32 @@ class TrafficRun {
   TrafficResult finish();
 
  private:
-  struct ForkTag {};
   TrafficRun(const TrafficRun& src, ForkTag);
-  void construct(const ScenarioSpec& spec, FlightRecorder* recorder);
+  void construct(const ScenarioSpec& spec);
+  void begin() override;
 
-  ScenarioRunOptions opts_;
-  std::unique_ptr<FlightRecorder> owned_rec_;
   std::unique_ptr<WorldBuilder> builder_;
-  std::unique_ptr<World> world_;
   std::unique_ptr<TrafficEngine> engine_;
-  TimePoint base_;
-  std::uint64_t events_before_ = 0;
-  bool started_ = false;
-  bool finished_ = false;
 };
+
+// The one repetition driver behind run_scenario, run_scenario_forked,
+// run_scenario_fork_k and run_whatif_grid. For each repetition of the spec's
+// workload it builds the Run (seeds: stream seed+r, download seed+r+1, web
+// seed+r; a traffic spec is one repetition), starts it and runs it to
+// `split`, then branches `branches` ways — by fork, or by re-running the
+// prefix from scratch — switching branch b to schedulers[b] when given.
+// Every branch is finished and folded, in repetition order, into its own
+// outcome. A caller recorder reads what an unforked run would have recorded:
+// a fork's data is copied back after each forked repetition.
+struct BranchPlan {
+  std::optional<TimePoint> split;
+  std::size_t branches = 1;
+  bool fork = false;
+  std::vector<SchedulerFactory> schedulers;  // empty, or one per branch
+};
+std::vector<ScenarioOutcome> run_branches(const ScenarioSpec& spec, const BranchPlan& plan,
+                                          const ScenarioRunOptions& opts,
+                                          const SweepOptions& sweep);
 
 // run_scenario, but with a snapshot-and-fork inserted at origin +
 // `snapshot_at_s` into every repetition: the original run is advanced to the

@@ -88,7 +88,7 @@ Duration trace_duration(const WorkloadSpec& w) {
   return Duration::seconds(600);
 }
 
-PathConfig resolve_path(const PathSpec& p, bool* pure) {
+PathConfig resolve_path(const PathSpec& p) {
   PathConfig c;
   switch (p.profile) {
     case PathProfile::kWifi: c = wifi_profile(Rate::mbps(p.rate_mbps)); break;
@@ -97,15 +97,6 @@ PathConfig resolve_path(const PathSpec& p, bool* pure) {
       c.down_rate = Rate::mbps(p.rate_mbps);
       break;
   }
-  // An unmodified profile path must resolve through wifi_profile()/
-  // lte_profile() alone — the runners then reconstruct it from the rate
-  // literal exactly as the historical parameter structs did.
-  const PathConfig defaults = c;
-  *pure = p.profile != PathProfile::kCustom && p.name == defaults.name &&
-          duration_from_ms(p.rtt_ms) == defaults.rtt_base &&
-          p.queue_packets == static_cast<std::int64_t>(defaults.queue_packets) &&
-          p.loss_rate == defaults.loss_rate &&
-          Rate::mbps(p.up_mbps) == defaults.up_rate && !p.faults.enabled();
   c.name = p.name;
   c.rtt_base = duration_from_ms(p.rtt_ms);
   c.queue_packets = static_cast<std::size_t>(p.queue_packets);
@@ -123,12 +114,7 @@ bool generates_trace(VariationKind k) {
 
 WorldBuilder::WorldBuilder(ScenarioSpec spec) : spec_(std::move(spec)) {
   paths_.reserve(spec_.paths.size());
-  pure_.reserve(spec_.paths.size());
-  for (const PathSpec& p : spec_.paths) {
-    bool pure = false;
-    paths_.push_back(resolve_path(p, &pure));
-    pure_.push_back(pure);
-  }
+  for (const PathSpec& p : spec_.paths) paths_.push_back(resolve_path(p));
 
   // Generated traces: one master RNG, forked once per varied path in path
   // order, then each trace generated from its fork. This matches the bench

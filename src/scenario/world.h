@@ -1,14 +1,12 @@
 // World: the generic N-path testbed a scenario runs in, and WorldBuilder,
 // which resolves a ScenarioSpec into low-level configs and constructs the
-// world.
+// world. Every runner (exp/run.h) and test builds its testbed here.
 //
-// World generalizes the original two-path Testbed (exp/testbed.h, now a thin
-// wrapper over this class) while preserving its construction order exactly —
-// recorder attached first, then paths built in order, then one downlink RNG
-// fork per path in order, then the demux attached to every downlink and then
-// every uplink. That order is a compatibility contract: it fixes the RNG
-// stream assignment and event creation order, so worlds built here are
-// bit-identical to historical Testbed worlds.
+// Construction order is a compatibility contract: recorder attached first,
+// then paths built in order, then one downlink RNG fork per path in order,
+// then the demux attached to every downlink and then every uplink. It fixes
+// the RNG stream assignment and event creation order, so results stay
+// bit-identical across the runners built on it.
 //
 // Ownership: a borrowed FlightRecorder must outlive the World (the simulator
 // and every instrumented model object hold pointers into it). WorldBuilder
@@ -46,6 +44,7 @@ class World {
  public:
   explicit World(WorldConfig config);
 
+  const WorldConfig& config() const { return config_; }
   Simulator& sim() { return sim_; }
   Path& path(std::size_t i) { return *paths_[i]; }
   std::size_t path_count() const { return paths_.size(); }
@@ -105,7 +104,8 @@ class World {
 // Resolves a ScenarioSpec into simulator-level configuration and builds
 // Worlds from it. Resolution is deterministic and bench-exact:
 //  * PathSpec -> PathConfig goes through wifi_profile()/lte_profile() for
-//    profile paths, then applies overrides;
+//    profile paths, then applies overrides, so a path that sets only the
+//    rate is field-equal to its profile at that rate;
 //  * generated bandwidth traces (kRandom/kJitter) fork one RNG per varied
 //    path, in path order, from Rng(spec.trace_seed); a kRandom path's
 //    initial rate becomes its trace's first level (Section 5.3 semantics);
@@ -120,9 +120,6 @@ class WorldBuilder {
   const std::vector<PathConfig>& path_configs() const { return paths_; }
   // Per-path bandwidth trace; empty vector = constant rate.
   const std::vector<std::vector<RateChange>>& path_traces() const { return traces_; }
-  // True when path i is an unmodified wifi/lte profile (only the rate set):
-  // runners use this to keep the historical profile-construction code path.
-  bool pure_profile(std::size_t i) const { return pure_[i]; }
 
   // Connection template with the spec's conn knobs applied.
   ConnectionConfig conn_config() const;
@@ -141,7 +138,6 @@ class WorldBuilder {
   ScenarioSpec spec_;
   std::vector<PathConfig> paths_;
   std::vector<std::vector<RateChange>> traces_;
-  std::vector<bool> pure_;
   std::unique_ptr<FlightRecorder> owned_recorder_;
   FlightRecorder* recorder_ = nullptr;
 };

@@ -64,7 +64,6 @@ void Subflow::set_cwnd(double cwnd) {
   cwnd_ = cwnd;
   if (env_ != nullptr) env_->on_cc_input_change();
   obs_->cwnd.set(sim_.now(), cwnd_);
-  if (on_cwnd_change) on_cwnd_change(sim_.now(), cwnd_);
 }
 
 void Subflow::poll() {

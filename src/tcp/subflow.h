@@ -20,7 +20,6 @@
 
 #include "net/packet.h"
 #include "net/path.h"
-#include "obs/hook.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "tcp/cc.h"
@@ -222,11 +221,6 @@ class Subflow final : public ArenaAllocated<Subflow> {
   TimePoint established_at() const { return established_at_; }
   const char* cc_name() const { return cc().name(); }
   double inter_loss_bytes() const { return inter_loss_bytes_; }
-
-  // Fired on every CWND change with (time, cwnd); used by trace sinks.
-  // Multi-listener: several tracers (and the flight recorder) compose
-  // instead of overwriting each other.
-  Hook<TimePoint, double> on_cwnd_change;
 
   // --- invariant-checker inspection (check/invariants.h) --------------------
   // Read-only views of the sender state machine; no test or checker may

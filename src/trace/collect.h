@@ -1,4 +1,4 @@
-// Collectors that attach to the stack's trace hooks.
+// Trace collectors: periodic samplers over the stack's state.
 #pragma once
 
 #include <functional>
@@ -11,36 +11,6 @@
 #include "trace/series.h"
 
 namespace mps {
-
-// Records every CWND change of a subflow (paper Figs. 11/12). Registers as
-// one listener on the subflow's on_cwnd_change hook, so several tracers (or
-// a tracer plus the flight recorder) can observe the same subflow; the
-// listener is removed on destruction.
-class CwndTracer {
- public:
-  explicit CwndTracer(Subflow& sf) : sf_(&sf) {
-    hook_id_ = sf.on_cwnd_change.add(
-        [this](TimePoint t, double cwnd) { series_.add(t, cwnd); });
-    series_.add(TimePoint::origin(), sf.cwnd());
-  }
-  ~CwndTracer() {
-    if (sf_ != nullptr) sf_->on_cwnd_change.remove(hook_id_);
-  }
-  CwndTracer(const CwndTracer&) = delete;
-  CwndTracer& operator=(const CwndTracer&) = delete;
-
-  const TimeSeries& series() const { return series_; }
-
-  // Snapshot support (exp/snapshot.h): replaces the recorded series with
-  // `src`'s, discarding the initial point this tracer's own constructor
-  // added. The hook registration on the fork's subflow is kept.
-  void restore_from(const CwndTracer& src) { series_ = src.series_; }
-
- private:
-  Subflow* sf_;
-  Hook<TimePoint, double>::Id hook_id_{};
-  TimeSeries series_;
-};
 
 // Samples a value periodically (paper Fig. 3's send-buffer occupancy).
 // `until` bounds the sampling: once the simulation clock passes it, the

@@ -21,6 +21,7 @@
 #include "mptcp/connection.h"
 #include "net/path.h"
 #include "scenario/world.h"
+#include "test_util.h"
 #include "traffic/engine.h"
 
 namespace {
@@ -114,8 +115,7 @@ TEST(AllocBudget, CrowdCellStaysUnderEightAllocationsPerFlow) {
 // window below (6,385 packets past 20 s) crosses exactly one such doubling.
 TEST(AllocBudget, WarmDownloadAllocatesNothingPerDeliveredPacket) {
   DownloadParams p;
-  p.wifi_mbps = 10.0;
-  p.lte_mbps = 10.0;
+  p.paths = two_paths(10.0, 10.0);
   p.bytes = std::uint64_t{1} << 30;  // still running when the window closes
   DownloadRun run(p);
   run.start();

@@ -7,18 +7,19 @@
 #include "app/dash.h"
 #include "app/http.h"
 #include "app/web.h"
-#include "exp/testbed.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
 
 struct Rig {
-  explicit Rig(TestbedConfig tb = {}) : bed(tb) {
+  explicit Rig(WorldConfig tb = two_path_config()) : bed(tb) {
     conn = bed.make_connection(scheduler_factory("default"));
     http = std::make_unique<HttpExchange>(bed.sim(), *conn, bed.request_delay());
   }
-  Testbed bed;
+  World bed;
   std::unique_ptr<Connection> conn;
   std::unique_ptr<HttpExchange> http;
 };
@@ -61,7 +62,7 @@ TEST(HttpTest, BackToBackGetsFromCallback) {
 }
 
 TEST(HttpTest, ObjectLargerThanSndbufStreams) {
-  TestbedConfig tb;
+  WorldConfig tb = two_path_config();
   tb.conn.sndbuf_bytes = 64 * 1024;
   Rig rig(tb);
   bool done = false;
@@ -71,9 +72,7 @@ TEST(HttpTest, ObjectLargerThanSndbufStreams) {
 }
 
 TEST(HttpTest, LastArrivalTimesTrackBothPaths) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(1));
-  tb.lte = lte_profile(Rate::mbps(10));
+  WorldConfig tb = two_path_config(1, 10);
   Rig rig(tb);
   ObjectResult result;
   rig.http->get(2'000'000, [&](const ObjectResult& r) { result = r; });
@@ -94,9 +93,7 @@ TEST(DashTest, LadderMatchesPaperTable1) {
 }
 
 TEST(DashTest, SessionFetchesAllChunks) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(4.2));
-  tb.lte = lte_profile(Rate::mbps(4.2));
+  WorldConfig tb = two_path_config(4.2, 4.2);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(60);
@@ -110,9 +107,7 @@ TEST(DashTest, SessionFetchesAllChunks) {
 }
 
 TEST(DashTest, AbrRampsUpWithAmpleBandwidth) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(8.6));
-  tb.lte = lte_profile(Rate::mbps(8.6));
+  WorldConfig tb = two_path_config(8.6, 8.6);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(120);
@@ -130,9 +125,7 @@ TEST(DashTest, AbrRampsUpWithAmpleBandwidth) {
 }
 
 TEST(DashTest, LowBandwidthStaysAtLowTiers) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(0.3));
-  tb.lte = lte_profile(Rate::mbps(0.3));
+  WorldConfig tb = two_path_config(0.3, 0.3);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(60);
@@ -144,9 +137,7 @@ TEST(DashTest, LowBandwidthStaysAtLowTiers) {
 }
 
 TEST(DashTest, OnOffPatternEmergesWhenBufferFills) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(8.6));
-  tb.lte = lte_profile(Rate::mbps(8.6));
+  WorldConfig tb = two_path_config(8.6, 8.6);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(120);
@@ -165,9 +156,7 @@ TEST(DashTest, OnOffPatternEmergesWhenBufferFills) {
 }
 
 TEST(DashTest, RateBasedAbrUsesThroughputEstimate) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(4.2));
-  tb.lte = lte_profile(Rate::mbps(4.2));
+  WorldConfig tb = two_path_config(4.2, 4.2);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(60);
@@ -183,9 +172,7 @@ TEST(DashTest, RateBasedAbrUsesThroughputEstimate) {
 }
 
 TEST(DashTest, BufferLevelNonNegative) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(0.3));
-  tb.lte = lte_profile(Rate::mbps(0.7));
+  WorldConfig tb = two_path_config(0.3, 0.7);
   Rig rig(tb);
   DashConfig dc;
   dc.video_duration = Duration::seconds(60);
@@ -218,10 +205,8 @@ TEST(WebTest, PageObjectsDeterministicAndCalibrated) {
 }
 
 TEST(WebTest, BrowserDownloadsWholePage) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(5, 5);
+  World bed(tb);
   WebPageConfig wc;
   Rng rng(0xC0FFEE);
   auto objects = make_page_objects(rng, wc);
@@ -238,10 +223,8 @@ TEST(WebTest, BrowserDownloadsWholePage) {
 }
 
 TEST(WebTest, KeepaliveExpiryForcesFreshConnections) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(5, 5);
+  World bed(tb);
   WebPageConfig wc;
   wc.object_count = 4;
   wc.parallel_connections = 1;

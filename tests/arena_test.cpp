@@ -9,9 +9,10 @@
 #include <set>
 #include <vector>
 
-#include "exp/testbed.h"
 #include "mptcp/connection.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
+#include "test_util.h"
 #include "traffic/arena.h"
 
 namespace mps {
@@ -55,10 +56,8 @@ TEST(ArenaTest, ConnectionChurnReusesSlotsWithoutAliasing) {
   const SlabPool::Stats sf_before = slab_pool_for<Subflow>().stats();
   const SlabPool::Stats rx_before = slab_pool_for<SubflowReceiver>().stats();
 
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(1.0));
-  tb.lte = lte_profile(Rate::mbps(10.0));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(1.0, 10.0);
+  World bed(tb);
 
   // Overlapping live connections must occupy distinct arena slots...
   std::set<const Connection*> live_ptrs;

@@ -1,15 +1,20 @@
-// Tests for the experiment harness: testbed wiring, ideal references, scale.
+// Tests for the experiment harness: world wiring, ideal references, scale,
+// and what every runner takes from a spec.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 #include "exp/ideal.h"
+#include "exp/scale.h"
 #include "exp/scenario_run.h"
 #include "exp/snapshot.h"
-#include "exp/scale.h"
 #include "exp/streaming.h"
-#include "exp/testbed.h"
+#include "obs/recorder.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
@@ -42,22 +47,22 @@ TEST(ScaleTest, DefaultsAreQuick) {
 }
 
 TEST(TestbedTest, RequestDelayIsHalfPrimaryRtt) {
-  TestbedConfig tb;
-  Testbed bed(tb);
-  EXPECT_EQ(bed.request_delay().ns(), bed.wifi().rtt_base().ns() / 2);
+  WorldConfig tb = two_path_config();
+  World bed(tb);
+  EXPECT_EQ(bed.request_delay().ns(), bed.path(0).rtt_base().ns() / 2);
 }
 
 TEST(TestbedTest, ConnectionsGetUniqueIds) {
-  Testbed bed(TestbedConfig{});
+  World bed(two_path_config());
   auto a = bed.make_connection(scheduler_factory("default"));
   auto b = bed.make_connection(scheduler_factory("default"));
   EXPECT_NE(a->config().conn_id, b->config().conn_id);
 }
 
 TEST(TestbedTest, SubflowOrderIsWifiThenLte) {
-  TestbedConfig tb;
+  WorldConfig tb = two_path_config();
   tb.subflows_per_path = 2;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   ASSERT_EQ(conn->subflows().size(), 4u);
   EXPECT_EQ(conn->subflows()[0]->path().name(), "wifi");
@@ -68,12 +73,11 @@ TEST(TestbedTest, SubflowOrderIsWifiThenLte) {
 
 TEST(StreamingParamsTest, SchedulerOverrideAndStagingKnobs) {
   StreamingParams p;
-  p.wifi_mbps = 1.1;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(1.1, 8.6);
   p.video = Duration::seconds(30);
-  p.staging_bytes = 16 * 1024;
+  p.conn.subflow_staging_bytes = 16 * 1024;
   bool used = false;
-  p.scheduler_override = [&used] {
+  p.scheduler = [&used] {
     used = true;
     return scheduler_factory("ecf")();
   };
@@ -83,7 +87,7 @@ TEST(StreamingParamsTest, SchedulerOverrideAndStagingKnobs) {
 }
 
 TEST(TestbedTest, RunForAdvancesClock) {
-  Testbed bed(TestbedConfig{});
+  World bed(two_path_config());
   bed.run_for(Duration::seconds(3));
   EXPECT_EQ(bed.sim().now().ns(), Duration::seconds(3).ns());
 }
@@ -171,6 +175,86 @@ TEST(CappedWebTest, StallingPageLoadIsReportedCappedAndCompletedIsNot) {
   const ScenarioOutcome done = run_scenario(fast);
   EXPECT_FALSE(done.capped());
   EXPECT_EQ(format_outcome(fast, done).find("capped"), std::string::npos);
+}
+
+// --- every runner takes the spec's conn.* and record.* ---------------------------
+
+void expect_same_template(const ConnectionConfig& got, const ConnectionConfig& want) {
+  EXPECT_EQ(got.mss, want.mss);
+  EXPECT_EQ(got.sndbuf_bytes, want.sndbuf_bytes);
+  EXPECT_EQ(got.subflow_staging_bytes, want.subflow_staging_bytes);
+  EXPECT_EQ(got.rcvbuf_bytes, want.rcvbuf_bytes);
+  EXPECT_EQ(got.cc, want.cc);
+  EXPECT_EQ(got.opportunistic_retransmission, want.opportunistic_retransmission);
+  EXPECT_EQ(got.penalization, want.penalization);
+  EXPECT_EQ(got.idle_cwnd_reset, want.idle_cwnd_reset);
+  EXPECT_EQ(got.initial_cwnd, want.initial_cwnd);
+  EXPECT_EQ(got.rcv_autotune, want.rcv_autotune);
+  EXPECT_EQ(got.rcv_initial_window, want.rcv_initial_window);
+  EXPECT_EQ(got.delayed_secondary_join, want.delayed_secondary_join);
+}
+
+TEST(RunnerSpecTest, EveryRunnerTakesTheConnKnobs) {
+  for (const WorkloadKind kind : {WorkloadKind::kStream, WorkloadKind::kDownload,
+                                  WorkloadKind::kWeb}) {
+    SCOPED_TRACE(workload_kind_name(kind));
+    ScenarioSpec s = workload_spec(kind, 10.0);
+    s.conn.idle_cwnd_reset = false;
+    s.conn.opportunistic_rtx = false;
+    s.conn.penalization = false;
+    s.conn.staging_bytes = 1500;
+    const ConnectionConfig want = WorldBuilder(s).conn_config();
+    ASSERT_EQ(want.subflow_staging_bytes, 1500u);
+    ASSERT_FALSE(want.penalization);
+    switch (kind) {
+      case WorkloadKind::kStream: {
+        StreamingRun run(streaming_params_from_spec(s));
+        expect_same_template(run.connection().config(), want);
+        break;
+      }
+      case WorkloadKind::kDownload: {
+        DownloadRun run(download_params_from_spec(s));
+        expect_same_template(run.connection().config(), want);
+        break;
+      }
+      case WorkloadKind::kWeb: {
+        // Every page-load connection is minted from the world's template.
+        WebPageRun run(web_params_from_spec(s), 0);
+        expect_same_template(run.world().config().conn, want);
+        break;
+      }
+    }
+  }
+}
+
+TEST(RunnerSpecTest, CallerRecorderSeesEveryWorkloadKind) {
+  for (const WorkloadKind kind : {WorkloadKind::kStream, WorkloadKind::kDownload,
+                                  WorkloadKind::kWeb}) {
+    SCOPED_TRACE(workload_kind_name(kind));
+    ScenarioSpec s = workload_spec(kind, 10.0);
+    s.workload.runs = 1;
+    s.record.summarize = true;
+    FlightRecorder rec;
+    ScenarioRunOptions opts;
+    opts.recorder = &rec;
+    run_scenario(s, opts);
+    EXPECT_GT(rec.metrics().total("subflow.segments_sent"), 0u);
+  }
+}
+
+TEST(RunnerSpecTest, CollectTracesRejectedWhereResultsCarryNoSeries) {
+  for (const WorkloadKind kind : {WorkloadKind::kDownload, WorkloadKind::kWeb}) {
+    SCOPED_TRACE(workload_kind_name(kind));
+    ScenarioSpec s = workload_spec(kind, 10.0);
+    s.record.collect_traces = true;
+    try {
+      run_scenario(s);
+      ADD_FAILURE() << "record.collect_traces was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("record.collect_traces"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

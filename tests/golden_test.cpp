@@ -75,10 +75,7 @@ std::string render(const ScenarioSpec& spec, RunTelemetry* telemetry = nullptr) 
   ScenarioRunOptions opts;
   opts.telemetry = telemetry;
   FlightRecorder recorder;
-  if (spec.record.summarize &&
-      (spec.traffic.enabled || spec.workload.kind == WorkloadKind::kStream)) {
-    opts.recorder = &recorder;
-  }
+  if (spec.record.summarize) opts.recorder = &recorder;
   const ScenarioOutcome outcome = run_scenario(spec, opts);
   out += format_outcome(spec, outcome);
   if (opts.recorder) {

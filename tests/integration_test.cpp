@@ -4,22 +4,21 @@
 
 #include "exp/download.h"
 #include "exp/ideal.h"
+#include "exp/scenario_run.h"
 #include "exp/streaming.h"
-#include "exp/testbed.h"
-#include "test_util.h"
 #include "exp/webrun.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 #include "sched/singlepath.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
 
 TEST(EndToEndTest, SinglePathGoodputApproachesLinkRate) {
   // A bulk transfer pinned to one 10 Mbps path must achieve most of it.
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(10));
-  tb.lte = lte_profile(Rate::mbps(10));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(10, 10);
+  World bed(tb);
   auto conn = bed.make_connection([] { return std::make_unique<SinglePathScheduler>(0); });
   std::uint64_t delivered = 0;
   TimePoint done_at;
@@ -37,11 +36,9 @@ TEST(EndToEndTest, SinglePathGoodputApproachesLinkRate) {
 
 TEST(EndToEndTest, TwoHomogeneousPathsAggregate) {
   // 5 + 5 Mbps must clearly beat a single 5 Mbps path.
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
+  WorldConfig tb = two_path_config(5, 5);
   tb.conn.delayed_secondary_join = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::uint64_t delivered = 0;
   TimePoint done_at;
@@ -58,12 +55,11 @@ TEST(EndToEndTest, TwoHomogeneousPathsAggregate) {
 
 TEST(PaperClaimTest, EcfBeatsDefaultOnHeterogeneousStreaming) {
   StreamingParams p;
-  p.wifi_mbps = 0.3;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(0.3, 8.6);
   p.video = Duration::seconds(120);
-  p.scheduler = "default";
+  p.scheduler = scheduler_factory("default");
   const auto def = run_streaming(p);
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   const auto ecf = run_streaming(p);
   EXPECT_GT(ecf.mean_throughput_mbps, def.mean_throughput_mbps);
   // ECF shrinks the last-packet gap (fast path no longer idles at tails).
@@ -72,12 +68,11 @@ TEST(PaperClaimTest, EcfBeatsDefaultOnHeterogeneousStreaming) {
 
 TEST(PaperClaimTest, SchedulersEquivalentOnHomogeneousStreaming) {
   StreamingParams p;
-  p.wifi_mbps = 4.2;
-  p.lte_mbps = 4.2;
+  p.paths = two_paths(4.2, 4.2);
   p.video = Duration::seconds(120);
-  p.scheduler = "default";
+  p.scheduler = scheduler_factory("default");
   const auto def = run_streaming(p);
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   const auto ecf = run_streaming(p);
   // Paper: "obtaining the same performance in homogeneous environments".
   EXPECT_NEAR(ecf.mean_bitrate_mbps, def.mean_bitrate_mbps,
@@ -87,12 +82,11 @@ TEST(PaperClaimTest, SchedulersEquivalentOnHomogeneousStreaming) {
 TEST(PaperClaimTest, DisablingIdleResetHelpsDefault) {
   // Paper Fig. 6 premise: the CWND reset after idle costs throughput.
   StreamingParams p;
-  p.wifi_mbps = 0.7;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(0.7, 8.6);
   p.video = Duration::seconds(120);
-  p.idle_cwnd_reset = true;
+  p.conn.idle_cwnd_reset = true;
   const auto with_reset = run_streaming(p);
-  p.idle_cwnd_reset = false;
+  p.conn.idle_cwnd_reset = false;
   const auto without_reset = run_streaming(p);
   // The definitive reset events must vanish; throughput for a single ABR
   // trajectory is path-dependent (tier lock-in), so only bound the loss —
@@ -103,22 +97,20 @@ TEST(PaperClaimTest, DisablingIdleResetHelpsDefault) {
 
 TEST(PaperClaimTest, EcfReducesIwResets) {
   StreamingParams p;
-  p.wifi_mbps = 0.3;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(0.3, 8.6);
   p.video = Duration::seconds(120);
-  p.scheduler = "default";
+  p.scheduler = scheduler_factory("default");
   const auto def = run_streaming(p);
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   const auto ecf = run_streaming(p);
   EXPECT_LE(ecf.iw_resets_lte, def.iw_resets_lte);
 }
 
 TEST(PaperClaimTest, FractionOnFastPathNearIdealForEcf) {
   StreamingParams p;
-  p.wifi_mbps = 0.3;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(0.3, 8.6);
   p.video = Duration::seconds(120);
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   const auto r = run_streaming(p);
   const double ideal = ideal_fast_fraction(8.6, 0.3);
   EXPECT_NEAR(r.fraction_fast, ideal, 0.08);
@@ -126,8 +118,7 @@ TEST(PaperClaimTest, FractionOnFastPathNearIdealForEcf) {
 
 TEST(DownloadTest, CompletionTimeMonotoneInSize) {
   DownloadParams p;
-  p.wifi_mbps = 1;
-  p.lte_mbps = 5;
+  p.paths = two_paths(1, 5);
   // Strict per-step monotonicity can wobble near the send-buffer boundary
   // (the scheduler's slow-path commitment changes shape); require growth
   // over a 4x size step instead.
@@ -143,11 +134,10 @@ TEST(DownloadTest, CompletionTimeMonotoneInSize) {
 
 TEST(DownloadTest, FasterLteShortensLargeDownloads) {
   DownloadParams p;
-  p.wifi_mbps = 1;
+  p.paths = two_paths(1, 2);
   p.bytes = 1024 * 1024;
-  p.lte_mbps = 2;
   const auto slow = run_download(p);
-  p.lte_mbps = 10;
+  p.paths[1] = lte_profile(Rate::mbps(10));
   const auto fast = run_download(p);
   EXPECT_LT(fast.completion, slow.completion);
 }
@@ -156,12 +146,11 @@ TEST(DownloadTest, EcfNeverMuchWorseThanDefault) {
   // Paper Section 5.4: "ECF does no worse statistically than the default".
   for (double lte : {2.0, 5.0, 10.0}) {
     DownloadParams p;
-    p.wifi_mbps = 1;
-    p.lte_mbps = lte;
+    p.paths = two_paths(1, lte);
     p.bytes = 512 * 1024;
-    p.scheduler = "default";
+    p.scheduler = scheduler_factory("default");
     const auto def = run_download(p);
-    p.scheduler = "ecf";
+    p.scheduler = scheduler_factory("ecf");
     const auto ecf = run_download(p);
     EXPECT_LT(ecf.completion.to_seconds(), def.completion.to_seconds() * 1.15)
         << "lte=" << lte;
@@ -169,25 +158,25 @@ TEST(DownloadTest, EcfNeverMuchWorseThanDefault) {
 }
 
 TEST(WebRunTest, CompletesAndCollectsDistributions) {
-  WebRunParams p;
-  p.wifi_mbps = 1;
-  p.lte_mbps = 5;
-  p.runs = 1;
-  const auto r = run_web(p);
+  ScenarioSpec s;
+  s.paths = {wifi_path(1), lte_path(5)};
+  s.workload.kind = WorkloadKind::kWeb;
+  s.workload.runs = 1;
+  const auto r = run_web(s);
   EXPECT_EQ(r.object_times.count(), 107u);
   EXPECT_GT(r.ooo_delay.count(), 100u);
   EXPECT_GT(r.mean_page_load_s, 0.0);
 }
 
 TEST(WebRunTest, EcfImprovesHeterogeneousObjectTimes) {
-  WebRunParams p;
-  p.wifi_mbps = 1;
-  p.lte_mbps = 10;
-  p.runs = 1;
-  p.scheduler = "default";
-  const auto def = run_web(p);
-  p.scheduler = "ecf";
-  const auto ecf = run_web(p);
+  ScenarioSpec s;
+  s.paths = {wifi_path(1), lte_path(10)};
+  s.workload.kind = WorkloadKind::kWeb;
+  s.workload.runs = 1;
+  s.scheduler = "default";
+  const auto def = run_web(s);
+  s.scheduler = "ecf";
+  const auto ecf = run_web(s);
   // Paper Fig. 20(c): ECF never does worse on object completion; a single
   // run carries ~20% tail noise, so bound the regression — the full
   // distribution comparison is bench_fig20_web_completion.
@@ -197,8 +186,7 @@ TEST(WebRunTest, EcfImprovesHeterogeneousObjectTimes) {
 
 TEST(StreamingRunnerTest, TracesCollectedWhenRequested) {
   StreamingParams p;
-  p.wifi_mbps = 0.3;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(0.3, 8.6);
   p.video = Duration::seconds(60);
   p.collect_traces = true;
   const auto r = run_streaming(p);
@@ -211,21 +199,21 @@ TEST(StreamingRunnerTest, TracesCollectedWhenRequested) {
 TEST(StreamingRunnerTest, VariableBandwidthTraceApplies) {
   StreamingParams p;
   p.video = Duration::seconds(60);
-  p.wifi_mbps = 1.0;
-  p.lte_mbps = 1.0;
-  p.wifi_trace = {{Duration::zero(), Rate::mbps(0.3)},
-                  {Duration::seconds(30), Rate::mbps(8.6)}};
+  p.paths = two_paths(1.0, 1.0);
+  p.traces = {{{Duration::zero(), Rate::mbps(0.3)}, {Duration::seconds(30), Rate::mbps(8.6)}},
+              {}};
   const auto r = run_streaming(p);
   EXPECT_GT(r.chunks_fetched, 5);
 }
 
 TEST(StreamingRunnerTest, AveragingMergesRuns) {
-  StreamingParams p;
-  p.wifi_mbps = 1.1;
-  p.lte_mbps = 8.6;
-  p.video = Duration::seconds(60);
-  const auto avg = run_streaming_avg(p, 2);
-  const auto one = run_streaming(p);
+  ScenarioSpec s;
+  s.paths = {wifi_path(1.1), lte_path(8.6)};
+  s.workload.video_s = 60;
+  s.workload.runs = 2;
+  const auto avg = run_scenario(s).streaming;
+  s.workload.runs = 1;
+  const auto one = run_streaming(s);
   EXPECT_GT(avg.ooo_delay.count(), one.ooo_delay.count());
 }
 
@@ -233,11 +221,9 @@ TEST(StreamingRunnerTest, MeasuredRttsReproduceTable2Shape) {
   // Paper Table 2: RTT decreases with bandwidth; WiFi < LTE at equal rate.
   StreamingParams p;
   p.video = Duration::seconds(60);
-  p.wifi_mbps = 0.3;
-  p.lte_mbps = 0.3;
+  p.paths = two_paths(0.3, 0.3);
   const auto slow = run_streaming(p);
-  p.wifi_mbps = 8.6;
-  p.lte_mbps = 8.6;
+  p.paths = two_paths(8.6, 8.6);
   const auto fast = run_streaming(p);
   EXPECT_GT(slow.mean_rtt_wifi_ms, 400.0);   // paper: 969 ms
   EXPECT_LT(fast.mean_rtt_wifi_ms, 150.0);   // paper: 40 ms

@@ -15,21 +15,19 @@
 #include "exp/download.h"
 #include "exp/scenario_run.h"
 #include "exp/streaming.h"
-#include "exp/testbed.h"
 #include "scenario/world.h"
-#include "test_util.h"
-#include "sched/registry.h"
+#include "scenario/world.h"
 #include "sched/minrtt.h"
+#include "sched/registry.h"
+#include "test_util.h"
 #include "traffic/engine.h"
 #include "util/rng.h"
 
 namespace mps {
 namespace {
 
-TestbedConfig hetero_config() {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(1.0));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+WorldConfig hetero_config() {
+  WorldConfig tb = two_path_config(1.0, 10.0);
   return tb;
 }
 
@@ -45,9 +43,9 @@ TEST(ConnectionTest, PerPacketHooksKeepTheConnectionSize) {
 }
 
 TEST(ConnectionTest, SendLimitedBySndbuf) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.sndbuf_bytes = 100 * 1000;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   const std::uint64_t accepted = conn->send(1'000'000);
   EXPECT_EQ(accepted, 100 * 1000u);
@@ -55,7 +53,7 @@ TEST(ConnectionTest, SendLimitedBySndbuf) {
 }
 
 TEST(ConnectionTest, DeliversAllBytesInOrder) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::uint64_t delivered = 0;
   TimePoint last;
@@ -76,7 +74,7 @@ TEST(ConnectionTest, DuplicateHeldSegmentWithLongerPayloadExtendsCoverage) {
   // reorder buffer must adopt the longer coverage: the subflow-level
   // cumulative ack already freed the sender copy, so silently keeping the
   // short one would strand the extra bytes and stall the transfer forever.
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::uint64_t delivered = 0;
   conn->on_deliver = [&](std::uint64_t bytes, TimePoint) { delivered += bytes; };
@@ -96,9 +94,9 @@ TEST(ConnectionTest, DuplicateHeldSegmentWithLongerPayloadExtendsCoverage) {
 }
 
 TEST(ConnectionTest, SendableCallbackRefillsBuffer) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.sndbuf_bytes = 50'000;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::uint64_t remaining = 400'000;
   std::uint64_t queued = 0;
@@ -117,7 +115,7 @@ TEST(ConnectionTest, SendableCallbackRefillsBuffer) {
 }
 
 TEST(ConnectionTest, OooDelayMeasuredPerPacket) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   BulkSender sender(*conn, 2'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(60));
@@ -130,10 +128,8 @@ TEST(ConnectionTest, OooDelayMeasuredPerPacket) {
 }
 
 TEST(ConnectionTest, HomogeneousPathsLittleOoo) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(5, 5);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   conn->send(1'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(30));
@@ -144,10 +140,10 @@ TEST(ConnectionTest, HomogeneousPathsLittleOoo) {
 }
 
 TEST(ConnectionTest, RwndAutotuneGrowsWithDelivery) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.rcv_autotune = true;
   tb.conn.rcv_initial_window = 64 * 1024;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   EXPECT_EQ(conn->meta_rwnd(), 64 * 1024u);
   BulkSender sender(*conn, 2'000'000);
@@ -156,18 +152,18 @@ TEST(ConnectionTest, RwndAutotuneGrowsWithDelivery) {
 }
 
 TEST(ConnectionTest, RwndAutotuneDisabledUsesFullBuffer) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.rcv_autotune = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   EXPECT_EQ(conn->meta_rwnd(), tb.conn.rcvbuf_bytes);
 }
 
 TEST(ConnectionTest, MetaInflightBoundedByRwnd) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.rcv_autotune = true;
   tb.conn.rcv_initial_window = 32 * 1024;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   conn->send(1'000'000);
   // Immediately after the first scheduling round the meta inflight must not
@@ -176,14 +172,13 @@ TEST(ConnectionTest, MetaInflightBoundedByRwnd) {
 }
 
 TEST(ConnectionTest, OpportunisticRetransmissionFiresUnderStall) {
-  TestbedConfig tb;
+  WorldConfig tb = two_path_config();
   // Very slow wifi + fast LTE + small window: the wifi subflow blocks the
   // meta window, forcing reinjection + penalization.
-  tb.wifi = wifi_profile(Rate::mbps(0.3));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+  tb.paths = two_paths(0.3, 10.0);
   tb.conn.rcv_autotune = true;
   tb.conn.rcv_initial_window = 64 * 1024;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   conn->send(3'000'000);
   std::uint64_t queued = 3'000'000 - (3'000'000 - conn->sndbuf_free());
@@ -198,13 +193,11 @@ TEST(ConnectionTest, OpportunisticRetransmissionFiresUnderStall) {
 }
 
 TEST(ConnectionTest, OpportunisticRetransmissionCanBeDisabled) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(0.3));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+  WorldConfig tb = two_path_config(0.3, 10.0);
   tb.conn.rcv_autotune = true;
   tb.conn.rcv_initial_window = 64 * 1024;
   tb.conn.opportunistic_retransmission = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   conn->send(3'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(20));
@@ -212,12 +205,10 @@ TEST(ConnectionTest, OpportunisticRetransmissionCanBeDisabled) {
 }
 
 TEST(ConnectionTest, DuplicatesDroppedAtMetaLevel) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(0.3));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+  WorldConfig tb = two_path_config(0.3, 10.0);
   tb.conn.rcv_autotune = true;
   tb.conn.rcv_initial_window = 64 * 1024;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::uint64_t delivered = 0;
   conn->on_deliver = [&](std::uint64_t b, TimePoint) { delivered += b; };
@@ -230,7 +221,7 @@ TEST(ConnectionTest, DuplicatesDroppedAtMetaLevel) {
 }
 
 TEST(ConnectionTest, TwoConnectionsShareThePaths) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto a = bed.make_connection(scheduler_factory("default"));
   auto b = bed.make_connection(scheduler_factory("ecf"));
   std::uint64_t da = 0, db = 0;
@@ -244,7 +235,7 @@ TEST(ConnectionTest, TwoConnectionsShareThePaths) {
 }
 
 TEST(ConnectionTest, CcSiblingInfoExposesAllSubflows) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   std::vector<CcSiblingInfo> info;
   conn->cc_sibling_info(info);
@@ -255,9 +246,9 @@ TEST(ConnectionTest, CcSiblingInfoExposesAllSubflows) {
 }
 
 TEST(ConnectionTest, FourSubflowsTwoPerPath) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.subflows_per_path = 2;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("ecf"));
   EXPECT_EQ(conn->subflows().size(), 4u);
   std::uint64_t delivered = 0;
@@ -268,19 +259,19 @@ TEST(ConnectionTest, FourSubflowsTwoPerPath) {
 }
 
 TEST(ConnectionTest, SecondarySubflowJoinsLate) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.delayed_secondary_join = true;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("default"));
   EXPECT_TRUE(conn->subflows()[0]->established());
   EXPECT_FALSE(conn->subflows()[1]->established());
-  bed.sim().run_until(TimePoint::origin() + bed.lte().rtt_base() + Duration::millis(1));
+  bed.sim().run_until(TimePoint::origin() + bed.path(1).rtt_base() + Duration::millis(1));
   EXPECT_TRUE(conn->subflows()[1]->established());
 }
 
 TEST(ConnectionTest, DeterministicAcrossIdenticalRuns) {
   auto run_once = [] {
-    Testbed bed(TestbedConfig{});
+    World bed(two_path_config());
     auto conn = bed.make_connection(scheduler_factory("ecf"));
     conn->send(1'000'000);
     bed.sim().run_until(TimePoint::origin() + Duration::seconds(10));
@@ -397,9 +388,9 @@ RunTrace run_download_spec(const ScenarioSpec& spec, bool stable) {
 
 // One HTTP object of `bytes` over a two-path testbed; `log` attaches a
 // decision hook (every pick recorded).
-RunTrace run_bed(const TestbedConfig& tb, std::uint64_t bytes, bool stable, bool log = false) {
+RunTrace run_bed(const WorldConfig& tb, std::uint64_t bytes, bool stable, bool log = false) {
   RunTrace t;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(probe_factory(stable, &t.picks));
   if (log) {
     conn->scheduler().set_on_decision(
@@ -474,7 +465,7 @@ TEST(RunCommitTest, DrainingSubflowMatchesStepwise) {
 }
 
 TEST(RunCommitTest, StagingLimitOffTheMssGridMatchesStepwise) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.subflow_staging_bytes = 10'000;  // 7 segments and a fraction
   const RunTrace ref = run_bed(tb, 2'000'000, false);
   const RunTrace run = run_bed(tb, 2'000'000, true);
@@ -483,7 +474,7 @@ TEST(RunCommitTest, StagingLimitOffTheMssGridMatchesStepwise) {
 }
 
 TEST(RunCommitTest, WindowStallInsideRunAndShortFinalSegmentMatchStepwise) {
-  TestbedConfig tb = hetero_config();
+  WorldConfig tb = hetero_config();
   tb.conn.rcv_initial_window = 30'001;  // the meta window edge falls mid-run
   tb.conn.rcvbuf_bytes = 50'003;
   const std::uint64_t bytes = 1'000'003;  // short final segment
@@ -498,9 +489,7 @@ TEST(RunCommitTest, WindowStallInsideRunAndShortFinalSegmentMatchStepwise) {
 TEST(RunCommitTest, StagedRunSplitsAtCountLimitLikeStepwise) {
   // 64-byte segments and an 8 MB staging limit: the first commit stages
   // more than UINT16_MAX segments on the primary subflow.
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(20.0));
-  tb.lte = lte_profile(Rate::mbps(20.0));
+  WorldConfig tb = two_path_config(20.0, 20.0);
   tb.conn.mss = 64;
   tb.conn.subflow_staging_bytes = 8 << 20;
   tb.conn.sndbuf_bytes = 8 << 20;
@@ -508,7 +497,7 @@ TEST(RunCommitTest, StagedRunSplitsAtCountLimitLikeStepwise) {
   tb.conn.rcvbuf_bytes = 16 << 20;
   const std::uint64_t bytes = 6'000'000;
   {
-    Testbed bed(tb);
+    World bed(tb);
     std::uint64_t picks = 0;
     auto conn = bed.make_connection(probe_factory(true, &picks));
     conn->send(bytes);
@@ -521,7 +510,7 @@ TEST(RunCommitTest, StagedRunSplitsAtCountLimitLikeStepwise) {
 }
 
 TEST(RunCommitTest, DecisionLogKeepsOneSegmentPerPick) {
-  const TestbedConfig tb = hetero_config();
+  const WorldConfig tb = hetero_config();
   const RunTrace ref = run_bed(tb, 1'000'000, false, /*log=*/true);
   const RunTrace run = run_bed(tb, 1'000'000, true, /*log=*/true);
   expect_identical(run, ref);

@@ -1,16 +1,15 @@
 // Tests for the observability subsystem (src/obs): metrics registry
-// semantics, the JSONL event schema, multi-listener hooks, and the flight
-// recorder's scheduler decision log — including the replay contract that a
-// recorded ECF decision's Algorithm 1 terms reproduce the live verdict.
+// semantics, the JSONL event schema, and the flight recorder's scheduler
+// decision log — including the replay contract that a recorded ECF
+// decision's Algorithm 1 terms reproduce the live verdict.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <sstream>
 
 #include "core/ecf.h"
-#include "exp/testbed.h"
-#include "obs/hook.h"
 #include "obs/recorder.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
 #include "test_util.h"
 #include "trace/collect.h"
@@ -143,58 +142,6 @@ TEST(TraceMacroTest, FieldsNotEvaluatedWithoutSink) {
 #endif
 }
 
-// --- hooks ------------------------------------------------------------------
-
-TEST(HookTest, MultipleListenersFireInOrderAndDetach) {
-  Hook<int> hook;
-  std::vector<int> seen;
-  const auto id_a = hook.add([&](int v) { seen.push_back(v); });
-  hook.add([&](int v) { seen.push_back(v * 10); });
-
-  hook(3);
-  EXPECT_EQ(seen, (std::vector<int>{3, 30}));
-
-  hook.remove(id_a);
-  hook(4);
-  EXPECT_EQ(seen, (std::vector<int>{3, 30, 40}));
-  hook.remove(id_a);  // double-remove is a no-op
-  EXPECT_EQ(hook.size(), 1u);
-}
-
-TEST(HookTest, SingleSlotAssignmentCompatibility) {
-  Hook<int> hook;
-  EXPECT_FALSE(static_cast<bool>(hook));
-  int last = 0;
-  hook = [&](int v) { last = v; };
-  hook.add([&](int v) { last += v; });
-  EXPECT_EQ(hook.size(), 2u);
-
-  hook = [&](int v) { last = -v; };  // assignment replaces all listeners
-  hook(5);
-  EXPECT_EQ(last, -5);
-  EXPECT_EQ(hook.size(), 1u);
-
-  hook = Hook<int>::Fn{};  // assigning an empty function clears the hook
-  EXPECT_TRUE(hook.empty());
-}
-
-TEST(HookTest, TwoCwndTracersObserveTheSameSubflow) {
-  Testbed bed(TestbedConfig{});
-  auto conn = bed.make_connection(scheduler_factory("default"));
-  Subflow& sf = *conn->subflows()[0];
-
-  CwndTracer first(sf);
-  {
-    CwndTracer second(sf);
-    BulkSender sender(*conn, 500'000);
-    bed.sim().run_until(TimePoint::origin() + Duration::seconds(2));
-    EXPECT_GT(second.series().size(), 1u);
-    EXPECT_EQ(second.series().size(), first.series().size());
-  }
-  // `second` detached on destruction; the subflow keeps serving `first`.
-  EXPECT_TRUE(static_cast<bool>(sf.on_cwnd_change));
-}
-
 // --- periodic sampler -------------------------------------------------------
 
 TEST(PeriodicSamplerTest, DeadlineLetsRunDrainTheQueue) {
@@ -225,11 +172,9 @@ struct RecordedEcfRun {
   RecordedEcfRun() {
     rec.set_keep_decisions(true);
     rec.set_event_sink(&sink);
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(0.3));
-    tb.lte = lte_profile(Rate::mbps(8.6));
+    WorldConfig tb = two_path_config(0.3, 8.6);
     tb.recorder = &rec;
-    bed = std::make_unique<Testbed>(tb);
+    bed = std::make_unique<World>(tb);
     conn = bed->make_connection(scheduler_factory("ecf"));
     sender = std::make_unique<BulkSender>(*conn, 4'000'000);
     bed->sim().run_until(TimePoint::origin() + Duration::seconds(60));
@@ -237,7 +182,7 @@ struct RecordedEcfRun {
 
   FlightRecorder rec;
   VectorSink sink;
-  std::unique_ptr<Testbed> bed;
+  std::unique_ptr<World> bed;
   std::unique_ptr<Connection> conn;
   std::unique_ptr<BulkSender> sender;
 };

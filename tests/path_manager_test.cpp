@@ -23,10 +23,10 @@
 #include "exp/download.h"
 #include "exp/scenario_run.h"
 #include "exp/snapshot.h"
-#include "exp/testbed.h"
 #include "mptcp/path_manager.h"
 #include "scenario/json.h"
 #include "scenario/spec.h"
+#include "scenario/world.h"
 #include "scenario/world.h"
 #include "sched/registry.h"
 #include "test_util.h"
@@ -38,10 +38,8 @@ namespace fs = std::filesystem;
 
 TimePoint at_s(double s) { return TimePoint::origin() + Duration::from_seconds(s); }
 
-TestbedConfig hetero_config() {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(2.0));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+WorldConfig hetero_config() {
+  WorldConfig tb = two_path_config(2.0, 10.0);
   return tb;
 }
 
@@ -58,7 +56,7 @@ PathManagerConfig::TimedAction remove_action(double when_s, std::size_t path,
 // --- Connection-level churn --------------------------------------------------
 
 TEST(ConnectionChurn, DrainDeliversEverythingThenFinalizes) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   BulkSender sender(*conn, 400'000);
 
@@ -80,12 +78,12 @@ TEST(ConnectionChurn, DrainDeliversEverythingThenFinalizes) {
   // The drained slot is gone, its stats retired, its path attribution kept.
   EXPECT_EQ(conn->subflow_at(0), nullptr);
   EXPECT_GT(conn->retired_stats(0).bytes_sent, 0u);
-  EXPECT_GT(conn->bytes_sent_on(bed.wifi()), 0u);
+  EXPECT_GT(conn->bytes_sent_on(bed.path(0)), 0u);
   EXPECT_EQ(conn->subflows().size(), 1u);
 }
 
 TEST(ConnectionChurn, AbandonRemapsUnackedBytesOntoSurvivor) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   BulkSender sender(*conn, 400'000);
 
@@ -109,7 +107,7 @@ TEST(ConnectionChurn, AbandonRemapsUnackedBytesOntoSurvivor) {
 // meta-acked, in data order. Remap entries the survivor takes at once are
 // counted in remapped_segments; the rest wait in the queue, as the tail.
 TEST(ConnectionChurn, AbandonRemapsStagedRunsOneEntryPerSegment) {
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   auto conn = bed.make_connection(scheduler_factory("default"));
   BulkSender sender(*conn, 400'000);
 
@@ -173,13 +171,12 @@ TEST(ConnectionChurn, AddSubflowMidRunCarriesTraffic) {
 
 TEST(PathManagerTest, TimedHandoverDrainsAndRejoins) {
   DownloadParams p;
-  p.wifi_mbps = 2.0;
-  p.lte_mbps = 10.0;
+  p.paths = two_paths(2.0, 10.0);
   p.bytes = 512 * 1024;
-  p.scheduler = "default";
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
-  p.path_manager.actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
+  p.scheduler = scheduler_factory("default");
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
+  p.path_manager->actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
                             add_action(0.3, 0)};
 
   DownloadRun run(p);
@@ -203,15 +200,14 @@ TEST(PathManagerTest, TimedHandoverDrainsAndRejoins) {
 
 TEST(PathManagerTest, AbandonHandoverRemapsSegments) {
   DownloadParams p;
-  p.wifi_mbps = 2.0;
-  p.lte_mbps = 10.0;
+  p.paths = two_paths(2.0, 10.0);
   p.bytes = 512 * 1024;
-  p.scheduler = "default";
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
+  p.scheduler = scheduler_factory("default");
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
   // Abandon the low-RTT wifi path: min-RTT loads it first, so at 0.05 s it
   // holds unacked data that must flow through the remap queue.
-  p.path_manager.actions = {remove_action(0.05, 0, Connection::TeardownMode::kAbandon),
+  p.path_manager->actions = {remove_action(0.05, 0, Connection::TeardownMode::kAbandon),
                             add_action(0.3, 0)};
 
   DownloadRun run(p);
@@ -282,16 +278,15 @@ TEST(PathManagerTest, BackupPromotedAfterRtoBackoffs) {
 
 TEST(PathManagerTest, CapGrowthFollowsDeliveredBytes) {
   DownloadParams p;
-  p.wifi_mbps = 8.0;
-  p.lte_mbps = 8.0;
+  p.paths = two_paths(8.0, 8.0);
   p.bytes = 512 * 1024;
-  p.scheduler = "rr";
+  p.scheduler = scheduler_factory("rr");
   p.initial_paths = {0};  // start single-subflow, grow from there
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
-  p.path_manager.max_subflows = 4;
-  p.path_manager.bytes_per_subflow = 64 * 1024;
-  p.path_manager.growth_paths = {1, 0};
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
+  p.path_manager->max_subflows = 4;
+  p.path_manager->bytes_per_subflow = 64 * 1024;
+  p.path_manager->growth_paths = {1, 0};
 
   DownloadRun run(p);
   run.start();
@@ -315,8 +310,8 @@ TEST(SchedulerChurnRegression, EcfClearsArmedWaitOnIdentityChange) {
   // subflow. With the pre-fix bare bool the stale bit survives into the next
   // pick against an unrelated pair; the fix ties the bit to the subflow id
   // and on_subflow_change drops it when that subflow is gone.
-  TestbedConfig tb = hetero_config();
-  Testbed bed(tb);
+  WorldConfig tb = hetero_config();
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("ecf"));
   auto& ecf = static_cast<EcfScheduler&>(conn->scheduler());
   BulkSender sender(*conn, 2'000'000);
@@ -341,8 +336,8 @@ TEST(SchedulerChurnRegression, EcfClearsArmedWaitOnIdentityChange) {
 TEST(SchedulerChurnRegression, EcfKeepsWaitWhenOtherSubflowChanges) {
   // The identity check is precise: churn that leaves the armed subflow
   // schedulable must not drop the earned hysteresis.
-  TestbedConfig tb = hetero_config();
-  Testbed bed(tb);
+  WorldConfig tb = hetero_config();
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("ecf"));
   auto& ecf = static_cast<EcfScheduler&>(conn->scheduler());
   BulkSender sender(*conn, 2'000'000);
@@ -354,7 +349,7 @@ TEST(SchedulerChurnRegression, EcfKeepsWaitWhenOtherSubflowChanges) {
   const std::uint32_t armed = ecf.waiting_for();
 
   // Adding a third subflow is a membership change that must not clear it.
-  conn->add_subflow(bed.lte(), Duration::zero());
+  conn->add_subflow(bed.path(1), Duration::zero());
   EXPECT_TRUE(ecf.waiting());
   EXPECT_EQ(ecf.waiting_for(), armed);
 }
@@ -385,10 +380,8 @@ TEST(SchedulerChurnRegression, RoundRobinSurvivesRemovalAndKeepsRotating) {
 TEST(SchedulerChurnRegression, DapsReplansWhenPlannedSubflowLeaves) {
   // DAPS plans onto the low-RTT wifi subflow; abandoning it invalidates the
   // plan mid-epoch. The pre-fix scheduler kept resolving the dead id.
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(6.0));
-  tb.lte = lte_profile(Rate::mbps(6.0));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(6.0, 6.0);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("daps"));
   BulkSender sender(*conn, 1'000'000);
 
@@ -400,7 +393,7 @@ TEST(SchedulerChurnRegression, DapsReplansWhenPlannedSubflowLeaves) {
     conn->kick();
   }
   EXPECT_EQ(conn->delivered_bytes(), 1'000'000u);
-  EXPECT_GT(conn->bytes_sent_on(bed.lte()), 0u);
+  EXPECT_GT(conn->bytes_sent_on(bed.path(1)), 0u);
 }
 
 TEST(SchedulerChurnRegression, RedundantDoesNotDuplicateOntoDrainingSubflow) {
@@ -409,14 +402,13 @@ TEST(SchedulerChurnRegression, RedundantDoesNotDuplicateOntoDrainingSubflow) {
   // duplication it kept receiving staged copies and never reached drained(),
   // so the drain hung until the timeout escalated it.
   DownloadParams p;
-  p.wifi_mbps = 8.0;
-  p.lte_mbps = 8.0;
+  p.paths = two_paths(8.0, 8.0);
   p.bytes = 512 * 1024;
-  p.scheduler = "redundant";
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
-  p.path_manager.drain_timeout = Duration::seconds(30);
-  p.path_manager.actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain)};
+  p.scheduler = scheduler_factory("redundant");
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
+  p.path_manager->drain_timeout = Duration::seconds(30);
+  p.path_manager->actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain)};
 
   DownloadRun run(p);
   run.start();
@@ -453,7 +445,7 @@ TEST(PathManagerInvariants, AllSchedulersHandoverGridClean) {
 TEST(PathManagerInvariants, CheckerSeesConservationAcrossAbandon) {
   // Direct conservation probe at the worst moment: immediately after an
   // abandon, while the remap queue holds the orphaned ranges.
-  Testbed bed(hetero_config());
+  World bed(hetero_config());
   InvariantChecker checker(bed.sim());
   auto conn = bed.make_connection(scheduler_factory("default"));
   checker.watch(*conn);
@@ -480,14 +472,13 @@ std::string download_fingerprint(const DownloadResult& r) {
 
 TEST(PathManagerFork, ForkDuringHandoverWindowIsByteIdentical) {
   DownloadParams p;
-  p.wifi_mbps = 2.0;
-  p.lte_mbps = 10.0;
+  p.paths = two_paths(2.0, 10.0);
   p.bytes = 512 * 1024;
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   p.seed = 7;
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
-  p.path_manager.actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
+  p.path_manager->actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
                             remove_action(0.15, 1, Connection::TeardownMode::kAbandon),
                             add_action(0.2, 1), add_action(0.3, 0)};
 
@@ -508,13 +499,12 @@ TEST(PathManagerFork, ForkDuringHandoverWindowIsByteIdentical) {
 
 TEST(PathManagerFork, SourceUnperturbedByForkAtHandover) {
   DownloadParams p;
-  p.wifi_mbps = 2.0;
-  p.lte_mbps = 10.0;
+  p.paths = two_paths(2.0, 10.0);
   p.bytes = 256 * 1024;
-  p.scheduler = "default";
-  p.use_path_manager = true;
-  p.path_manager.tick = Duration::millis(5);
-  p.path_manager.actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
+  p.scheduler = scheduler_factory("default");
+  p.path_manager.emplace();
+  p.path_manager->tick = Duration::millis(5);
+  p.path_manager->actions = {remove_action(0.05, 0, Connection::TeardownMode::kDrain),
                             add_action(0.25, 0)};
 
   const std::string scratch = download_fingerprint(run_download(p));

@@ -7,10 +7,10 @@
 
 #include "exp/download.h"
 #include "exp/streaming.h"
-#include "exp/testbed.h"
 #include "net/mux.h"
-#include "test_util.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
+#include "test_util.h"
 #include "traffic/engine.h"
 
 namespace mps {
@@ -24,10 +24,8 @@ class TransferPropertyTest : public ::testing::TestWithParam<TransferParam> {};
 TEST_P(TransferPropertyTest, InvariantsHold) {
   const auto& [sched, wifi, lte, bytes] = GetParam();
 
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(wifi));
-  tb.lte = lte_profile(Rate::mbps(lte));
-  Testbed bed(tb);
+  WorldConfig tb = two_path_config(wifi, lte);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory(sched));
 
   std::uint64_t delivered = 0;
@@ -105,13 +103,11 @@ class LossyPropertyTest : public ::testing::TestWithParam<std::tuple<std::string
 
 TEST_P(LossyPropertyTest, ReliableDeliveryUnderLoss) {
   const auto& [sched, loss] = GetParam();
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(2));
-  tb.lte = lte_profile(Rate::mbps(8));
-  tb.wifi.loss_rate = loss;
-  tb.lte.loss_rate = loss / 2;
+  WorldConfig tb = two_path_config(2, 8);
+  tb.paths[0].loss_rate = loss;
+  tb.paths[1].loss_rate = loss / 2;
   tb.seed = 42;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory(sched));
   std::uint64_t delivered = 0;
   conn->on_deliver = [&](std::uint64_t b, TimePoint) { delivered += b; };
@@ -138,10 +134,9 @@ class DeterminismTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(DeterminismTest, IdenticalSeedsIdenticalRuns) {
   auto run_once = [&](std::uint64_t seed) {
     StreamingParams p;
-    p.wifi_mbps = 0.7;
-    p.lte_mbps = 8.6;
+    p.paths = two_paths(0.7, 8.6);
     p.video = Duration::seconds(40);
-    p.scheduler = GetParam();
+    p.scheduler = scheduler_factory(GetParam());
     p.seed = seed;
     const auto r = run_streaming(p);
     return std::make_tuple(r.mean_bitrate_mbps, r.mean_throughput_mbps, r.fraction_fast,
@@ -161,14 +156,13 @@ class DownloadBoundTest
 TEST_P(DownloadBoundTest, NeverFasterThanAggregateCapacity) {
   const auto& [sched, kb] = GetParam();
   DownloadParams p;
-  p.wifi_mbps = 2;
-  p.lte_mbps = 8;
+  p.paths = two_paths(2, 8);
   p.bytes = kb * 1024;
-  p.scheduler = sched;
+  p.scheduler = scheduler_factory(sched);
   const auto r = run_download(p);
   // Physical lower bound: wire time at aggregate rate plus one-way request
   // latency (headers ignored -> strictly optimistic).
-  const double floor_s = p.bytes * 8.0 / ((p.wifi_mbps + p.lte_mbps) * 1e6);
+  const double floor_s = p.bytes * 8.0 / ((p.paths[0].down_rate + p.paths[1].down_rate).bps());
   EXPECT_GT(r.completion.to_seconds(), floor_s);
   EXPECT_LT(r.completion.to_seconds(), 100.0);
   EXPECT_GE(r.fraction_fast, 0.0);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/ideal.h"
 #include "exp/scenario_run.h"
 #include "exp/sweep.h"
 #include "obs/recorder.h"
@@ -371,6 +372,17 @@ TEST(ScenarioSpecTest, InvalidTrafficNamesTheOffendingKey) {
 
 // --- builder ownership ------------------------------------------------------
 
+void expect_field_equal(const PathConfig& a, const PathConfig& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.down_rate, b.down_rate);
+  EXPECT_EQ(a.rtt_base, b.rtt_base);
+  EXPECT_EQ(a.queue_packets, b.queue_packets);
+  EXPECT_EQ(a.loss_rate, b.loss_rate);
+  EXPECT_EQ(a.up_rate, b.up_rate);
+  EXPECT_FALSE(a.fault.any());
+  EXPECT_FALSE(b.fault.any());
+}
+
 ScenarioSpec tiny_stream_spec() {
   ScenarioSpec s;
   s.paths = {wifi_path(0.8), lte_path(8.6)};
@@ -412,7 +424,27 @@ TEST(WorldBuilderTest, RandomVariationTakesTraceInitialRate) {
   ASSERT_FALSE(b.path_traces()[0].empty());
   EXPECT_EQ(b.path_configs()[0].down_rate, b.path_traces()[0].front().rate);
   EXPECT_TRUE(b.path_traces()[1].empty());
-  EXPECT_TRUE(b.pure_profile(0));  // rate is the only non-profile field
+  // The rate is the only non-profile field.
+  expect_field_equal(b.path_configs()[0],
+                     wifi_profile(Rate::mbps(b.path_traces()[0].front().rate.to_mbps())));
+}
+
+// Every runner builds its paths from WorldBuilder::path_configs(): a path
+// that sets only its rate must resolve field-equal to its technology profile
+// at that rate, for every rate the paper's figure grids use.
+TEST(WorldBuilderTest, RateOnlyPathsEqualTheirProfiles) {
+  std::vector<double> rates = paper_bandwidth_grid();
+  for (int mbps = 1; mbps <= 10; ++mbps) rates.push_back(mbps);  // Figs. 18-21 grids
+  for (const double wifi : rates) {
+    for (const double lte : rates) {
+      SCOPED_TRACE(std::to_string(wifi) + "/" + std::to_string(lte));
+      ScenarioSpec s = tiny_stream_spec();
+      s.paths = {wifi_path(wifi), lte_path(lte)};
+      const WorldBuilder b(s);
+      expect_field_equal(b.path_configs()[0], wifi_profile(Rate::mbps(wifi)));
+      expect_field_equal(b.path_configs()[1], lte_profile(Rate::mbps(lte)));
+    }
+  }
 }
 
 // --- determinism ------------------------------------------------------------

@@ -6,8 +6,7 @@
 #include <tuple>
 
 #include "core/ecf.h"
-#include "exp/testbed.h"
-#include "test_util.h"
+#include "scenario/world.h"
 #include "sched/blest.h"
 #include "sched/daps.h"
 #include "sched/minrtt.h"
@@ -17,6 +16,7 @@
 #include "sched/registry.h"
 #include "sched/roundrobin.h"
 #include "sched/singlepath.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
@@ -186,15 +186,13 @@ TEST(RegistryTest, PaperSchedulersListsFour) {
 
 // --- behavioural tests over a live connection -----------------------------------
 
-TestbedConfig hetero() {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(1.0));
-  tb.lte = lte_profile(Rate::mbps(10.0));
+WorldConfig hetero() {
+  WorldConfig tb = two_path_config(1.0, 10.0);
   return tb;
 }
 
 TEST(SchedulerBehaviourTest, SinglePathUsesOnlyPrimary) {
-  Testbed bed(hetero());
+  World bed(hetero());
   auto conn = bed.make_connection([] { return std::make_unique<SinglePathScheduler>(0); });
   conn->send(200'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(20));
@@ -203,14 +201,12 @@ TEST(SchedulerBehaviourTest, SinglePathUsesOnlyPrimary) {
 }
 
 TEST(SchedulerBehaviourTest, RoundRobinBalancesHomogeneousPaths) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
+  WorldConfig tb = two_path_config(5, 5);
   // Equalize base RTTs: with asymmetric RTTs the faster path legitimately
   // refills its send queue more often even under round robin.
-  tb.lte.rtt_base = tb.wifi.rtt_base;
+  tb.paths[1].rtt_base = tb.paths[0].rtt_base;
   tb.conn.delayed_secondary_join = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection([] { return std::make_unique<RoundRobinScheduler>(); });
   BulkSender sender(*conn, 1'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(20));
@@ -220,7 +216,7 @@ TEST(SchedulerBehaviourTest, RoundRobinBalancesHomogeneousPaths) {
 }
 
 TEST(SchedulerBehaviourTest, MinRttPrefersFastPath) {
-  Testbed bed(hetero());
+  World bed(hetero());
   auto conn = bed.make_connection(scheduler_factory("default"));
   BulkSender sender(*conn, 3'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(20));
@@ -237,13 +233,11 @@ TEST(SchedulerBehaviourTest, EcfReducesSlowPathTailUsage) {
   // On a short transfer over very heterogeneous paths, ECF must send fewer
   // bytes on the slow path than the default scheduler.
   auto bytes_on_wifi = [](const char* sched) {
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(0.3));
-    tb.lte = lte_profile(Rate::mbps(10.0));
+    WorldConfig tb = two_path_config(0.3, 10.0);
     // Warm start: both subflows usable from t = 0, so the comparison sees
     // scheduling policy rather than the shared MP_JOIN warm-up phase.
     tb.conn.delayed_secondary_join = false;
-    Testbed bed(tb);
+    World bed(tb);
     auto conn = bed.make_connection(scheduler_factory(sched));
     BulkSender sender(*conn, 2'000'000);
     bed.sim().run_until(TimePoint::origin() + Duration::seconds(120));
@@ -253,11 +247,9 @@ TEST(SchedulerBehaviourTest, EcfReducesSlowPathTailUsage) {
 }
 
 TEST(SchedulerBehaviourTest, DapsFollowsRttProportionalPlan) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
+  WorldConfig tb = two_path_config(5, 5);
   tb.conn.delayed_secondary_join = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection([] { return std::make_unique<DapsScheduler>(); });
   BulkSender sender(*conn, 2'000'000);
   bed.sim().run_until(TimePoint::origin() + Duration::seconds(30));
@@ -269,11 +261,9 @@ TEST(SchedulerBehaviourTest, DapsFollowsRttProportionalPlan) {
 }
 
 TEST(SchedulerBehaviourTest, RedundantDuplicatesOnBothPaths) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(5));
-  tb.lte = lte_profile(Rate::mbps(5));
+  WorldConfig tb = two_path_config(5, 5);
   tb.conn.delayed_secondary_join = false;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection([] { return std::make_unique<RedundantScheduler>(); });
   std::uint64_t delivered = 0;
   conn->on_deliver = [&](std::uint64_t b, TimePoint) { delivered += b; };
@@ -298,13 +288,11 @@ TEST(SchedulerBehaviourTest, RedundantMasksLossLatency) {
   // Redundancy pays off when one path is lossy: the copy on the clean path
   // masks retransmission delays.
   auto ooo_p99 = [](const char* sched) {
-    TestbedConfig tb;
-    tb.wifi = wifi_profile(Rate::mbps(5));
-    tb.lte = lte_profile(Rate::mbps(5));
-    tb.wifi.loss_rate = 0.03;
+    WorldConfig tb = two_path_config(5, 5);
+    tb.paths[0].loss_rate = 0.03;
     tb.seed = 11;
     tb.conn.delayed_secondary_join = false;
-    Testbed bed(tb);
+    World bed(tb);
     auto conn = bed.make_connection(scheduler_factory(sched));
     BulkSender sender(*conn, 1'000'000);
     bed.sim().run_until(TimePoint::origin() + Duration::seconds(120));
@@ -315,7 +303,7 @@ TEST(SchedulerBehaviourTest, RedundantMasksLossLatency) {
 
 TEST(SchedulerBehaviourTest, EverySchedulerCompletesTheTransfer) {
   for (const std::string& name : scheduler_names()) {
-    Testbed bed(hetero());
+    World bed(hetero());
     auto conn = bed.make_connection(scheduler_factory(name));
     std::uint64_t delivered = 0;
     conn->on_deliver = [&](std::uint64_t b, TimePoint) { delivered += b; };
@@ -329,7 +317,7 @@ TEST(SchedulerBehaviourTest, QAwarePrefersThePathWithShorterDrainTime) {
   // On 1 Mbps wifi vs 10 Mbps lte, wifi's bottleneck queue fills and its
   // per-packet serialization dominates the drain estimate, so QAware should
   // steer the bulk of the transfer onto lte.
-  Testbed bed(hetero());
+  World bed(hetero());
   auto conn = bed.make_connection(scheduler_factory("qaware"));
   std::uint64_t delivered = 0;
   conn->on_deliver = [&](std::uint64_t b, TimePoint) { delivered += b; };
@@ -342,7 +330,7 @@ TEST(SchedulerBehaviourTest, QAwarePrefersThePathWithShorterDrainTime) {
 
 TEST(SchedulerBehaviourTest, OcoTracksBothPathsWithNormalizedWeights) {
   OcoScheduler* oco = nullptr;
-  Testbed bed(hetero());
+  World bed(hetero());
   auto conn = bed.make_connection([&] {
     auto s = std::make_unique<OcoScheduler>();
     oco = s.get();

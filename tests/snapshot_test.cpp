@@ -20,9 +20,10 @@
 #include "check/invariants.h"
 #include "check/stress.h"
 #include "exp/snapshot.h"
-#include "exp/testbed.h"
 #include "obs/recorder.h"
+#include "scenario/world.h"
 #include "sched/registry.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
@@ -178,9 +179,8 @@ TEST(SnapshotFork, QAwareAndOcoForkByteIdenticalUnderLoss) {
 // before the first event, mid-run, and after the workload finished.
 TEST(SnapshotFork, ForkAtSeveralTimesIsEquivalent) {
   StreamingParams p;
-  p.wifi_mbps = 8.0;
-  p.lte_mbps = 2.0;
-  p.scheduler = "ecf";
+  p.paths = two_paths(8.0, 2.0);
+  p.scheduler = scheduler_factory("ecf");
   p.video = Duration::seconds(5);
   p.seed = 42;
 
@@ -219,10 +219,9 @@ TEST(SnapshotFork, ForkAtSeveralTimesIsEquivalent) {
 // unforked run. ASan/TSan runs of this test pin the no-dangling claim.
 TEST(SnapshotFork, DoubleForkIndependence) {
   DownloadParams p;
-  p.wifi_mbps = 1.0;
-  p.lte_mbps = 5.0;
+  p.paths = two_paths(1.0, 5.0);
   p.bytes = 256 * 1024;
-  p.scheduler = "ecf";
+  p.scheduler = scheduler_factory("ecf");
   p.seed = 7;
 
   const DownloadResult scratch = run_download(p);
@@ -242,7 +241,7 @@ TEST(SnapshotFork, DoubleForkIndependence) {
   const DownloadResult res_aa = fork_aa->finish();
   fork_aa.reset();
   const DownloadResult res_a = fork_a->finish();
-  run.set_scheduler(scheduler_factory(p.scheduler));  // exercised, not asserted
+  run.set_scheduler(p.scheduler);  // exercised, not asserted
 
   EXPECT_EQ(scratch.completion, res_a.completion);
   EXPECT_EQ(scratch.completion, res_b.completion);
@@ -255,9 +254,8 @@ TEST(SnapshotFork, DoubleForkIndependence) {
 // the fork's recorder stream and let it validate every event of the suffix.
 TEST(SnapshotFork, InvariantCheckerCleanInForkedWorld) {
   StreamingParams p;
-  p.wifi_mbps = 4.0;
-  p.lte_mbps = 8.0;
-  p.scheduler = "ecf";
+  p.paths = two_paths(4.0, 8.0);
+  p.scheduler = scheduler_factory("ecf");
   p.video = Duration::seconds(5);
   p.seed = 3;
   FlightRecorder rec;
@@ -318,11 +316,9 @@ TEST(SnapshotFork, WhatIfGridRejectsUnsupportedWorkloads) {
 // cancel that event: it used to fire into the freed exchange when the
 // simulation kept running (caught by the fork audit, reproduced here).
 TEST(DanglingCallbacks, HttpExchangeDestroyedWithInflightRequest) {
-  TestbedConfig tb;
-  tb.wifi = wifi_profile(Rate::mbps(8.0));
-  tb.lte = lte_profile(Rate::mbps(8.0));
+  WorldConfig tb = two_path_config(8.0, 8.0);
   tb.seed = 1;
-  Testbed bed(tb);
+  World bed(tb);
   auto conn = bed.make_connection(scheduler_factory("minrtt"));
   auto http = std::make_unique<HttpExchange>(bed.sim(), *conn, bed.request_delay());
 

@@ -12,6 +12,7 @@
 #include "check/stress.h"
 #include "exp/streaming.h"
 #include "exp/sweep.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
@@ -126,9 +127,8 @@ TEST(SweepTest, GridParallelMatchesSerialBitExact) {
         9,
         [&](std::size_t i) {
           StreamingParams p;
-          p.wifi_mbps = rates[i / 3];
-          p.lte_mbps = rates[i % 3];
-          p.scheduler = "ecf";
+          p.paths = two_paths(rates[i / 3], rates[i % 3]);
+          p.scheduler = scheduler_factory("ecf");
           p.video = Duration::seconds(12);
           p.seed = 1 + i;
           return run_streaming(p);

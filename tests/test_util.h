@@ -2,10 +2,25 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "mptcp/connection.h"
+#include "net/path.h"
+#include "scenario/world.h"
 
 namespace mps {
+
+// The paper testbed's two paths at the given downlink rates: wifi (primary)
+// and lte, each the unmodified technology profile.
+inline std::vector<PathConfig> two_paths(double wifi_mbps = 8.6, double lte_mbps = 8.6) {
+  return {wifi_profile(Rate::mbps(wifi_mbps)), lte_profile(Rate::mbps(lte_mbps))};
+}
+
+inline WorldConfig two_path_config(double wifi_mbps = 8.6, double lte_mbps = 8.6) {
+  WorldConfig c;
+  c.paths = two_paths(wifi_mbps, lte_mbps);
+  return c;
+}
 
 // Streams `total` bytes through a connection's bounded send buffer, refilling
 // from on_sendable as space frees (what a real sending application does).

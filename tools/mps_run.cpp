@@ -184,12 +184,7 @@ int main(int argc, char** argv) {
   try {
     ScenarioRunOptions opts;
     FlightRecorder recorder;
-    // The flight recorder is plumbed through the streaming runner and the
-    // traffic engine only.
-    if (spec.record.summarize &&
-        (spec.traffic.enabled || spec.workload.kind == WorkloadKind::kStream)) {
-      opts.recorder = &recorder;
-    }
+    if (spec.record.summarize) opts.recorder = &recorder;
     RunTelemetry telemetry;
     if (!prof_out.empty()) opts.telemetry = &telemetry;
     if (progress_s > 0.0) {
