@@ -25,6 +25,7 @@
 #include <fstream>
 
 #include "bench/common.h"
+#include "exp/snapshot.h"
 #include "scenario/json.h"
 #include "tcp/cc_registry.h"
 

@@ -12,6 +12,7 @@
 
 #include "bench/common.h"
 #include "exp/prof_report.h"
+#include "exp/snapshot.h"
 #include "obs/prof.h"
 
 int main(int argc, char** argv) {

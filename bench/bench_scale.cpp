@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "check/invariants.h"
+#include "exp/snapshot.h"
 #include "obs/prof.h"
 #include "obs/recorder.h"
 #include "scenario/json.h"
@@ -92,11 +93,7 @@ CellResult run_cell(std::int64_t flows) {
   const auto t0 = std::chrono::steady_clock::now();
   RunTelemetry telemetry;
   {
-    WorldBuilder builder(spec);
-    auto world = builder.build();
-    TrafficEngine engine(*world, spec);
-    engine.telemetry = &telemetry;
-    const TrafficResult res = engine.run();
+    const TrafficResult res = run_traffic(spec, nullptr, &telemetry);
     r.started = res.started;
     r.completed = res.completed;
     r.goodput_mbps = res.aggregate_goodput_mbps;

@@ -15,7 +15,7 @@
 # bench_speed and bench_scale print wall-clock rates and
 # bench_micro_scheduler prints google-benchmark timings, so those three are
 # skipped. Exits 1 naming each binary whose output differs (or that fails
-# on either side). JOBS sets the build parallelism (default: nproc).
+# on either side).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -26,7 +26,6 @@ fi
 cd "$(dirname "$0")/.."
 root="$(pwd)"
 source scripts/clone_base.sh
-jobs="${JOBS:-$(nproc)}"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -43,7 +42,7 @@ done
 
 build() {  # <source-dir> <build-dir>
   cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release > "$2.log" 2>&1
-  cmake --build "$2" -j "$jobs" --target "${bins[@]}" >> "$2.log" 2>&1 ||
+  cmake --build "$2" -j "$(nproc)" --target "${bins[@]}" >> "$2.log" 2>&1 ||
     { echo "bench_diff: build of $1 failed, see:"; tail -n 20 "$2.log"; exit 1; }
 }
 build "$tmp/tree" "$tmp/base"

@@ -36,6 +36,9 @@ class DownloadRun final : public RunShell {
   explicit DownloadRun(const DownloadParams& params);
   ~DownloadRun() override;
 
+  using RunShell::connection;
+  using RunShell::path_manager;
+
   // Independent copy at the current simulation time (see StreamingRun::fork).
   std::unique_ptr<DownloadRun> fork() const;
 

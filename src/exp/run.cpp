@@ -61,6 +61,10 @@ void RunShell::own_recorder() {
 Simulator& RunShell::sim() { return world_->sim(); }
 
 void RunShell::build_world(const RunParams& p) {
+  if (p.paths.empty()) throw std::invalid_argument("run: RunParams::paths is empty");
+  if (p.traces.size() > p.paths.size()) {
+    throw std::invalid_argument("run: RunParams::traces has more entries than paths");
+  }
   WorldConfig wc;
   wc.paths = p.paths;
   wc.subflows_per_path = p.subflows_per_path;

@@ -67,15 +67,16 @@ class RunShell {
   World& world() { return *world_; }
   FlightRecorder* recorder() const { return rec_; }
 
-  // Single-connection runs (stream, download) only.
-  Connection& connection() { return *conn_; }
-  PathManager* path_manager() { return pm_.get(); }  // null unless configured
   // What-if divergence: replaces the connection's scheduler (takes effect at
   // the next pick). Throws for runs without a single connection.
   void set_scheduler(const SchedulerFactory& factory);
 
  protected:
   struct ForkTag {};
+  // Single-connection runs (stream, download) make these public.
+  Connection& connection() { return *conn_; }
+  PathManager* path_manager() { return pm_.get(); }  // null unless configured
+
   RunShell(FlightRecorder* recorder, RunTelemetry* telemetry, HeartbeatConfig heartbeat);
   // Fork prologue: the fork owns a private clone of the source's recorder,
   // made before construction so the fork's instrument handles resolve into
@@ -84,7 +85,8 @@ class RunShell {
 
   void own_recorder();
   // The world from the common fields; the fast path is the highest initial
-  // downlink rate, ties going to the lower index.
+  // downlink rate, ties going to the lower index. Throws
+  // std::invalid_argument without paths or with more traces than paths.
   void build_world(const RunParams& p);
   // A connection over the world honouring p.initial_paths.
   std::unique_ptr<Connection> make_connection(const RunParams& p);

@@ -63,7 +63,7 @@ struct ScenarioOutcome {
 // Runs the spec's workload.runs repetitions serially and folds them
 // (streaming averaged, download per-run completions, web merged); a spec
 // with a traffic block runs the traffic engine once. One of the thin calls
-// of run_branches (exp/snapshot.h), defined there.
+// of the repetition driver in exp/snapshot.cpp, defined there.
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& opts = {});
 
 // Renders the outcome exactly as tools/mps_run prints it — shared so the

@@ -1,5 +1,6 @@
 #include "exp/snapshot.h"
 
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -49,9 +50,35 @@ TrafficResult TrafficRun::finish() {
   return engine_->collect();
 }
 
+TrafficResult run_traffic(const ScenarioSpec& spec, FlightRecorder* recorder,
+                          RunTelemetry* telemetry) {
+  ScenarioRunOptions opts;
+  opts.recorder = recorder;
+  opts.telemetry = telemetry;
+  TrafficRun run(spec, opts);
+  run.start();
+  return run.finish();
+}
+
 // --- the repetition driver ----------------------------------------------------
 
 namespace {
+
+// The one repetition driver behind run_scenario, run_scenario_forked,
+// run_scenario_fork_k and run_whatif_grid. For each repetition of the spec's
+// workload it builds the Run (seeds: stream seed+r, download seed+r+1, web
+// seed+r; a traffic spec is one repetition), starts it and runs it to
+// `split`, then branches `branches` ways — by fork, or by re-running the
+// prefix from scratch — switching branch b to schedulers[b] when given.
+// Every branch is finished and folded, in repetition order, into its own
+// outcome. A caller recorder reads what an unforked run would have recorded:
+// a fork's data is copied back after each forked repetition.
+struct BranchPlan {
+  std::optional<TimePoint> split;
+  std::size_t branches = 1;
+  bool fork = false;
+  std::vector<SchedulerFactory> schedulers;  // empty, or one per branch
+};
 
 // Shared out-params (a caller recorder, telemetry accumulation) cannot take
 // concurrent cells; degrade those sweeps to serial.
@@ -235,8 +262,6 @@ std::vector<ScenarioOutcome> drive(const Kind& kind, std::size_t runs,
   return out;
 }
 
-}  // namespace
-
 std::vector<ScenarioOutcome> run_branches(const ScenarioSpec& spec, const BranchPlan& plan,
                                           const ScenarioRunOptions& opts,
                                           const SweepOptions& sweep) {
@@ -254,6 +279,8 @@ std::vector<ScenarioOutcome> run_branches(const ScenarioSpec& spec, const Branch
   }
   return {};
 }
+
+}  // namespace
 
 ScenarioOutcome run_scenario(const ScenarioSpec& spec, const ScenarioRunOptions& opts) {
   return std::move(run_branches(spec, BranchPlan{}, opts, SweepOptions{1}).front());

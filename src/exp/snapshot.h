@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,24 +57,11 @@ class TrafficRun final : public RunShell {
   std::unique_ptr<TrafficEngine> engine_;
 };
 
-// The one repetition driver behind run_scenario, run_scenario_forked,
-// run_scenario_fork_k and run_whatif_grid. For each repetition of the spec's
-// workload it builds the Run (seeds: stream seed+r, download seed+r+1, web
-// seed+r; a traffic spec is one repetition), starts it and runs it to
-// `split`, then branches `branches` ways — by fork, or by re-running the
-// prefix from scratch — switching branch b to schedulers[b] when given.
-// Every branch is finished and folded, in repetition order, into its own
-// outcome. A caller recorder reads what an unforked run would have recorded:
-// a fork's data is copied back after each forked repetition.
-struct BranchPlan {
-  std::optional<TimePoint> split;
-  std::size_t branches = 1;
-  bool fork = false;
-  std::vector<SchedulerFactory> schedulers;  // empty, or one per branch
-};
-std::vector<ScenarioOutcome> run_branches(const ScenarioSpec& spec, const BranchPlan& plan,
-                                          const ScenarioRunOptions& opts,
-                                          const SweepOptions& sweep);
+// A traffic spec run to its end time: one TrafficRun started and finished.
+// `recorder` is borrowed and wins over spec.record; `telemetry` (optional)
+// accumulates the run's kernel accounting.
+TrafficResult run_traffic(const ScenarioSpec& spec, FlightRecorder* recorder = nullptr,
+                          RunTelemetry* telemetry = nullptr);
 
 // run_scenario, but with a snapshot-and-fork inserted at origin +
 // `snapshot_at_s` into every repetition: the original run is advanced to the

@@ -1,6 +1,7 @@
 #include "exp/streaming.h"
 
 #include <memory>
+#include <stdexcept>
 
 #include "app/http.h"
 #include "obs/recorder.h"
@@ -43,6 +44,9 @@ std::size_t StreamingRun::lte_slot() const {
 }
 
 void StreamingRun::construct(bool fork_shell) {
+  if (params_.paths.size() < 2) {
+    throw std::invalid_argument("StreamingRun: needs a wifi and an lte path (paths[0], paths[1])");
+  }
   end_ = TimePoint::origin() + run_cap(params_.video);
   if (rec_ != nullptr && params_.collect_traces) rec_->metrics().set_keep_series(true);
   build_world(params_);

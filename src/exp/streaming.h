@@ -58,6 +58,9 @@ class StreamingRun final : public RunShell {
   explicit StreamingRun(const StreamingParams& params);
   ~StreamingRun() override;
 
+  using RunShell::connection;
+  using RunShell::path_manager;
+
   // Forks this run at the current simulation time: an independent copy with
   // its own world, event queue, and recorder clone, bit-identical from here
   // on. Source and fork may both continue; either may be discarded.

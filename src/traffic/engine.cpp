@@ -164,16 +164,7 @@ void TrafficEngine::schedule_tick(TimePoint at, TimePoint end) {
 
 TrafficResult TrafficEngine::run() {
   start();
-  if (heartbeat != nullptr && heartbeat->enabled()) {
-    world_.sim().set_heartbeat(heartbeat->interval_s, heartbeat->fn);
-  }
-  const std::uint64_t events_before = world_.sim().events_processed();
   world_.sim().run_until(end_);
-  if (world_.sim().heartbeat_attached()) world_.sim().set_heartbeat(0.0, nullptr);
-  if (telemetry != nullptr) {
-    telemetry->add(world_.sim(), events_before, base_);
-  }
-  ran_ = true;
   finish();
   return collect();
 }
@@ -295,7 +286,6 @@ void TrafficEngine::restore_from(const TrafficEngine& src) {
   end_ = src.end_;
   active_ = src.active_;
   churned_ = src.churned_;
-  ran_ = src.ran_;
   flows_.clear();
   flows_.reserve(src.flows_.size());
   for (const Flow& s : src.flows_) flows_.emplace_back().rec = s.rec;
@@ -359,16 +349,6 @@ ScenarioSpec fairness_cell_spec(const std::string& scheduler, int flows, double 
   s.traffic.cross = {CrossTrafficSpec{1, 1, 0.0}};
   s.seed = seed;
   return s;
-}
-
-TrafficResult run_traffic(const ScenarioSpec& spec, FlightRecorder* recorder,
-                          RunTelemetry* telemetry, const HeartbeatConfig* heartbeat) {
-  WorldBuilder builder(spec);
-  std::unique_ptr<World> world = builder.build(recorder);
-  TrafficEngine engine(*world, builder.spec());
-  engine.telemetry = telemetry;
-  engine.heartbeat = heartbeat;
-  return engine.run();
 }
 
 }  // namespace mps

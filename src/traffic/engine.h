@@ -87,20 +87,16 @@ class TrafficEngine {
   double tick_s = 0.0;
   std::function<void()> on_tick;
 
-  // Kernel accounting out-param and progress heartbeat (sim/simulator.h);
-  // both borrowed, both optional. run() attaches the heartbeat for the
-  // duration of the simulation and adds this run's events into telemetry.
-  RunTelemetry* telemetry = nullptr;
-  const HeartbeatConfig* heartbeat = nullptr;
-
   // Plans the flow population, runs the simulation for traffic.duration_s,
-  // tears everything down, and reports. Call once.
+  // tears everything down, and reports. Call once. Kernel accounting and a
+  // progress heartbeat come with TrafficRun (exp/snapshot.h), which drives
+  // the stages below.
   TrafficResult run();
 
   // --- staged driving (exp/snapshot.h) --------------------------------------
   // run() is start() + run_until(end_time()) + finish() + collect(), split so
-  // a run can be paused at a snapshot point and forked. Set tick_s/on_tick/
-  // telemetry/heartbeat before start().
+  // a run can be paused at a snapshot point and forked. Set tick_s/on_tick
+  // before start().
   void start();                 // plan + schedule arrivals and ticks
   TimePoint end_time() const { return end_; }
   void finish();                // tear down surviving flows
@@ -134,7 +130,6 @@ class TrafficEngine {
   std::vector<Flow> flows_;
   std::size_t active_ = 0;
   std::size_t churned_ = 0;
-  bool ran_ = false;
   // Pending on_tick chain event (0 = none), with the arguments of the
   // schedule_tick call that created it so a fork can rebind it.
   EventId tick_event_ = 0;
@@ -148,13 +143,6 @@ class TrafficEngine {
   Histogram completion_hist_;
   Histogram goodput_hist_;
 };
-
-// Convenience driver: builds the world from the spec (via WorldBuilder) and
-// runs the engine. `recorder` is borrowed and wins over spec.record;
-// `telemetry`/`heartbeat` are forwarded to the engine (both optional).
-TrafficResult run_traffic(const ScenarioSpec& spec, FlightRecorder* recorder = nullptr,
-                          RunTelemetry* telemetry = nullptr,
-                          const HeartbeatConfig* heartbeat = nullptr);
 
 // One bench_fairness grid cell, shared by the bench, the determinism tests,
 // and the stress churn profile: `flows` competing MPTCP flows on the

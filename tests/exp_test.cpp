@@ -257,5 +257,14 @@ TEST(RunnerSpecTest, CollectTracesRejectedWhereResultsCarryNoSeries) {
   }
 }
 
+TEST(RunnerSpecTest, RunsWithoutEnoughPathsAreRejected) {
+  EXPECT_THROW(DownloadRun{DownloadParams{}}, std::invalid_argument);
+  EXPECT_THROW(WebPageRun(WebRunParams{}, 0), std::invalid_argument);
+  StreamingParams one = streaming_params_from_spec(workload_spec(WorkloadKind::kStream, 10.0));
+  one.paths.resize(1);
+  one.traces.clear();
+  EXPECT_THROW(StreamingRun{one}, std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace mps

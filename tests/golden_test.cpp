@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "exp/scenario_run.h"
+#include "exp/snapshot.h"
 #include "obs/recorder.h"
 #include "traffic/engine.h"
 

@@ -16,7 +16,6 @@
 #include "exp/scenario_run.h"
 #include "exp/streaming.h"
 #include "scenario/world.h"
-#include "scenario/world.h"
 #include "sched/minrtt.h"
 #include "sched/registry.h"
 #include "test_util.h"

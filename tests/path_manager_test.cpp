@@ -27,7 +27,6 @@
 #include "scenario/json.h"
 #include "scenario/spec.h"
 #include "scenario/world.h"
-#include "scenario/world.h"
 #include "sched/registry.h"
 #include "test_util.h"
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "check/stress.h"
+#include "exp/snapshot.h"
 #include "exp/sweep.h"
 #include "obs/recorder.h"
 #include "traffic/engine.h"
