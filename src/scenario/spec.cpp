@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <climits>
 #include <stdexcept>
 
 #include "obs/prof.h"
@@ -58,6 +59,11 @@ namespace {
 
 [[noreturn]] void spec_error(const std::string& key, const std::string& msg) {
   throw std::invalid_argument("scenario spec: " + key + ": " + msg);
+}
+
+// Counts the runners hold in an int.
+void check_fits_int(std::int64_t v, const std::string& key) {
+  if (v > INT_MAX) spec_error(key, "must be <= " + std::to_string(INT_MAX));
 }
 
 // One object being picked apart: every read is by key, reads are recorded,
@@ -336,6 +342,7 @@ WorkloadSpec parse_workload(const Json& j, const std::string& path) {
   if (w.bytes <= 0) spec_error(r.key_path("bytes"), "must be > 0");
   w.runs = r.integer("runs", w.runs);
   if (w.runs <= 0) spec_error(r.key_path("runs"), "must be > 0");
+  check_fits_int(w.runs, r.key_path("runs"));
   r.finish();
   return w;
 }
@@ -454,6 +461,7 @@ PathManagerSpec parse_path_manager(const Json& j, const std::string& path,
     pm.cap.enabled = true;
     pm.cap.max_subflows = cr.integer("max_subflows", pm.cap.max_subflows);
     if (pm.cap.max_subflows <= 0) spec_error(cr.key_path("max_subflows"), "must be > 0");
+    check_fits_int(pm.cap.max_subflows, cr.key_path("max_subflows"));
     pm.cap.bytes_per_subflow = cr.integer("bytes_per_subflow", pm.cap.bytes_per_subflow);
     if (pm.cap.bytes_per_subflow <= 0) {
       spec_error(cr.key_path("bytes_per_subflow"), "must be > 0");
@@ -472,6 +480,7 @@ PathManagerSpec parse_path_manager(const Json& j, const std::string& path,
     if (pm.backup.promote_after_rtos <= 0) {
       spec_error(br.key_path("promote_after_rtos"), "must be > 0");
     }
+    check_fits_int(pm.backup.promote_after_rtos, br.key_path("promote_after_rtos"));
     br.finish();
   }
 
@@ -508,6 +517,7 @@ ScenarioSpec scenario_from_json(const Json& j) {
 
   s.subflows_per_path = r.integer("subflows_per_path", s.subflows_per_path);
   if (s.subflows_per_path <= 0) spec_error("subflows_per_path", "must be > 0");
+  check_fits_int(s.subflows_per_path, "subflows_per_path");
   s.scheduler = r.str("scheduler", s.scheduler);
   try {
     (void)scheduler_factory(s.scheduler);
@@ -609,7 +619,9 @@ Json path_to_json(const PathSpec& p) {
   j.set("queue_packets", Json::number(p.queue_packets));
   j.set("loss_rate", Json::number(p.loss_rate));
   j.set("up_mbps", Json::number(p.up_mbps));
-  if (p.variation.kind != VariationKind::kNone) {
+  // Not just kind != none: a "none" block may still carry levels or
+  // intervals, and dropping them would break the field-exact round trip.
+  if (!(p.variation == VariationSpec{})) {
     j.set("variation", variation_to_json(p.variation));
   }
   if (p.faults.enabled()) {

@@ -313,6 +313,27 @@ TEST(ScenarioSpecTest, InvalidFaultsNameTheOffendingKey) {
                     "faults");
 }
 
+// The runners hold these counts in an int: a value past INT_MAX must be
+// refused at parse time, not wrapped (2^32 + 1 used to read as 1).
+TEST(ScenarioSpecTest, IntCountsAboveIntMaxAreRejected) {
+  for (const char* key : {"subflows_per_path", "workload.runs", "path_manager.cap.max_subflows",
+                          "path_manager.backup.promote_after_rtos"}) {
+    Json doc = Json::parse(R"({"paths": [{"profile": "wifi", "rate_mbps": 1},
+                                         {"profile": "lte", "rate_mbps": 1}],
+                               "path_manager": {"cap": {"paths": [0]},
+                                                "backup": {"paths": [1]}}})");
+    EXPECT_NO_THROW((void)scenario_from_json(doc)) << key;
+    set_at_path(doc, key, Json::number(std::int64_t{4294967297}));
+    try {
+      (void)scenario_from_json(doc);
+      ADD_FAILURE() << key << " = 4294967297 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("scenario spec: ") + key +
+                                           ": must be <= 2147483647");
+    }
+  }
+}
+
 TEST(ScenarioSpecTest, TrafficBlockRoundTripsFieldExact) {
   ScenarioSpec s;
   s.paths = {wifi_path(8.0), lte_path(10.0)};
