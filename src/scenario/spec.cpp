@@ -1,7 +1,10 @@
 #include "scenario/spec.h"
 
+#include <algorithm>
+#include <array>
 #include <climits>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/prof.h"
 #include "sched/registry.h"
@@ -9,724 +12,475 @@
 
 namespace mps {
 
-PathSpec wifi_path(double rate_mbps) {
-  PathSpec p;
-  p.profile = PathProfile::kWifi;
-  p.name = "wifi";
-  p.rate_mbps = rate_mbps;
-  p.rtt_ms = 16.0;
-  return p;
-}
-
-PathSpec lte_path(double rate_mbps) {
-  PathSpec p;
-  p.profile = PathProfile::kLte;
-  p.name = "lte";
-  p.rate_mbps = rate_mbps;
-  p.rtt_ms = 80.0;
-  return p;
-}
-
-const char* path_profile_name(PathProfile p) {
-  switch (p) {
-    case PathProfile::kWifi: return "wifi";
-    case PathProfile::kLte: return "lte";
-    case PathProfile::kCustom: return "custom";
-  }
-  return "?";
-}
-
-const char* variation_kind_name(VariationKind k) {
-  switch (k) {
-    case VariationKind::kNone: return "none";
-    case VariationKind::kSchedule: return "schedule";
-    case VariationKind::kRandom: return "random";
-    case VariationKind::kJitter: return "jitter";
-  }
-  return "?";
-}
-
-const char* workload_kind_name(WorkloadKind k) {
-  switch (k) {
-    case WorkloadKind::kStream: return "stream";
-    case WorkloadKind::kDownload: return "download";
-    case WorkloadKind::kWeb: return "web";
-  }
-  return "?";
-}
-
 namespace {
 
-[[noreturn]] void spec_error(const std::string& key, const std::string& msg) {
-  throw std::invalid_argument("scenario spec: " + key + ": " + msg);
+// The names a string field may take. An enum field stores the index of its
+// name, so one table serves parsing, serializing, *_name() and the error.
+struct Names {
+  const char* what;  // for the error, "unknown <what> ..."; null: the key
+  std::array<const char*, 4> names;  // null-padded; widen for a fifth name
+
+  std::size_t size() const { return std::ranges::find(names, nullptr) - names.begin(); }
+  std::size_t index(const std::string& s) const {  // size() when `s` is none of them
+    return std::find(names.begin(), names.begin() + size(), s) - names.begin();
+  }
+  std::string unknown(const char* key, const std::string& s) const {
+    std::string msg = "unknown " + std::string(what ? what : key) + " \"" + s + "\" (known: ";
+    for (std::size_t i = 0; i < size(); ++i) msg += (i ? ", " : "") + std::string(names[i]);
+    return msg + ")";
+  }
+};
+
+constexpr Names kProfiles{nullptr, {"wifi", "lte", "custom"}};
+constexpr Names kVariationKinds{"variation kind", {"none", "schedule", "random", "jitter"}};
+constexpr Names kWorkloadKinds{"workload kind", {"stream", "download", "web"}};
+constexpr Names kAbrs{nullptr, {"buffer", "rate"}};
+constexpr Names kSizeDists{nullptr, {"fixed", "exponential", "pareto"}};
+constexpr Names kActions{nullptr, {"add", "remove"}};
+constexpr Names kModes{nullptr, {"drain", "abandon"}};
+
+// A path with its profile's defaults: named after the profile (a custom one
+// is just named path), with the profile's RTT.
+PathSpec profile_path(PathProfile profile, double rate_mbps) {
+  constexpr double kRttMs[] = {16.0, 80.0, 20.0};  // indexed like kProfiles
+  PathSpec p;
+  p.profile = profile;
+  p.name = profile == PathProfile::kCustom ? "path" : kProfiles.names[static_cast<int>(profile)];
+  p.rate_mbps = rate_mbps;
+  p.rtt_ms = kRttMs[static_cast<int>(profile)];
+  return p;
 }
 
-// Counts the runners hold in an int.
-void check_fits_int(std::int64_t v, const std::string& key) {
-  if (v > INT_MAX) spec_error(key, "must be <= " + std::to_string(INT_MAX));
+// A field check: a predicate on the field's value and the message it fails with.
+template <class P>
+struct Check { P ok; const char* msg; };
+
+constexpr Check kPositive{[](auto v) { return v > 0; }, "must be > 0"};
+constexpr Check kNonNegative{[](auto v) { return v >= 0; }, "must be >= 0"};
+constexpr Check kFraction{[](double v) { return v >= 0.0 && v < 1.0; }, "must be in [0, 1)"};
+constexpr Check kProbability{[](double v) { return v >= 0.0 && v <= 1.0; }, "must be in [0, 1]"};
+// The runners hold these counts in an int.
+constexpr Check kFitsInt{[](std::int64_t v) { return v <= INT_MAX; }, "must be <= 2147483647"};
+constexpr Check kNonEmpty{[](const auto& v) { return !v.empty(); }, "required (non-empty)"};
+
+// A name a registry must know; the registry's own error is the message.
+template <class F>
+struct Registered { F lookup; };
+struct PathIndex {};  // an index into ScenarioSpec::paths
+struct Required {};   // the key may not be left out
+
+// --- the schema --------------------------------------------------------------
+// One walk per spec struct names each key once, in serialization order, with
+// its checks. The IO is a Reader (JSON -> spec) or a Writer (spec -> JSON).
+// Defaults are the member initializers in spec.h; per-profile ones come from
+// profile_path. opt() keys are written only when set. A walk that calls
+// check_after_keys() has its checks run after the unknown-key scan.
+
+template <class IO>
+void walk(IO& io, RatePoint& p) {
+  io("at_s", p.at_s);
+  io("mbps", p.mbps, kPositive);
 }
 
-// One object being picked apart: every read is by key, reads are recorded,
-// and finish() rejects keys nobody asked for — so typos in a spec file fail
-// loudly with the full key path.
-class ObjectReader {
+template <class IO>
+void walk(IO& io, VariationSpec& v) {
+  io.check_after_keys();
+  io("kind", v.kind, kVariationKinds);
+  io.opt("schedule", v.schedule,
+         Check{[&v](const auto& s) { return v.kind != VariationKind::kSchedule || !s.empty(); },
+               "required (non-empty) for kind \"schedule\""});
+  io.opt("levels_mbps", v.levels_mbps,
+         Check{[&v](const auto& l) { return v.kind != VariationKind::kRandom || !l.empty(); },
+               "required (non-empty) for kind \"random\""});
+  io("mean_interval_s", v.mean_interval_s, kPositive);
+  io("jitter_frac", v.jitter_frac, kFraction);
+  io("jitter_interval_s", v.jitter_interval_s, kPositive);
+}
+
+template <class IO>
+void walk(IO& io, GilbertElliottSpec& g) {
+  io.check_after_keys();
+  io("p_good_bad", g.p_good_bad, kFraction);
+  // p_bad_good == 0 would make the bad state absorbing; use an outage for
+  // a permanent blackout instead.
+  io("p_bad_good", g.p_bad_good,
+     Check{[](double v) { return v > 0.0 && v <= 1.0; }, "must be in (0, 1]"});
+  io("loss_good", g.loss_good, kFraction);
+  io("loss_bad", g.loss_bad, kProbability);
+}
+
+template <class IO>
+void walk(IO& io, OutageSpec& w) {
+  io.check_after_keys();
+  io("at_s", w.at_s, kNonNegative);
+  io("for_s", w.for_s, kPositive);
+}
+
+template <class IO>
+void walk(IO& io, FlapSpec& f) {
+  io.check_after_keys();
+  io("period_s", f.period_s, kPositive);
+  io("down_s", f.down_s,
+     Check{[&f](double d) { return d > 0.0 && d < f.period_s; }, "must be in (0, period_s)"});
+  io("start_s", f.start_s, kNonNegative);
+}
+
+template <class IO>
+void walk(IO& io, ReorderSpec& r) {
+  io.check_after_keys();
+  io("prob", r.prob, kProbability);
+  io("delay_ms", r.delay_ms, kPositive);
+  io("jitter_ms", r.jitter_ms, kNonNegative);
+}
+
+template <class IO>
+void walk(IO& io, FaultSpec& f) {
+  io.opt("gilbert_elliott", f.gilbert_elliott);
+  io.opt("outages", f.outages);
+  io.opt("flap", f.flap);
+  io.opt("reorder", f.reorder);
+}
+
+template <class IO>
+void walk(IO& io, PathSpec& p) {
+  if constexpr (IO::kReads) p.profile = PathProfile::kCustom;  // the default when absent
+  io("profile", p.profile, kProfiles);
+  if constexpr (IO::kReads) p = profile_path(p.profile, p.rate_mbps);
+  io("name", p.name);
+  io("rate_mbps", p.rate_mbps, Required{}, kPositive);
+  io("rtt_ms", p.rtt_ms, kPositive);
+  io("queue_packets", p.queue_packets, kPositive);
+  io("loss_rate", p.loss_rate, kFraction);
+  io("up_mbps", p.up_mbps, kPositive);
+  io.opt("variation", p.variation);
+  io.opt("faults", p.faults,
+         Check{[](const FaultSpec& f) { return f.enabled(); },
+               "empty faults block (give gilbert_elliott, outages, flap, or reorder)"});
+}
+
+template <class IO>
+void walk(IO& io, ConnSpec& c) {
+  io("cc", c.cc, Registered{cc_kind_from_name});
+  io("idle_cwnd_reset", c.idle_cwnd_reset);
+  io("opportunistic_rtx", c.opportunistic_rtx);
+  io("penalization", c.penalization);
+  io("staging_bytes", c.staging_bytes, kNonNegative);
+}
+
+template <class IO>
+void walk(IO& io, WorkloadSpec& w) {
+  io("kind", w.kind, kWorkloadKinds);
+  io("video_s", w.video_s, kPositive);
+  io("abr", w.abr, kAbrs);
+  io("bytes", w.bytes, kPositive);
+  io("runs", w.runs, kPositive, kFitsInt);
+}
+
+template <class IO>
+void walk(IO& io, CrossTrafficSpec& x) {
+  io("path", x.path, PathIndex{});
+  io("flows", x.flows, kPositive);
+  io("start_s", x.start_s, kNonNegative);
+}
+
+template <class IO>
+void walk(IO& io, TrafficSpec& t) {
+  io("flows", t.flows, kPositive);
+  io("arrival_rate_per_s", t.arrival_rate_per_s, kNonNegative);
+  io("max_arrivals", t.max_arrivals, kNonNegative);
+  io("flow_bytes", t.flow_bytes, kPositive);
+  io("size_dist", t.size_dist, kSizeDists);
+  io("pareto_alpha", t.pareto_alpha,
+     Check{[](double a) { return a > 1.0; }, "must be > 1 (finite mean)"});
+  io("duration_s", t.duration_s, kPositive);
+  io.opt("cross", t.cross);
+}
+
+template <class IO>
+void walk(IO& io, PathEventSpec& e) {
+  const PathEventSpec* prev = io.prev(e);
+  io("at_s", e.at_s, kNonNegative,
+     Check{[prev](double a) { return !prev || a >= prev->at_s; }, "events must be sorted by at_s"});
+  io("action", e.action, kActions);
+  io("path", e.path, PathIndex{});
+  io("mode", e.mode, kModes);
+}
+
+template <class IO>
+void walk(IO& io, SubflowCapSpec& c) {
+  io("max_subflows", c.max_subflows, kPositive, kFitsInt);
+  io("bytes_per_subflow", c.bytes_per_subflow, kPositive);
+  io("paths", c.paths, kNonEmpty);
+}
+
+template <class IO>
+void walk(IO& io, BackupSpec& b) {
+  io("paths", b.paths, kNonEmpty);
+  io("promote_after_rtos", b.promote_after_rtos, kPositive, kFitsInt);
+}
+
+template <class IO>
+void walk(IO& io, PathManagerSpec& pm) {
+  io("tick_ms", pm.tick_ms, kPositive);
+  io("drain_timeout_s", pm.drain_timeout_s, kPositive);
+  io("join_delay_rtt", pm.join_delay_rtt);
+  io.opt("events", pm.events);
+  io.opt("cap", pm.cap);
+  io.opt("backup", pm.backup);
+}
+
+template <class IO>
+void walk(IO& io, RecordSpec& r) {
+  io("collect_traces", r.collect_traces);
+  io("summarize", r.summarize);
+}
+
+template <class IO>
+void walk(IO& io, ScenarioSpec& s) {
+  io.opt("name", s.name);
+  io("paths", s.paths, Required{}, Check{kNonEmpty.ok, "expected a non-empty array"});
+  io("subflows_per_path", s.subflows_per_path, kPositive, kFitsInt);
+  io("scheduler", s.scheduler, Registered{scheduler_factory});
+  io("conn", s.conn);
+  io("workload", s.workload);
+  io.opt("traffic", s.traffic);
+  io.opt("path_manager", s.path_manager,
+         Check{[&s](const PathManagerSpec&) { return !s.traffic.enabled; },
+               "not supported together with a traffic block"});
+  io("seed", s.seed);
+  io("trace_seed", s.trace_seed);
+  io("record", s.record);
+}
+
+// --- the two IOs -------------------------------------------------------------
+// A nested JSON object: one of the spec structs (not a string or a vector).
+template <class T>
+constexpr bool kIsBlock = std::is_class_v<T> && !requires { typename T::value_type; };
+
+constexpr std::size_t kNoIndex = static_cast<std::size_t>(-1);
+
+// `parent`.`key`[`index`]; a null key names `parent` itself.
+std::string key_path(const std::string& parent, const char* key, std::size_t index) {
+  std::string p = key == nullptr ? parent : parent.empty() ? key : parent + "." + key;
+  if (index != kNoIndex) p += "[" + std::to_string(index) + "]";
+  return p;
+}
+
+// Reads one JSON object into a spec struct, strictly: a mistyped or failed
+// field throws as it is read, and finish() rejects keys the walk never named.
+// Key paths ("paths[1].variation.levels_mbps") are built only to throw.
+class Reader {
  public:
-  ObjectReader(const Json& j, std::string path) : j_(j), path_(std::move(path)) {
-    if (!j_.is_object()) spec_error(path_, "expected an object");
+  static constexpr bool kReads = true;
+
+  // The root object, or the block `key`[`index`] of `parent`.
+  Reader(const Json& j, const ScenarioSpec& spec, const Reader* parent = nullptr,
+         const char* key = "", std::size_t index = kNoIndex, const void* prev = nullptr)
+      : j_(j), spec_(spec), parent_(parent), key_(key), index_(index), prev_(prev) {
+    if (!j.is_object()) fail(nullptr, "expected an object");
   }
 
-  const std::string& path() const { return path_; }
-  std::string key_path(const std::string& key) const {
-    return path_.empty() ? key : path_ + "." + key;
+  template <class T, class... C>
+  void operator()(const char* key, T& v, const C&... checks) {
+    const Json* j = checking_ ? nullptr : find(key);
+    if (j != nullptr) read(key, *j, v, checks...);
+    if (j == nullptr && !checking_ && (std::is_same_v<C, Required> || ...)) fail(key, "required");
+    if (checking_ != checks_after_keys_ || (kIsBlock<T> && !j)) return;  // blocks: when given
+    if constexpr (!std::is_enum_v<T>) (apply(key, v, checks), ...);  // read() maps names
+  }
+  template <class T, class... C>
+  void opt(const char* key, T& v, const C&... checks) { (*this)(key, v, checks...); }
+  void check_after_keys() { checks_after_keys_ = true; }
+
+  // The element read before this one in the same array, if any.
+  template <class T>
+  const T* prev(const T&) const { return static_cast<const T*>(prev_); }
+
+  [[noreturn]] void fail(const char* key, const std::string& msg, std::size_t i = kNoIndex) const {
+    throw std::invalid_argument("scenario spec: " + key_path(path(), key, i) + ": " + msg);
   }
 
-  const Json* get(const std::string& key) {
-    used_.push_back(key);
-    return j_.find(key);
-  }
-
-  double number(const std::string& key, double def) {
-    const Json* v = get(key);
-    if (v == nullptr) return def;
-    if (!v->is_number()) spec_error(key_path(key), "expected a number");
-    return v->as_double();
-  }
-
-  std::int64_t integer(const std::string& key, std::int64_t def) {
-    const Json* v = get(key);
-    if (v == nullptr) return def;
-    if (!v->is_int()) spec_error(key_path(key), "expected an integer");
-    return v->as_int();
-  }
-
-  bool boolean(const std::string& key, bool def) {
-    const Json* v = get(key);
-    if (v == nullptr) return def;
-    if (!v->is_bool()) spec_error(key_path(key), "expected true or false");
-    return v->as_bool();
-  }
-
-  std::string str(const std::string& key, const std::string& def) {
-    const Json* v = get(key);
-    if (v == nullptr) return def;
-    if (!v->is_string()) spec_error(key_path(key), "expected a string");
-    return v->as_string();
-  }
-
-  void finish() {
-    for (const auto& [key, value] : j_.members()) {
-      bool known = false;
-      for (const auto& u : used_) {
-        if (u == key) { known = true; break; }
-      }
-      if (!known) spec_error(key_path(key), "unknown key");
+  void finish() const {
+    const auto& m = j_.members();
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (i >= 64 || (used_ >> i & 1) == 0) fail(m[i].first.c_str(), "unknown key");
     }
   }
 
  private:
+  std::string path() const { return parent_ ? key_path(parent_->path(), key_, index_) : ""; }
+
+  const Json* find(const char* key) {
+    const auto& m = j_.members();
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      if (m[i].first != key) continue;
+      if (i < 64) used_ |= std::uint64_t{1} << i;
+      return &m[i].second;
+    }
+    return nullptr;
+  }
+
+  template <class T, class... C>
+  void read(const char* key, const Json& j, T& v, const C&... checks) const {
+    if constexpr (std::is_same_v<T, double>) {
+      if (!j.is_number()) fail(key, "expected a number");
+      v = j.as_double();
+    } else if constexpr (std::is_same_v<T, std::int64_t> || std::is_same_v<T, std::uint64_t>) {
+      if (!j.is_int()) fail(key, "expected an integer");
+      if (std::is_unsigned_v<T> && j.as_int() < 0) fail(key, "must be >= 0");  // seeds
+      v = static_cast<T>(j.as_int());
+    } else if constexpr (std::is_same_v<T, bool>) {
+      if (!j.is_bool()) fail(key, "expected true or false");
+      v = j.as_bool();
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!j.is_string()) fail(key, "expected a string");
+      v = j.as_string();
+    } else if constexpr (std::is_enum_v<T>) {
+      const Names& names = (checks, ...);  // an enum's one check is its name table
+      std::string s;
+      read(key, j, s);
+      apply(key, s, names);
+      v = static_cast<T>(names.index(s));
+    } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+      if (!j.is_array()) fail(key, "expected an array of numbers");
+      for (std::size_t i = 0; i < j.items().size(); ++i) {
+        if (!j.items()[i].is_number()) fail(key, "expected a number", i);
+        v.push_back(j.items()[i].as_double());
+      }
+    } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {  // path indices
+      if (!j.is_array()) fail(key, "expected an array of path indices");
+      for (std::size_t i = 0; i < j.items().size(); ++i) {
+        if (!j.items()[i].is_int()) fail(key, "expected an integer path index", i);
+        v.push_back(j.items()[i].as_int());
+        apply(key, v.back(), PathIndex{}, i);
+      }
+    } else if constexpr (!kIsBlock<T>) {
+      // The spec's paths, the one array of blocks that must not be empty, say so.
+      const bool paths = std::is_same_v<T, std::vector<PathSpec>>;
+      if (!j.is_array()) fail(key, paths ? "expected a non-empty array" : "expected an array");
+      for (std::size_t i = 0; i < j.items().size(); ++i) {
+        typename T::value_type e;
+        read_block(j.items()[i], key, i, e, v.empty() ? nullptr : &v.back());
+        v.push_back(std::move(e));
+      }
+    } else {
+      if constexpr (requires { v.enabled = true; }) v.enabled = true;  // enabled by presence
+      read_block(j, key, kNoIndex, v, nullptr);
+    }
+  }
+
+  template <class T>
+  void read_block(const Json& j, const char* key, std::size_t i, T& v, const void* prev) const {
+    Reader r(j, spec_, this, key, i, prev);
+    walk(r, v);
+    r.finish();
+    if (r.checks_after_keys_) {
+      r.checking_ = true;
+      walk(r, v);
+    }
+  }
+
+  template <class T, class P>
+  void apply(const char* key, const T& v, const Check<P>& c) const {
+    if (!c.ok(v)) fail(key, c.msg);
+  }
+  template <class F>
+  void apply(const char* key, const std::string& v, const Registered<F>& r) const {
+    try {
+      (void)r.lookup(v);
+    } catch (const std::invalid_argument& e) {
+      fail(key, e.what());
+    }
+  }
+  void apply(const char* key, std::int64_t v, PathIndex, std::size_t index = kNoIndex) const {
+    const std::size_t n = spec_.paths.size();
+    if (v < 0 || static_cast<std::size_t>(v) >= n) {
+      fail(key, "path index out of range (have " + std::to_string(n) + " paths)", index);
+    }
+  }
+  void apply(const char* key, const std::string& v, const Names& names) const {
+    if (names.index(v) == names.size()) fail(key, names.unknown(key, v));
+  }
+  void apply(const char*, const auto&, Required) const {}
+
   const Json& j_;
-  std::string path_;
-  std::vector<std::string> used_;
+  const ScenarioSpec& spec_;  // the spec being read; its paths are read first
+  const Reader* parent_ = nullptr;
+  const char* key_ = nullptr;
+  std::size_t index_ = kNoIndex;
+  const void* prev_ = nullptr;
+  std::uint64_t used_ = 0;  // bit i: member i was read
+  bool checks_after_keys_ = false;
+  bool checking_ = false;  // the second walk of a check_after_keys() struct
 };
 
-VariationSpec parse_variation(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  VariationSpec v;
-  const std::string kind = r.str("kind", "none");
-  if (kind == "none") v.kind = VariationKind::kNone;
-  else if (kind == "schedule") v.kind = VariationKind::kSchedule;
-  else if (kind == "random") v.kind = VariationKind::kRandom;
-  else if (kind == "jitter") v.kind = VariationKind::kJitter;
-  else spec_error(r.key_path("kind"), "unknown variation kind \"" + kind +
-                  "\" (known: none, schedule, random, jitter)");
+// Builds the JSON object a walk describes. An opt() key is written only when
+// set: a block when enabled, anything else when it differs from its default.
+class Writer {
+ public:
+  static constexpr bool kReads = false;
 
-  if (const Json* s = r.get("schedule")) {
-    if (!s->is_array()) spec_error(r.key_path("schedule"), "expected an array");
-    for (std::size_t i = 0; i < s->items().size(); ++i) {
-      const std::string ppath = r.key_path("schedule") + "[" + std::to_string(i) + "]";
-      ObjectReader pr(s->items()[i], ppath);
-      RatePoint pt;
-      pt.at_s = pr.number("at_s", 0.0);
-      pt.mbps = pr.number("mbps", 0.0);
-      if (pt.mbps <= 0.0) spec_error(ppath + ".mbps", "must be > 0");
-      pr.finish();
-      v.schedule.push_back(pt);
-    }
+  template <class T, class... C>
+  void operator()(const char* key, const T& v, const C&... c) { j_.set(key, to_json(v, c...)); }
+  template <class T, class... C>
+  void opt(const char* key, const T& v, const C&... checks) {
+    bool set = false;
+    if constexpr (requires { v.enabled(); }) set = v.enabled();
+    else if constexpr (requires { v.enabled; }) set = v.enabled;
+    else set = !(v == T{});
+    if (set) (*this)(key, v, checks...);
   }
-  if (const Json* l = r.get("levels_mbps")) {
-    if (!l->is_array()) spec_error(r.key_path("levels_mbps"), "expected an array of numbers");
-    for (std::size_t i = 0; i < l->items().size(); ++i) {
-      const Json& e = l->items()[i];
-      if (!e.is_number()) {
-        spec_error(r.key_path("levels_mbps") + "[" + std::to_string(i) + "]",
-                   "expected a number");
-      }
-      v.levels_mbps.push_back(e.as_double());
-    }
-  }
-  v.mean_interval_s = r.number("mean_interval_s", v.mean_interval_s);
-  v.jitter_frac = r.number("jitter_frac", v.jitter_frac);
-  v.jitter_interval_s = r.number("jitter_interval_s", v.jitter_interval_s);
-  r.finish();
+  void check_after_keys() {}
+  template <class T>
+  static const T* prev(const T&) { return nullptr; }
 
-  if (v.kind == VariationKind::kSchedule && v.schedule.empty()) {
-    spec_error(r.key_path("schedule"), "required (non-empty) for kind \"schedule\"");
-  }
-  if (v.kind == VariationKind::kRandom && v.levels_mbps.empty()) {
-    spec_error(r.key_path("levels_mbps"), "required (non-empty) for kind \"random\"");
-  }
-  if (v.mean_interval_s <= 0.0) spec_error(r.key_path("mean_interval_s"), "must be > 0");
-  if (v.jitter_frac < 0.0 || v.jitter_frac >= 1.0) {
-    spec_error(r.key_path("jitter_frac"), "must be in [0, 1)");
-  }
-  if (v.jitter_interval_s <= 0.0) spec_error(r.key_path("jitter_interval_s"), "must be > 0");
-  return v;
-}
-
-FaultSpec parse_faults(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  FaultSpec f;
-
-  if (const Json* ge = r.get("gilbert_elliott")) {
-    ObjectReader gr(*ge, r.key_path("gilbert_elliott"));
-    f.gilbert_elliott.enabled = true;
-    f.gilbert_elliott.p_good_bad = gr.number("p_good_bad", f.gilbert_elliott.p_good_bad);
-    f.gilbert_elliott.p_bad_good = gr.number("p_bad_good", f.gilbert_elliott.p_bad_good);
-    f.gilbert_elliott.loss_good = gr.number("loss_good", f.gilbert_elliott.loss_good);
-    f.gilbert_elliott.loss_bad = gr.number("loss_bad", f.gilbert_elliott.loss_bad);
-    gr.finish();
-    if (f.gilbert_elliott.p_good_bad < 0.0 || f.gilbert_elliott.p_good_bad >= 1.0) {
-      spec_error(gr.key_path("p_good_bad"), "must be in [0, 1)");
-    }
-    // p_bad_good == 0 would make the bad state absorbing; use an outage for
-    // a permanent blackout instead.
-    if (f.gilbert_elliott.p_bad_good <= 0.0 || f.gilbert_elliott.p_bad_good > 1.0) {
-      spec_error(gr.key_path("p_bad_good"), "must be in (0, 1]");
-    }
-    if (f.gilbert_elliott.loss_good < 0.0 || f.gilbert_elliott.loss_good >= 1.0) {
-      spec_error(gr.key_path("loss_good"), "must be in [0, 1)");
-    }
-    if (f.gilbert_elliott.loss_bad < 0.0 || f.gilbert_elliott.loss_bad > 1.0) {
-      spec_error(gr.key_path("loss_bad"), "must be in [0, 1]");
+  template <class T, class... C>
+  static Json to_json(const T& v, const C&... checks) {
+    if constexpr (std::is_enum_v<T>) {
+      return Json::string((checks, ...).names[static_cast<std::size_t>(v)]);  // the name table
+    } else if constexpr (std::is_same_v<T, bool>) {
+      return Json::boolean(v);
+    } else if constexpr (std::is_arithmetic_v<T>) {  // uint64 seeds print as int64
+      return Json::number(std::conditional_t<std::is_integral_v<T>, std::int64_t, double>(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      return Json::string(v);
+    } else if constexpr (!kIsBlock<T>) {
+      Json a = Json::array();
+      for (const auto& e : v) a.push_back(to_json(e));
+      return a;
+    } else {
+      Writer w;
+      walk(w, const_cast<T&>(v));  // a Writer never writes through the walk
+      return std::move(w.j_);
     }
   }
 
-  if (const Json* o = r.get("outages")) {
-    if (!o->is_array()) spec_error(r.key_path("outages"), "expected an array");
-    for (std::size_t i = 0; i < o->items().size(); ++i) {
-      const std::string opath = r.key_path("outages") + "[" + std::to_string(i) + "]";
-      ObjectReader orr(o->items()[i], opath);
-      OutageSpec w;
-      w.at_s = orr.number("at_s", 0.0);
-      w.for_s = orr.number("for_s", 0.0);
-      orr.finish();
-      if (w.at_s < 0.0) spec_error(opath + ".at_s", "must be >= 0");
-      if (w.for_s <= 0.0) spec_error(opath + ".for_s", "must be > 0");
-      f.outages.push_back(w);
-    }
-  }
-
-  if (const Json* fl = r.get("flap")) {
-    ObjectReader fr(*fl, r.key_path("flap"));
-    f.flap.enabled = true;
-    f.flap.period_s = fr.number("period_s", f.flap.period_s);
-    f.flap.down_s = fr.number("down_s", f.flap.down_s);
-    f.flap.start_s = fr.number("start_s", f.flap.start_s);
-    fr.finish();
-    if (f.flap.period_s <= 0.0) spec_error(fr.key_path("period_s"), "must be > 0");
-    if (f.flap.down_s <= 0.0 || f.flap.down_s >= f.flap.period_s) {
-      spec_error(fr.key_path("down_s"), "must be in (0, period_s)");
-    }
-    if (f.flap.start_s < 0.0) spec_error(fr.key_path("start_s"), "must be >= 0");
-  }
-
-  if (const Json* re = r.get("reorder")) {
-    ObjectReader rr(*re, r.key_path("reorder"));
-    f.reorder.enabled = true;
-    f.reorder.prob = rr.number("prob", f.reorder.prob);
-    f.reorder.delay_ms = rr.number("delay_ms", f.reorder.delay_ms);
-    f.reorder.jitter_ms = rr.number("jitter_ms", f.reorder.jitter_ms);
-    rr.finish();
-    if (f.reorder.prob < 0.0 || f.reorder.prob > 1.0) {
-      spec_error(rr.key_path("prob"), "must be in [0, 1]");
-    }
-    if (f.reorder.delay_ms <= 0.0) spec_error(rr.key_path("delay_ms"), "must be > 0");
-    if (f.reorder.jitter_ms < 0.0) spec_error(rr.key_path("jitter_ms"), "must be >= 0");
-  }
-
-  r.finish();
-  if (!f.enabled()) {
-    spec_error(path, "empty faults block (give gilbert_elliott, outages, flap, or reorder)");
-  }
-  return f;
-}
-
-PathSpec parse_path(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  PathSpec p;
-  const std::string profile = r.str("profile", "custom");
-  if (profile == "wifi") {
-    p.profile = PathProfile::kWifi;
-    p.name = "wifi";
-    p.rtt_ms = 16.0;
-  } else if (profile == "lte") {
-    p.profile = PathProfile::kLte;
-    p.name = "lte";
-    p.rtt_ms = 80.0;
-  } else if (profile == "custom") {
-    p.profile = PathProfile::kCustom;
-    p.name = "path";
-    p.rtt_ms = 20.0;
-  } else {
-    spec_error(r.key_path("profile"),
-               "unknown profile \"" + profile + "\" (known: wifi, lte, custom)");
-  }
-
-  p.name = r.str("name", p.name);
-  const Json* rate = r.get("rate_mbps");
-  if (rate == nullptr) spec_error(r.key_path("rate_mbps"), "required");
-  if (!rate->is_number()) spec_error(r.key_path("rate_mbps"), "expected a number");
-  p.rate_mbps = rate->as_double();
-  if (p.rate_mbps <= 0.0) spec_error(r.key_path("rate_mbps"), "must be > 0");
-  p.rtt_ms = r.number("rtt_ms", p.rtt_ms);
-  if (p.rtt_ms <= 0.0) spec_error(r.key_path("rtt_ms"), "must be > 0");
-  p.queue_packets = r.integer("queue_packets", p.queue_packets);
-  if (p.queue_packets <= 0) spec_error(r.key_path("queue_packets"), "must be > 0");
-  p.loss_rate = r.number("loss_rate", p.loss_rate);
-  if (p.loss_rate < 0.0 || p.loss_rate >= 1.0) {
-    spec_error(r.key_path("loss_rate"), "must be in [0, 1)");
-  }
-  p.up_mbps = r.number("up_mbps", p.up_mbps);
-  if (p.up_mbps <= 0.0) spec_error(r.key_path("up_mbps"), "must be > 0");
-  if (const Json* v = r.get("variation")) p.variation = parse_variation(*v, r.key_path("variation"));
-  if (const Json* f = r.get("faults")) p.faults = parse_faults(*f, r.key_path("faults"));
-  r.finish();
-  return p;
-}
-
-ConnSpec parse_conn(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  ConnSpec c;
-  c.cc = r.str("cc", c.cc);
-  try {
-    (void)cc_kind_from_name(c.cc);
-  } catch (const std::invalid_argument& e) {
-    spec_error(r.key_path("cc"), e.what());
-  }
-  c.idle_cwnd_reset = r.boolean("idle_cwnd_reset", c.idle_cwnd_reset);
-  c.opportunistic_rtx = r.boolean("opportunistic_rtx", c.opportunistic_rtx);
-  c.penalization = r.boolean("penalization", c.penalization);
-  c.staging_bytes = r.integer("staging_bytes", c.staging_bytes);
-  if (c.staging_bytes < 0) spec_error(r.key_path("staging_bytes"), "must be >= 0");
-  r.finish();
-  return c;
-}
-
-WorkloadSpec parse_workload(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  WorkloadSpec w;
-  const std::string kind = r.str("kind", "stream");
-  if (kind == "stream") w.kind = WorkloadKind::kStream;
-  else if (kind == "download") w.kind = WorkloadKind::kDownload;
-  else if (kind == "web") w.kind = WorkloadKind::kWeb;
-  else spec_error(r.key_path("kind"),
-                  "unknown workload kind \"" + kind + "\" (known: stream, download, web)");
-
-  w.video_s = r.number("video_s", w.video_s);
-  if (w.video_s <= 0.0) spec_error(r.key_path("video_s"), "must be > 0");
-  w.abr = r.str("abr", w.abr);
-  if (w.abr != "buffer" && w.abr != "rate") {
-    spec_error(r.key_path("abr"), "unknown abr \"" + w.abr + "\" (known: buffer, rate)");
-  }
-  w.bytes = r.integer("bytes", w.bytes);
-  if (w.bytes <= 0) spec_error(r.key_path("bytes"), "must be > 0");
-  w.runs = r.integer("runs", w.runs);
-  if (w.runs <= 0) spec_error(r.key_path("runs"), "must be > 0");
-  check_fits_int(w.runs, r.key_path("runs"));
-  r.finish();
-  return w;
-}
-
-TrafficSpec parse_traffic(const Json& j, const std::string& path, std::size_t n_paths) {
-  ObjectReader r(j, path);
-  TrafficSpec t;
-  t.enabled = true;
-  t.flows = r.integer("flows", t.flows);
-  if (t.flows <= 0) spec_error(r.key_path("flows"), "must be > 0");
-  t.arrival_rate_per_s = r.number("arrival_rate_per_s", t.arrival_rate_per_s);
-  if (t.arrival_rate_per_s < 0.0) {
-    spec_error(r.key_path("arrival_rate_per_s"), "must be >= 0");
-  }
-  t.max_arrivals = r.integer("max_arrivals", t.max_arrivals);
-  if (t.max_arrivals < 0) spec_error(r.key_path("max_arrivals"), "must be >= 0");
-  t.flow_bytes = r.integer("flow_bytes", t.flow_bytes);
-  if (t.flow_bytes <= 0) spec_error(r.key_path("flow_bytes"), "must be > 0");
-  t.size_dist = r.str("size_dist", t.size_dist);
-  if (t.size_dist != "fixed" && t.size_dist != "exponential" && t.size_dist != "pareto") {
-    spec_error(r.key_path("size_dist"), "unknown size_dist \"" + t.size_dist +
-               "\" (known: fixed, exponential, pareto)");
-  }
-  t.pareto_alpha = r.number("pareto_alpha", t.pareto_alpha);
-  if (t.pareto_alpha <= 1.0) {
-    spec_error(r.key_path("pareto_alpha"), "must be > 1 (finite mean)");
-  }
-  t.duration_s = r.number("duration_s", t.duration_s);
-  if (t.duration_s <= 0.0) spec_error(r.key_path("duration_s"), "must be > 0");
-
-  if (const Json* c = r.get("cross")) {
-    if (!c->is_array()) spec_error(r.key_path("cross"), "expected an array");
-    for (std::size_t i = 0; i < c->items().size(); ++i) {
-      const std::string cpath = r.key_path("cross") + "[" + std::to_string(i) + "]";
-      ObjectReader cr(c->items()[i], cpath);
-      CrossTrafficSpec x;
-      x.path = cr.integer("path", x.path);
-      if (x.path < 0 || static_cast<std::size_t>(x.path) >= n_paths) {
-        spec_error(cpath + ".path",
-                   "path index out of range (have " + std::to_string(n_paths) + " paths)");
-      }
-      x.flows = cr.integer("flows", x.flows);
-      if (x.flows <= 0) spec_error(cpath + ".flows", "must be > 0");
-      x.start_s = cr.number("start_s", x.start_s);
-      if (x.start_s < 0.0) spec_error(cpath + ".start_s", "must be >= 0");
-      cr.finish();
-      t.cross.push_back(x);
-    }
-  }
-  r.finish();
-  return t;
-}
-
-std::vector<std::int64_t> parse_path_index_array(ObjectReader& r, const std::string& key,
-                                                 std::size_t n_paths) {
-  std::vector<std::int64_t> out;
-  const Json* a = r.get(key);
-  if (a == nullptr) return out;
-  if (!a->is_array()) spec_error(r.key_path(key), "expected an array of path indices");
-  for (std::size_t i = 0; i < a->items().size(); ++i) {
-    const Json& e = a->items()[i];
-    const std::string epath = r.key_path(key) + "[" + std::to_string(i) + "]";
-    if (!e.is_int()) spec_error(epath, "expected an integer path index");
-    const std::int64_t idx = e.as_int();
-    if (idx < 0 || static_cast<std::size_t>(idx) >= n_paths) {
-      spec_error(epath, "path index out of range (have " + std::to_string(n_paths) + " paths)");
-    }
-    out.push_back(idx);
-  }
-  return out;
-}
-
-PathManagerSpec parse_path_manager(const Json& j, const std::string& path,
-                                   std::size_t n_paths) {
-  ObjectReader r(j, path);
-  PathManagerSpec pm;
-  pm.enabled = true;
-  pm.tick_ms = r.number("tick_ms", pm.tick_ms);
-  if (pm.tick_ms <= 0.0) spec_error(r.key_path("tick_ms"), "must be > 0");
-  pm.drain_timeout_s = r.number("drain_timeout_s", pm.drain_timeout_s);
-  if (pm.drain_timeout_s <= 0.0) spec_error(r.key_path("drain_timeout_s"), "must be > 0");
-  pm.join_delay_rtt = r.boolean("join_delay_rtt", pm.join_delay_rtt);
-
-  if (const Json* ev = r.get("events")) {
-    if (!ev->is_array()) spec_error(r.key_path("events"), "expected an array");
-    double prev_at = 0.0;
-    for (std::size_t i = 0; i < ev->items().size(); ++i) {
-      const std::string epath = r.key_path("events") + "[" + std::to_string(i) + "]";
-      ObjectReader er(ev->items()[i], epath);
-      PathEventSpec e;
-      e.at_s = er.number("at_s", e.at_s);
-      if (e.at_s < 0.0) spec_error(epath + ".at_s", "must be >= 0");
-      if (e.at_s < prev_at) spec_error(epath + ".at_s", "events must be sorted by at_s");
-      prev_at = e.at_s;
-      e.action = er.str("action", e.action);
-      if (e.action != "add" && e.action != "remove") {
-        spec_error(epath + ".action",
-                   "unknown action \"" + e.action + "\" (known: add, remove)");
-      }
-      e.path = er.integer("path", e.path);
-      if (e.path < 0 || static_cast<std::size_t>(e.path) >= n_paths) {
-        spec_error(epath + ".path",
-                   "path index out of range (have " + std::to_string(n_paths) + " paths)");
-      }
-      e.mode = er.str("mode", e.mode);
-      if (e.mode != "drain" && e.mode != "abandon") {
-        spec_error(epath + ".mode", "unknown mode \"" + e.mode + "\" (known: drain, abandon)");
-      }
-      er.finish();
-      pm.events.push_back(std::move(e));
-    }
-  }
-
-  if (const Json* cap = r.get("cap")) {
-    ObjectReader cr(*cap, r.key_path("cap"));
-    pm.cap.enabled = true;
-    pm.cap.max_subflows = cr.integer("max_subflows", pm.cap.max_subflows);
-    if (pm.cap.max_subflows <= 0) spec_error(cr.key_path("max_subflows"), "must be > 0");
-    check_fits_int(pm.cap.max_subflows, cr.key_path("max_subflows"));
-    pm.cap.bytes_per_subflow = cr.integer("bytes_per_subflow", pm.cap.bytes_per_subflow);
-    if (pm.cap.bytes_per_subflow <= 0) {
-      spec_error(cr.key_path("bytes_per_subflow"), "must be > 0");
-    }
-    pm.cap.paths = parse_path_index_array(cr, "paths", n_paths);
-    if (pm.cap.paths.empty()) spec_error(cr.key_path("paths"), "required (non-empty)");
-    cr.finish();
-  }
-
-  if (const Json* b = r.get("backup")) {
-    ObjectReader br(*b, r.key_path("backup"));
-    pm.backup.enabled = true;
-    pm.backup.paths = parse_path_index_array(br, "paths", n_paths);
-    if (pm.backup.paths.empty()) spec_error(br.key_path("paths"), "required (non-empty)");
-    pm.backup.promote_after_rtos = br.integer("promote_after_rtos", pm.backup.promote_after_rtos);
-    if (pm.backup.promote_after_rtos <= 0) {
-      spec_error(br.key_path("promote_after_rtos"), "must be > 0");
-    }
-    check_fits_int(pm.backup.promote_after_rtos, br.key_path("promote_after_rtos"));
-    br.finish();
-  }
-
-  r.finish();
-  return pm;
-}
-
-RecordSpec parse_record(const Json& j, const std::string& path) {
-  ObjectReader r(j, path);
-  RecordSpec rec;
-  rec.collect_traces = r.boolean("collect_traces", rec.collect_traces);
-  rec.summarize = r.boolean("summarize", rec.summarize);
-  r.finish();
-  return rec;
-}
+ private:
+  Json j_ = Json::object();
+};
 
 }  // namespace
+
+PathSpec wifi_path(double rate_mbps) { return profile_path(PathProfile::kWifi, rate_mbps); }
+PathSpec lte_path(double rate_mbps) { return profile_path(PathProfile::kLte, rate_mbps); }
+
+const char* path_profile_name(PathProfile p) { return kProfiles.names[static_cast<int>(p)]; }
+const char* variation_kind_name(VariationKind k) {
+  return kVariationKinds.names[static_cast<int>(k)];
+}
+const char* workload_kind_name(WorkloadKind k) { return kWorkloadKinds.names[static_cast<int>(k)]; }
 
 ScenarioSpec scenario_from_json(const Json& j) {
   MPS_PROF_SCOPE(kSpecParse);
   MPS_PROF_MEM_SCOPE(kSpec);
-  ObjectReader r(j, "");
   ScenarioSpec s;
-  s.name = r.str("name", "");
-
-  const Json* paths = r.get("paths");
-  if (paths == nullptr) spec_error("paths", "required");
-  if (!paths->is_array() || paths->items().empty()) {
-    spec_error("paths", "expected a non-empty array");
-  }
-  for (std::size_t i = 0; i < paths->items().size(); ++i) {
-    s.paths.push_back(parse_path(paths->items()[i], "paths[" + std::to_string(i) + "]"));
-  }
-
-  s.subflows_per_path = r.integer("subflows_per_path", s.subflows_per_path);
-  if (s.subflows_per_path <= 0) spec_error("subflows_per_path", "must be > 0");
-  check_fits_int(s.subflows_per_path, "subflows_per_path");
-  s.scheduler = r.str("scheduler", s.scheduler);
-  try {
-    (void)scheduler_factory(s.scheduler);
-  } catch (const std::invalid_argument& e) {
-    spec_error("scheduler", e.what());
-  }
-  if (const Json* c = r.get("conn")) s.conn = parse_conn(*c, "conn");
-  if (const Json* w = r.get("workload")) s.workload = parse_workload(*w, "workload");
-  if (const Json* t = r.get("traffic")) {
-    s.traffic = parse_traffic(*t, "traffic", s.paths.size());
-  }
-  if (const Json* pm = r.get("path_manager")) {
-    s.path_manager = parse_path_manager(*pm, "path_manager", s.paths.size());
-    if (s.traffic.enabled) {
-      spec_error("path_manager", "not supported together with a traffic block");
-    }
-  }
-  const std::int64_t seed = r.integer("seed", static_cast<std::int64_t>(s.seed));
-  if (seed < 0) spec_error("seed", "must be >= 0");
-  s.seed = static_cast<std::uint64_t>(seed);
-  const std::int64_t trace_seed =
-      r.integer("trace_seed", static_cast<std::int64_t>(s.trace_seed));
-  if (trace_seed < 0) spec_error("trace_seed", "must be >= 0");
-  s.trace_seed = static_cast<std::uint64_t>(trace_seed);
-  if (const Json* rec = r.get("record")) s.record = parse_record(*rec, "record");
+  Reader r(j, s);
+  walk(r, s);
   r.finish();
   return s;
 }
 
-namespace {
-
-Json variation_to_json(const VariationSpec& v) {
-  Json j = Json::object();
-  j.set("kind", Json::string(variation_kind_name(v.kind)));
-  if (!v.schedule.empty()) {
-    Json arr = Json::array();
-    for (const RatePoint& p : v.schedule) {
-      Json pt = Json::object();
-      pt.set("at_s", Json::number(p.at_s));
-      pt.set("mbps", Json::number(p.mbps));
-      arr.push_back(std::move(pt));
-    }
-    j.set("schedule", std::move(arr));
-  }
-  if (!v.levels_mbps.empty()) {
-    Json arr = Json::array();
-    for (double l : v.levels_mbps) arr.push_back(Json::number(l));
-    j.set("levels_mbps", std::move(arr));
-  }
-  j.set("mean_interval_s", Json::number(v.mean_interval_s));
-  j.set("jitter_frac", Json::number(v.jitter_frac));
-  j.set("jitter_interval_s", Json::number(v.jitter_interval_s));
-  return j;
-}
-
-Json faults_to_json(const FaultSpec& f) {
-  Json j = Json::object();
-  if (f.gilbert_elliott.enabled) {
-    Json ge = Json::object();
-    ge.set("p_good_bad", Json::number(f.gilbert_elliott.p_good_bad));
-    ge.set("p_bad_good", Json::number(f.gilbert_elliott.p_bad_good));
-    ge.set("loss_good", Json::number(f.gilbert_elliott.loss_good));
-    ge.set("loss_bad", Json::number(f.gilbert_elliott.loss_bad));
-    j.set("gilbert_elliott", std::move(ge));
-  }
-  if (!f.outages.empty()) {
-    Json arr = Json::array();
-    for (const OutageSpec& w : f.outages) {
-      Json o = Json::object();
-      o.set("at_s", Json::number(w.at_s));
-      o.set("for_s", Json::number(w.for_s));
-      arr.push_back(std::move(o));
-    }
-    j.set("outages", std::move(arr));
-  }
-  if (f.flap.enabled) {
-    Json fl = Json::object();
-    fl.set("period_s", Json::number(f.flap.period_s));
-    fl.set("down_s", Json::number(f.flap.down_s));
-    fl.set("start_s", Json::number(f.flap.start_s));
-    j.set("flap", std::move(fl));
-  }
-  if (f.reorder.enabled) {
-    Json re = Json::object();
-    re.set("prob", Json::number(f.reorder.prob));
-    re.set("delay_ms", Json::number(f.reorder.delay_ms));
-    re.set("jitter_ms", Json::number(f.reorder.jitter_ms));
-    j.set("reorder", std::move(re));
-  }
-  return j;
-}
-
-Json path_to_json(const PathSpec& p) {
-  Json j = Json::object();
-  j.set("profile", Json::string(path_profile_name(p.profile)));
-  j.set("name", Json::string(p.name));
-  j.set("rate_mbps", Json::number(p.rate_mbps));
-  j.set("rtt_ms", Json::number(p.rtt_ms));
-  j.set("queue_packets", Json::number(p.queue_packets));
-  j.set("loss_rate", Json::number(p.loss_rate));
-  j.set("up_mbps", Json::number(p.up_mbps));
-  // Not just kind != none: a "none" block may still carry levels or
-  // intervals, and dropping them would break the field-exact round trip.
-  if (!(p.variation == VariationSpec{})) {
-    j.set("variation", variation_to_json(p.variation));
-  }
-  if (p.faults.enabled()) {
-    j.set("faults", faults_to_json(p.faults));
-  }
-  return j;
-}
-
-}  // namespace
-
-Json scenario_to_json(const ScenarioSpec& s) {
-  Json j = Json::object();
-  if (!s.name.empty()) j.set("name", Json::string(s.name));
-  Json paths = Json::array();
-  for (const PathSpec& p : s.paths) paths.push_back(path_to_json(p));
-  j.set("paths", std::move(paths));
-  j.set("subflows_per_path", Json::number(s.subflows_per_path));
-  j.set("scheduler", Json::string(s.scheduler));
-
-  Json conn = Json::object();
-  conn.set("cc", Json::string(s.conn.cc));
-  conn.set("idle_cwnd_reset", Json::boolean(s.conn.idle_cwnd_reset));
-  conn.set("opportunistic_rtx", Json::boolean(s.conn.opportunistic_rtx));
-  conn.set("penalization", Json::boolean(s.conn.penalization));
-  conn.set("staging_bytes", Json::number(s.conn.staging_bytes));
-  j.set("conn", std::move(conn));
-
-  Json w = Json::object();
-  w.set("kind", Json::string(workload_kind_name(s.workload.kind)));
-  w.set("video_s", Json::number(s.workload.video_s));
-  w.set("abr", Json::string(s.workload.abr));
-  w.set("bytes", Json::number(s.workload.bytes));
-  w.set("runs", Json::number(s.workload.runs));
-  j.set("workload", std::move(w));
-
-  if (s.traffic.enabled) {
-    Json t = Json::object();
-    t.set("flows", Json::number(s.traffic.flows));
-    t.set("arrival_rate_per_s", Json::number(s.traffic.arrival_rate_per_s));
-    t.set("max_arrivals", Json::number(s.traffic.max_arrivals));
-    t.set("flow_bytes", Json::number(s.traffic.flow_bytes));
-    t.set("size_dist", Json::string(s.traffic.size_dist));
-    t.set("pareto_alpha", Json::number(s.traffic.pareto_alpha));
-    t.set("duration_s", Json::number(s.traffic.duration_s));
-    if (!s.traffic.cross.empty()) {
-      Json arr = Json::array();
-      for (const CrossTrafficSpec& x : s.traffic.cross) {
-        Json c = Json::object();
-        c.set("path", Json::number(x.path));
-        c.set("flows", Json::number(x.flows));
-        c.set("start_s", Json::number(x.start_s));
-        arr.push_back(std::move(c));
-      }
-      t.set("cross", std::move(arr));
-    }
-    j.set("traffic", std::move(t));
-  }
-
-  if (s.path_manager.enabled) {
-    const PathManagerSpec& pm = s.path_manager;
-    Json p = Json::object();
-    p.set("tick_ms", Json::number(pm.tick_ms));
-    p.set("drain_timeout_s", Json::number(pm.drain_timeout_s));
-    p.set("join_delay_rtt", Json::boolean(pm.join_delay_rtt));
-    if (!pm.events.empty()) {
-      Json arr = Json::array();
-      for (const PathEventSpec& e : pm.events) {
-        Json ev = Json::object();
-        ev.set("at_s", Json::number(e.at_s));
-        ev.set("action", Json::string(e.action));
-        ev.set("path", Json::number(e.path));
-        ev.set("mode", Json::string(e.mode));
-        arr.push_back(std::move(ev));
-      }
-      p.set("events", std::move(arr));
-    }
-    if (pm.cap.enabled) {
-      Json c = Json::object();
-      c.set("max_subflows", Json::number(pm.cap.max_subflows));
-      c.set("bytes_per_subflow", Json::number(pm.cap.bytes_per_subflow));
-      Json arr = Json::array();
-      for (std::int64_t idx : pm.cap.paths) arr.push_back(Json::number(idx));
-      c.set("paths", std::move(arr));
-      p.set("cap", std::move(c));
-    }
-    if (pm.backup.enabled) {
-      Json b = Json::object();
-      Json arr = Json::array();
-      for (std::int64_t idx : pm.backup.paths) arr.push_back(Json::number(idx));
-      b.set("paths", std::move(arr));
-      b.set("promote_after_rtos", Json::number(pm.backup.promote_after_rtos));
-      p.set("backup", std::move(b));
-    }
-    j.set("path_manager", std::move(p));
-  }
-
-  j.set("seed", Json::number(static_cast<std::int64_t>(s.seed)));
-  j.set("trace_seed", Json::number(static_cast<std::int64_t>(s.trace_seed)));
-
-  Json rec = Json::object();
-  rec.set("collect_traces", Json::boolean(s.record.collect_traces));
-  rec.set("summarize", Json::boolean(s.record.summarize));
-  j.set("record", std::move(rec));
-  return j;
-}
+Json scenario_to_json(const ScenarioSpec& spec) { return Writer::to_json(spec); }
 
 ScenarioSpec parse_scenario(const std::string& text) {
   Json j;
