@@ -282,8 +282,9 @@ int main(int argc, char** argv) {
   const double switch_at_s = 0.75 * video_s;
   const ScenarioSpec whatif_spec = streaming_spec(2.0, 8.0, "minrtt", cell);
   std::printf(
-      "\nprefix-dedupe what-if grid (%zu schedulers, switch at %.0f of %.0f s, %d rep(s)):\n",
-      whatif_scheds.size(), switch_at_s, video_s, whatif_spec.workload.runs);
+      "\nprefix-dedupe what-if grid (%zu schedulers, switch at %.0f of %.0f s, %lld rep(s)):\n",
+      whatif_scheds.size(), switch_at_s, video_s,
+      static_cast<long long>(whatif_spec.workload.runs));
   const WhatIfRun scratch = whatif_sweep(whatif_spec, whatif_scheds, switch_at_s, false);
   const WhatIfRun shared = whatif_sweep(whatif_spec, whatif_scheds, switch_at_s, true);
   bool whatif_identical = scratch.outcomes.size() == shared.outcomes.size();

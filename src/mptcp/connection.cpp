@@ -5,7 +5,6 @@
 
 #include "obs/prof.h"
 #include "obs/recorder.h"
-#include "util/log.h"
 
 namespace mps {
 

@@ -174,7 +174,6 @@ class Connection final : public SubflowEnv,
   const MetaStats& meta_stats() const { return meta_stats_; }
   // Out-of-order delay samples (seconds), one per delivered packet.
   const Samples& ooo_delay() const { return ooo_delay_; }
-  Samples& mutable_ooo_delay() { return ooo_delay_; }
   std::uint64_t delivered_bytes() const { return meta_stats_.delivered_bytes; }
   Scheduler& scheduler() { return *scheduler_; }
 
@@ -195,9 +194,6 @@ class Connection final : public SubflowEnv,
   std::uint64_t data_una() const { return data_una_; }
   std::uint64_t rcv_data_next() const { return rcv_data_next_; }
   std::uint64_t meta_ooo_bytes() const { return meta_ooo_bytes_; }
-  std::size_t meta_ooo_segments() const { return meta_ooo_.size(); }
-  std::uint64_t pending_deliver_bytes() const { return pending_deliver_bytes_; }
-  std::size_t receiver_count() const { return slots_.size(); }
   // Appends the [data_seq, data_seq + payload) range of every segment held
   // in the meta reorder buffer.
   void collect_ooo_ranges(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const;

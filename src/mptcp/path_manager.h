@@ -88,8 +88,6 @@ class PathManager {
 
   const Stats& stats() const { return stats_; }
   const PathManagerConfig& config() const { return config_; }
-  // World path index slot `slot` runs (ran) over.
-  std::size_t slot_path_index(std::size_t slot) const { return slot_path_idx_[slot]; }
   std::size_t live_subflows() const;
   std::size_t draining_subflows() const;
 

@@ -119,7 +119,6 @@ class Scheduler {
   // recording body outlined (note_pick / a MPS_SCHED_COLD helper) so the
   // compiler does not bloat the hot path with the SchedDecision fill.
   bool explain_enabled() const { return explain_; }
-  std::int64_t bound_conn_id() const { return conn_id_; }
 
   // Stamps `d` with conn id + sim time and routes it to the recorder's
   // decision log (aggregates + optional full log + event sink) and the hook.

@@ -5,7 +5,6 @@
 
 #include "obs/prof.h"
 #include "obs/recorder.h"
-#include "util/log.h"
 
 namespace mps {
 
@@ -54,7 +53,6 @@ void Link::send(const Packet& pkt) {
     MPS_TRACE_EVENT(sim_, EventType::kLinkDrop, pkt.conn_id, pkt.subflow_id,
                     {"link", name_.c_str()}, {"reason", "queue"},
                     {"depth", static_cast<std::uint64_t>(queue_.size())});
-    MPS_DEBUG("%s: drop (queue full, depth=%zu)", name_.c_str(), queue_.size());
     return;
   }
   Packet* p = pool_.acquire();

@@ -31,9 +31,6 @@ class DapsScheduler final : public Scheduler, public ArenaAllocated<DapsSchedule
     pos_ = 0;
   }
 
-  // Exposed for tests: remaining planned slots.
-  std::size_t plan_remaining() const { return plan_.size() - pos_; }
-
   // A subflow joined, started draining, or was finalized: the departure
   // plan's slot mix (and possibly its subflow ids) is stale — drop it and
   // re-plan from the surviving subflows at the next pick. Keeping the old

@@ -43,8 +43,6 @@ class SinglePathScheduler final : public Scheduler, public ArenaAllocated<Single
   }
   const char* name() const override { return "single"; }
 
-  std::uint32_t pinned_id() const { return subflow_id_; }
-
   void restore_from(const Scheduler& src) override {
     Scheduler::restore_from(src);
     subflow_id_ = static_cast<const SinglePathScheduler&>(src).subflow_id_;

@@ -6,7 +6,6 @@ namespace mps {
 
 void RttEstimator::add_sample(Duration rtt) {
   if (rtt < Duration::zero()) return;
-  last_ = rtt;
   min_rtt_ = std::min(min_rtt_, rtt);
   window_.add(rtt.to_seconds());
   lifetime_.add(rtt.to_seconds());

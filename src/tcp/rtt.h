@@ -24,13 +24,11 @@ class RttEstimator {
   void add_sample(Duration rtt);
 
   bool has_sample() const { return n_samples_ > 0; }
-  std::size_t sample_count() const { return n_samples_; }
 
   // Smoothed RTT; zero until the first sample.
   Duration srtt() const { return srtt_; }
   Duration rttvar() const { return rttvar_; }
   Duration min_rtt() const { return min_rtt_; }
-  Duration last_rtt() const { return last_; }
 
   // Standard deviation over the recent sample window (ECF's sigma).
   Duration stddev() const { return Duration::from_seconds(window_.stddev()); }
@@ -48,7 +46,6 @@ class RttEstimator {
   Duration srtt_ = Duration::zero();
   Duration rttvar_ = Duration::zero();
   Duration min_rtt_ = Duration::infinite();
-  Duration last_ = Duration::zero();
   std::size_t n_samples_ = 0;
   WindowedStats window_;  // the last 16 samples feed ECF's sigma
   RunningStats lifetime_;

@@ -217,9 +217,7 @@ class Subflow final : public ArenaAllocated<Subflow> {
 
   // --- diagnostics ----------------------------------------------------------
   const SubflowStats& stats() const { return stats_; }
-  TimePoint last_send_time() const { return last_send_time_; }
   TimePoint established_at() const { return established_at_; }
-  const char* cc_name() const { return cc().name(); }
   double inter_loss_bytes() const { return inter_loss_bytes_; }
 
   // --- invariant-checker inspection (check/invariants.h) --------------------
@@ -231,7 +229,6 @@ class Subflow final : public ArenaAllocated<Subflow> {
   std::uint64_t sack_high() const { return sack_high_; }
   std::size_t lost_not_rtx() const { return lost_not_rtx_; }
   std::size_t sacked_count() const { return sacked_count_; }
-  bool in_recovery() const { return in_recovery_; }
   int rto_backoff() const { return rto_backoff_; }
   bool rto_pending() const { return rto_timer_.pending(); }
   bool rack_pending() const { return rack_timer_.pending(); }

@@ -3,6 +3,7 @@
 // determinism of spec-driven runs (including serial vs parallel sweeps).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -194,12 +195,91 @@ ScenarioSpec full_spec() {
   return s;
 }
 
+// full_spec() plus every optional block, every field off its default. The
+// first path carries every path key (a schedule variation with levels, all
+// four fault models). Traffic and a path manager are both enabled, which no
+// parsed spec may combine: round trips drop one of the two.
+ScenarioSpec every_block_spec() {
+  ScenarioSpec s = full_spec();
+  PathSpec& a = s.paths[0];
+  a.variation.levels_mbps = {0.8, 1.6};
+  a.variation.mean_interval_s = 7.5;
+  a.variation.jitter_frac = 0.1;
+  a.variation.jitter_interval_s = 1.25;
+  a.faults.gilbert_elliott = {true, 0.02, 0.3, 0.001, 0.6};
+  a.faults.outages = {{1.5, 0.25}};
+  a.faults.flap = {true, 0.5, 0.15, 0.2};
+  a.faults.reorder = {true, 0.05, 30.0, 12.0};
+  s.traffic = {true, 4, 1.5, 64, 131072, "pareto", 2.5, 9.5, {CrossTrafficSpec{1, 2, 0.5}}};
+  PathManagerSpec& pm = s.path_manager;
+  pm.enabled = true;
+  pm.tick_ms = 5.0;
+  pm.drain_timeout_s = 1.5;
+  pm.join_delay_rtt = false;
+  pm.events = {{1.0, "remove", 2, "abandon"}};
+  pm.cap = {true, 6, 32768, {0, 2}};
+  pm.backup = {true, {1}, 3};
+  return s;
+}
+
 TEST(ScenarioSpecTest, SerializeParseRoundTripIsFieldExact) {
-  const ScenarioSpec s = full_spec();
-  const ScenarioSpec back = parse_scenario(serialize_scenario(s));
-  EXPECT_EQ(back, s);
-  // And the text form is a fixed point.
-  EXPECT_EQ(serialize_scenario(back), serialize_scenario(s));
+  ScenarioSpec with_traffic = every_block_spec();
+  with_traffic.path_manager = {};
+  ScenarioSpec with_path_manager = every_block_spec();
+  with_path_manager.traffic = {};
+  for (const ScenarioSpec& s : {full_spec(), with_traffic, with_path_manager}) {
+    const ScenarioSpec back = parse_scenario(serialize_scenario(s));
+    EXPECT_EQ(back, s);
+    // And the text form is a fixed point.
+    EXPECT_EQ(serialize_scenario(back), serialize_scenario(s));
+  }
+}
+
+// Every key path of `j` once, in first-seen order; array elements are "[]".
+void collect_key_paths(const Json& j, const std::string& prefix, std::vector<std::string>& out) {
+  if (j.is_array()) {
+    for (const Json& e : j.items()) collect_key_paths(e, prefix + "[]", out);
+  } else if (j.is_object()) {
+    for (const auto& [key, value] : j.members()) {
+      const std::string path = prefix.empty() ? key : prefix + "." + key;
+      if (std::find(out.begin(), out.end(), path) == out.end()) out.push_back(path);
+      collect_key_paths(value, path, out);
+    }
+  }
+}
+
+// The serialized schema, key by key in order: a field missing from (or moved
+// in) the spec walk fails here rather than in a golden.
+TEST(ScenarioSpecTest, SerializedKeysAreTheWholeSchemaInOrder) {
+  std::vector<std::string> keys;
+  collect_key_paths(scenario_to_json(every_block_spec()), "", keys);
+  const std::vector<std::string> expected = {
+      "name", "paths", "paths[].profile", "paths[].name", "paths[].rate_mbps", "paths[].rtt_ms",
+      "paths[].queue_packets", "paths[].loss_rate", "paths[].up_mbps", "paths[].variation",
+      "paths[].variation.kind", "paths[].variation.schedule", "paths[].variation.schedule[].at_s",
+      "paths[].variation.schedule[].mbps", "paths[].variation.levels_mbps",
+      "paths[].variation.mean_interval_s", "paths[].variation.jitter_frac",
+      "paths[].variation.jitter_interval_s", "paths[].faults", "paths[].faults.gilbert_elliott",
+      "paths[].faults.gilbert_elliott.p_good_bad", "paths[].faults.gilbert_elliott.p_bad_good",
+      "paths[].faults.gilbert_elliott.loss_good", "paths[].faults.gilbert_elliott.loss_bad",
+      "paths[].faults.outages", "paths[].faults.outages[].at_s", "paths[].faults.outages[].for_s",
+      "paths[].faults.flap", "paths[].faults.flap.period_s", "paths[].faults.flap.down_s",
+      "paths[].faults.flap.start_s", "paths[].faults.reorder", "paths[].faults.reorder.prob",
+      "paths[].faults.reorder.delay_ms", "paths[].faults.reorder.jitter_ms", "subflows_per_path",
+      "scheduler", "conn", "conn.cc", "conn.idle_cwnd_reset", "conn.opportunistic_rtx",
+      "conn.penalization", "conn.staging_bytes", "workload", "workload.kind", "workload.video_s",
+      "workload.abr", "workload.bytes", "workload.runs", "traffic", "traffic.flows",
+      "traffic.arrival_rate_per_s", "traffic.max_arrivals", "traffic.flow_bytes",
+      "traffic.size_dist", "traffic.pareto_alpha", "traffic.duration_s", "traffic.cross",
+      "traffic.cross[].path", "traffic.cross[].flows", "traffic.cross[].start_s", "path_manager",
+      "path_manager.tick_ms", "path_manager.drain_timeout_s", "path_manager.join_delay_rtt",
+      "path_manager.events", "path_manager.events[].at_s", "path_manager.events[].action",
+      "path_manager.events[].path", "path_manager.events[].mode", "path_manager.cap",
+      "path_manager.cap.max_subflows", "path_manager.cap.bytes_per_subflow",
+      "path_manager.cap.paths", "path_manager.backup", "path_manager.backup.paths",
+      "path_manager.backup.promote_after_rtos", "seed", "trace_seed", "record",
+      "record.collect_traces", "record.summarize"};
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(ScenarioSpecTest, ParsedTextRoundTripsThroughSerializer) {
