@@ -409,7 +409,8 @@ class Reader {
   const char* key_ = nullptr;
   std::size_t index_ = kNoIndex;
   const void* prev_ = nullptr;
-  std::uint64_t used_ = 0;  // bit i: member i was read
+  std::uint64_t used_ = 0;  // bit i: member i was read; a walk names at most
+                            // 12 keys, so members past 64 follow unknown ones
   bool checks_after_keys_ = false;
   bool checking_ = false;  // the second walk of a check_after_keys() struct
 };

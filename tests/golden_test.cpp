@@ -26,6 +26,7 @@
 #include "exp/scenario_run.h"
 #include "exp/snapshot.h"
 #include "obs/recorder.h"
+#include "test_util.h"
 #include "traffic/engine.h"
 
 namespace mps {
@@ -39,22 +40,6 @@ const fs::path kGoldenDir = fs::path(MPS_SOURCE_DIR) / "tests" / "goldens";
 bool update_goldens() {
   const char* v = std::getenv("MPS_UPDATE_GOLDENS");
   return v != nullptr && std::string(v) == "1";
-}
-
-std::vector<fs::path> scenario_files() {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(kScenarioDir)) {
-    if (entry.path().extension() == ".json") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 // Smoke scale for non-traffic presets (see file header). Traffic presets are
@@ -89,7 +74,7 @@ std::string render(const ScenarioSpec& spec, RunTelemetry* telemetry = nullptr) 
 }
 
 TEST(GoldenCorpus, EveryScenarioMatchesGolden) {
-  const auto files = scenario_files();
+  const auto files = json_files(kScenarioDir);
   ASSERT_FALSE(files.empty()) << "no scenario presets found in " << kScenarioDir;
 
   for (const fs::path& file : files) {
@@ -132,7 +117,7 @@ TEST(GoldenCorpus, NoStaleGoldens) {
 // Re-running a preset in the same process must be bit-exact — the corpus
 // would otherwise depend on test ordering.
 TEST(GoldenCorpus, RenderIsDeterministic) {
-  const auto files = scenario_files();
+  const auto files = json_files(kScenarioDir);
   ASSERT_FALSE(files.empty());
   ScenarioSpec spec = scenario_from_json(Json::parse(slurp(files.front())));
   apply_smoke_overrides(spec);
@@ -157,7 +142,7 @@ TEST(FireDigest, EveryPresetAndAChurnCellMatchFixture) {
     return std::string(buf);
   };
   std::string actual = "# name fire_digest events scheduled\n";
-  for (const fs::path& file : scenario_files()) {
+  for (const fs::path& file : json_files(kScenarioDir)) {
     ScenarioSpec spec = scenario_from_json(Json::parse(slurp(file)));
     apply_smoke_overrides(spec);
     RunTelemetry t;

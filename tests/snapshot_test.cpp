@@ -32,22 +32,6 @@ namespace fs = std::filesystem;
 
 const fs::path kScenarioDir = fs::path(MPS_SOURCE_DIR) / "scenarios";
 
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::vector<fs::path> scenario_files() {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(kScenarioDir)) {
-    if (entry.path().extension() == ".json") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
 // Same smoke scale as the golden-corpus test, so runtimes stay in ctest
 // territory while every workload kind is covered.
 void apply_smoke_overrides(ScenarioSpec& spec) {
@@ -121,7 +105,7 @@ class ForkVsScratch : public ::testing::TestWithParam<int> {};
 // byte-identical to the never-forked run.
 TEST_P(ForkVsScratch, EveryPresetByteIdentical) {
   const int jobs = GetParam();
-  const auto files = scenario_files();
+  const auto files = json_files(kScenarioDir);
   ASSERT_FALSE(files.empty()) << "no scenario presets found in " << kScenarioDir;
 
   for (const fs::path& file : files) {

@@ -16,20 +16,19 @@
 //   MPS_UPDATE_GOLDENS=1 ./build/tests/spec_fuzz_test
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <regex>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "scenario/json.h"
 #include "scenario/spec.h"
+#include "test_util.h"
 
 namespace mps {
 namespace {
@@ -38,22 +37,6 @@ namespace fs = std::filesystem;
 
 const fs::path kScenarioDir = fs::path(MPS_SOURCE_DIR) / "scenarios";
 const fs::path kFixture = fs::path(MPS_SOURCE_DIR) / "tests" / "data" / "spec_mutants.txt";
-
-std::string slurp(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-std::vector<fs::path> scenario_files() {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(kScenarioDir)) {
-    if (entry.path().extension() == ".json") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
 
 std::uint64_t fnv1a(const std::string& s, std::uint64_t h = 0xcbf29ce484222325ull) {
   for (unsigned char c : s) {
@@ -180,7 +163,7 @@ std::string verdict(const Json& doc, const std::string& where) {
 
 TEST(SpecFuzz, EveryPresetMutantParsesExactlyOrNamesItsKey) {
   std::string actual = "# name mutants accepted verdict_digest\n";
-  const std::vector<fs::path> files = scenario_files();
+  const std::vector<fs::path> files = json_files(kScenarioDir);
   ASSERT_EQ(files.size(), 13u) << "presets under " << kScenarioDir;
   for (const fs::path& file : files) {
     const std::string name = file.stem().string();

@@ -1,7 +1,12 @@
 // Shared test helpers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mptcp/connection.h"
@@ -9,6 +14,23 @@
 #include "scenario/world.h"
 
 namespace mps {
+
+inline std::string slurp(const std::filesystem::path& p) {
+  std::ifstream in(p);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The *.json files in `dir` (the presets: scenarios/), sorted.
+inline std::vector<std::filesystem::path> json_files(const std::filesystem::path& dir) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
 
 // The paper testbed's two paths at the given downlink rates: wifi (primary)
 // and lte, each the unmodified technology profile.
