@@ -296,10 +296,6 @@ class Reader {
   template <class T>
   const T* prev(const T&) const { return static_cast<const T*>(prev_); }
 
-  [[noreturn]] void fail(const char* key, const std::string& msg, std::size_t i = kNoIndex) const {
-    throw std::invalid_argument("scenario spec: " + key_path(path(), key, i) + ": " + msg);
-  }
-
   void finish() const {
     const auto& m = j_.members();
     for (std::size_t i = 0; i < m.size(); ++i) {
@@ -308,6 +304,9 @@ class Reader {
   }
 
  private:
+  [[noreturn]] void fail(const char* key, const std::string& msg, std::size_t i = kNoIndex) const {
+    throw std::invalid_argument("scenario spec: " + key_path(path(), key, i) + ": " + msg);
+  }
   std::string path() const { return parent_ ? key_path(parent_->path(), key_, index_) : ""; }
 
   const Json* find(const char* key) {
