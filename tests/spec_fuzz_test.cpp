@@ -77,10 +77,17 @@ constexpr Edit kEdits[] = {
     {"traffic.cross", "[{\"path\": 9}]"},
     {"path_manager.events",
      "[{\"at_s\": 2, \"action\": \"remove\", \"path\": 0}, {\"at_s\": 1, \"path\": 1}]"},
-    // Several faults at once: pins which one a spec reports first.
+    // Several faults at once: pins which one a spec reports first. Variation
+    // and fault blocks check ranges only after rejecting unknown keys; paths
+    // check each field as it is read.
     {"paths[0].faults.flap", "{\"period_s\": 1, \"down_s\": 2, \"start_s\": -1}"},
+    {"paths[0].faults.flap", "{\"period_s\": -1, \"bogus\": 1}"},
     {"paths[0].faults.gilbert_elliott", "{\"p_good_bad\": 2, \"loss_bad\": 2, \"bogus\": 1}"},
+    {"paths[0].faults.reorder", "{\"prob\": 2, \"bogus\": 1}"},
+    {"paths[0].faults.outages", "[{\"at_s\": -1, \"bogus\": 1}]"},
     {"paths[0].variation", "{\"kind\": \"random\", \"mean_interval_s\": -1}"},
+    {"paths[0].variation", "{\"kind\": \"jitter\", \"jitter_frac\": 2, \"bogus\": 1}"},
+    {"paths[0]", "{\"rate_mbps\": -1, \"bogus\": 1}"},
     {"path_manager.events", "[{\"at_s\": 2}, {\"at_s\": 1, \"action\": \"x\"}]"},
 };
 
