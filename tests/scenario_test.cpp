@@ -394,7 +394,7 @@ TEST(ScenarioSpecTest, InvalidFaultsNameTheOffendingKey) {
 }
 
 // The runners hold these counts in an int: a value past INT_MAX must be
-// refused at parse time, not wrapped (2^32 + 1 used to read as 1).
+// refused at parse time, not wrapped (2^32 + 1 would read as 1).
 TEST(ScenarioSpecTest, IntCountsAboveIntMaxAreRejected) {
   for (const char* key : {"subflows_per_path", "workload.runs", "path_manager.cap.max_subflows",
                           "path_manager.backup.promote_after_rtos"}) {
