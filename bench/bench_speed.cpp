@@ -5,15 +5,14 @@
 //
 //  * kernel: events/sec through the EventQueue under the stack's dominant
 //    churn pattern (every pop schedules a near-future replacement and
-//    restarts a far-future RTO-style timer via cancel+reschedule). Run both
-//    on the current queue and on a replica of the seed's queue
-//    (std::function storage, pending-id hash set, lazy tombstone cancel) so
-//    the speedup is measured, not asserted.
+//    restarts a far-future RTO-style timer via cancel+reschedule).
 //  * grid: wall-clock for the Fig. 9 reference sweep (6x6 bandwidth grid x
 //    4 schedulers) at jobs = 1, 4, and MPS_BENCH_JOBS (default: hardware
 //    concurrency), deduplicated, in one invocation — each run carries the
 //    SweepRunner's per-worker busy/wait/idle telemetry so the grid speedup
-//    (or its absence) is explained, not just reported.
+//    (or its absence) is explained, not just reported, and the last run's
+//    telemetry feeds --prof-out. The suite's own end-to-end wall time is
+//    scripts/bench_suite.sh's BENCH_suite.json.
 //  * prefix_dedupe: wall-clock for a what-if scheduler grid (one prefix,
 //    four divergent suffixes; exp/snapshot.h) with the shared prefix
 //    simulated once and forked vs every branch run from scratch. Both modes
@@ -27,8 +26,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <unordered_set>
 
 #include "bench/common.h"
 #include "exp/prof_report.h"
@@ -40,63 +37,6 @@
 
 namespace mps::bench {
 namespace {
-
-// ---- seed-replica queue ----------------------------------------------------
-// Copy of the pre-overhaul EventQueue (heap of full entries, pending-id
-// unordered_set, cancelled entries dropped lazily at the root only).
-class LegacyEventQueue {
- public:
-  EventId schedule(TimePoint when, std::function<void()> fn) {
-    const EventId id = next_id_++;
-    heap_.push_back(Entry{when, next_seq_++, id, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    pending_.insert(id);
-    return id;
-  }
-
-  void cancel(EventId id) { pending_.erase(id); }
-
-  bool empty() const { return pending_.empty(); }
-
-  struct Fired {
-    TimePoint when;
-    std::function<void()> fn;
-  };
-  Fired pop() {
-    drop_dead_top();
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    pending_.erase(e.id);
-    return Fired{e.when, std::move(e.fn)};
-  }
-
- private:
-  struct Entry {
-    TimePoint when;
-    std::uint64_t seq;
-    EventId id;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  void drop_dead_top() {
-    while (!heap_.empty() && !pending_.contains(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> pending_;
-  std::uint64_t next_seq_ = 1;
-  EventId next_id_ = 1;
-};
 
 // ---- kernel churn ----------------------------------------------------------
 
@@ -110,9 +50,8 @@ volatile std::uint64_t g_churn_sink = 0;
 // Each pop: fire, schedule a near-future replacement (a link transmission),
 // and restart one far-future timer (the per-ACK RTO pattern). Capture three
 // words, the typical closure size across the stack.
-template <typename Queue>
 double churn_events_per_sec() {
-  Queue q;
+  EventQueue q;
   std::uint64_t sink = 0;
   std::uint64_t now_ns = 0;
   std::uint64_t ticks = 0;
@@ -161,7 +100,7 @@ struct GridRun {
   SweepTelemetry telemetry;
 };
 
-GridRun grid_sweep(int jobs, const CellConfig& cell) {
+GridRun grid_sweep(int jobs) {
   const auto& grid = paper_bandwidth_grid();
   const auto& scheds = paper_schedulers();
   const std::size_t n = grid.size();
@@ -173,7 +112,8 @@ GridRun grid_sweep(int jobs, const CellConfig& cell) {
     const std::size_t s = i / (n * n);
     const std::size_t w = (i % (n * n)) / n;
     const std::size_t l = i % n;
-    out[i] = run_streaming_cell(grid[w], grid[l], scheds[s], cell).mean_bitrate_mbps;
+    const ScenarioSpec spec = streaming_spec(grid[w], grid[l], scheds[s]);
+    out[i] = run_scenario(spec).streaming.mean_bitrate_mbps;
   });
   const auto stop = std::chrono::steady_clock::now();
   GridRun r;
@@ -241,12 +181,9 @@ int main(int argc, char** argv) {
 
   std::printf("\nkernel churn (%llu pops, %zu live transmissions, %zu timers):\n",
               static_cast<unsigned long long>(kChurnPops), kLiveTransmissions, kLiveTimers);
-  const double seed_eps = churn_events_per_sec<LegacyEventQueue>();
-  const double eps = churn_events_per_sec<EventQueue>();
-  std::printf("  seed queue      %12.0f events/s\n", seed_eps);
-  std::printf("  current queue   %12.0f events/s  (%.2fx)\n", eps, eps / seed_eps);
+  const double eps = churn_events_per_sec();
+  std::printf("  event queue     %12.0f events/s\n", eps);
 
-  const CellConfig cell;  // current MPS_BENCH_SCALE, resolved once
   const auto& grid = paper_bandwidth_grid();
   const int cells = static_cast<int>(paper_schedulers().size() * grid.size() * grid.size());
   const int hw_jobs = sweep_jobs();
@@ -260,7 +197,7 @@ int main(int argc, char** argv) {
 
   std::printf("\nFig. 9 reference grid (%d cells, hw=%d):\n", cells, hw_jobs);
   std::vector<GridRun> runs;
-  for (int j : deduped) runs.push_back(grid_sweep(j, cell));
+  for (int j : deduped) runs.push_back(grid_sweep(j));
   const double serial_s = runs.front().seconds;
   for (const GridRun& r : runs) {
     std::uint64_t busy_ns = 0;
@@ -278,9 +215,9 @@ int main(int argc, char** argv) {
   // prefix at 75% of the video, so the shared-prefix mode simulates ~3/4 of
   // the work once instead of four times.
   const std::vector<std::string> whatif_scheds = {"minrtt", "ecf", "blest", "daps"};
-  const double video_s = cell.scale.video.to_seconds();
+  const double video_s = bench_scale().video.to_seconds();
   const double switch_at_s = 0.75 * video_s;
-  const ScenarioSpec whatif_spec = streaming_spec(2.0, 8.0, "minrtt", cell);
+  const ScenarioSpec whatif_spec = streaming_spec(2.0, 8.0, "minrtt");
   std::printf(
       "\nprefix-dedupe what-if grid (%zu schedulers, switch at %.0f of %.0f s, %lld rep(s)):\n",
       whatif_scheds.size(), switch_at_s, video_s,
@@ -304,8 +241,6 @@ int main(int argc, char** argv) {
   kernel.set("live_transmissions", Json::number(static_cast<std::int64_t>(kLiveTransmissions)));
   kernel.set("live_timers", Json::number(static_cast<std::int64_t>(kLiveTimers)));
   kernel.set("events_per_sec", Json::number(eps));
-  kernel.set("seed_events_per_sec", Json::number(seed_eps));
-  kernel.set("speedup_vs_seed", Json::number(eps / seed_eps));
   doc.set("kernel", kernel);
 
   Json grid_doc = Json::object();

@@ -1,0 +1,1040 @@
+#include "bench/suite.h"
+
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <stdexcept>
+#include <unordered_map>
+
+#include "bench/common.h"
+#include "core/ecf.h"
+
+namespace mps::bench {
+namespace {
+
+// Bandwidth labels like "0.3" for the paper's grid values.
+std::vector<std::string> grid_labels() {
+  std::vector<std::string> out;
+  for (double bw : paper_bandwidth_grid()) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "%.1f", bw);
+    out.emplace_back(buf);
+  }
+  return out;
+}
+
+// A streaming cell of one repetition: sections that show a single run's
+// traces or per-run numbers.
+ScenarioSpec single_run(ScenarioSpec spec) {
+  spec.workload.runs = 1;
+  return spec;
+}
+
+ScenarioSpec web_spec(double wifi, double lte, const std::string& sched, std::uint64_t seed) {
+  ScenarioSpec s;
+  s.paths = {wifi_path(wifi), lte_path(lte)};
+  s.scheduler = sched;
+  s.workload.kind = WorkloadKind::kWeb;
+  s.workload.runs = bench_scale().web_runs;
+  s.seed = seed;
+  return s;
+}
+
+// Section 6 in-the-wild cell: profile paths with RTT/loss overrides and
+// (for streaming) the profile's rate jitter, built from the profile's
+// scalar nominals.
+ScenarioSpec wild_spec(const WildRunProfile& profile, const std::string& sched, bool jitter) {
+  ScenarioSpec s;
+  PathSpec wifi = wifi_path(profile.wifi_mbps);
+  wifi.rtt_ms = profile.wifi_rtt_ms;
+  wifi.loss_rate = profile.wifi_loss_rate;
+  PathSpec lte = lte_path(profile.lte_mbps);
+  lte.rtt_ms = profile.lte_rtt_ms;
+  lte.loss_rate = profile.lte_loss_rate;
+  if (jitter) {
+    for (PathSpec* p : {&wifi, &lte}) {
+      p->variation.kind = VariationKind::kJitter;
+      p->variation.jitter_frac = profile.rate_jitter_frac;
+      p->variation.jitter_interval_s = profile.jitter_interval_s;
+    }
+  }
+  s.paths = {wifi, lte};
+  s.scheduler = sched;
+  return s;
+}
+
+// Section 5.3 random-bandwidth scenario `sc`: both interfaces re-drawn from
+// {0.3, 1.1, 1.7, 4.2, 8.6} Mbps at exponential intervals (mean 40 s); the
+// builder re-derives the traces from trace_seed, identical for every
+// scheduler of a scenario.
+ScenarioSpec random_bw_spec(int sc, const std::string& sched) {
+  ScenarioSpec spec = single_run(streaming_spec(8.6, 8.6, sched));
+  for (PathSpec& path : spec.paths) {
+    path.variation.kind = VariationKind::kRandom;
+    path.variation.levels_mbps = {0.3, 1.1, 1.7, 4.2, 8.6};
+    path.variation.mean_interval_s = 40.0;
+  }
+  spec.workload.video_s = bench_scale().random_run.to_seconds();
+  spec.seed = 77 + static_cast<std::uint64_t>(sc);
+  spec.trace_seed = 1000 + static_cast<std::uint64_t>(sc);
+  return spec;
+}
+
+using Series = std::vector<std::pair<std::string, const Samples*>>;
+
+// Paper Fig. 2: ratio of measured vs. ideal average bit rate for the default
+// MPTCP scheduler across the 6x6 regulated-bandwidth grid (darker/higher is
+// better). The heterogeneous corners must show clear degradation.
+Plan fig02() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  for (double w : grid) {
+    for (double l : grid) p.cells.push_back({streaming_spec(w, l, "default")});
+  }
+  p.render = [&grid](const Outcomes& out) {
+    const std::size_t n = grid.size();
+    std::vector<std::vector<double>> ratio(n, std::vector<double>(n));
+    for (std::size_t w = 0; w < n; ++w) {
+      for (std::size_t l = 0; l < n; ++l) {
+        ratio[l][w] = out[w * n + l]->streaming.mean_bitrate_mbps /
+                      ideal_bitrate_mbps(grid[w], grid[l]);
+      }
+    }
+    print_heatmap(std::cout, "Ratio of measured vs ideal bit rate (default)", "LTE (Mbps)",
+                  "WiFi (Mbps)", grid_labels(), grid_labels(),
+                  [&](std::size_t row, std::size_t col) { return ratio[row][col]; });
+    // The paper's qualitative check: heterogeneous corners < diagonal.
+    const double corner = std::min(ratio[5][0], ratio[0][5]);
+    const double diag = ratio[5][5];
+    std::printf("\nheterogeneous corner ratio %.2f vs symmetric top ratio %.2f -> %s\n", corner,
+                diag, corner < diag ? "degradation reproduced" : "NO degradation (unexpected)");
+  };
+  return p;
+}
+
+// Paper Fig. 3: per-subflow send-buffer occupancy (including in-flight
+// packets) over time for 0.3 Mbps WiFi + 8.6 Mbps LTE under the default
+// scheduler. The LTE buffer must drain quickly each chunk while WiFi stays
+// occupied, exposing the pauses the paper describes.
+Plan fig03() {
+  ScenarioSpec spec = single_run(streaming_spec(0.3, 8.6, "default"));
+  spec.record.collect_traces = true;
+  Plan p;
+  p.cells.push_back({spec});
+  p.render = [](const Outcomes& out) {
+    const StreamingResult& r = out[0]->streaming;
+    // The paper shows a 20 s steady-state window; print the same length from
+    // mid-run in KB.
+    const TimePoint from = TimePoint::origin() + bench_scale().video / 3;
+    const TimePoint to = from + Duration::seconds(20);
+    TimeSeries wifi_kb, lte_kb;
+    for (const auto& pt : r.sndbuf_wifi.points()) wifi_kb.add(pt.t, pt.value / 1024.0);
+    for (const auto& pt : r.sndbuf_lte.points()) lte_kb.add(pt.t, pt.value / 1024.0);
+    print_trace(std::cout, "sndbuf occupancy (KB)", {{"wifi", &wifi_kb}, {"lte", &lte_kb}},
+                Duration::millis(500), from, to);
+    std::printf("\npeak occupancy: wifi %.1f KB, lte %.1f KB\n", wifi_kb.max_value(),
+                lte_kb.max_value());
+  };
+  return p;
+}
+
+// {0.3, 0.7, 1.1, 4.2} Mbps WiFi against 8.6 Mbps LTE (Figs. 5 and 13).
+const std::vector<double> kHeteroWifi = {0.3, 0.7, 1.1, 4.2};
+
+// Paper Fig. 5: CDF of the time difference between the last packets
+// delivered over WiFi and LTE per chunk download, default scheduler. More
+// heterogeneity must shift the CDF right.
+Plan fig05() {
+  Plan p;
+  for (double w : kHeteroWifi) p.cells.push_back({streaming_spec(w, 8.6, "default")});
+  p.render = [](const Outcomes& out) {
+    Series series;
+    for (std::size_t i = 0; i < kHeteroWifi.size(); ++i) {
+      series.emplace_back(pair_label(kHeteroWifi[i], 8.6) + "Mbps",
+                          &out[i]->streaming.last_packet_gap);
+    }
+    print_distribution(std::cout, "Time difference between last packets (s)", "diff(s)", series,
+                       /*ccdf=*/false, make_x_grid(series, 12));
+    std::printf("\nmedians: ");
+    for (std::size_t i = 0; i < kHeteroWifi.size(); ++i) {
+      std::printf("%s=%.3fs ", pair_label(kHeteroWifi[i], 8.6).c_str(),
+                  out[i]->streaming.last_packet_gap.quantile(0.5));
+    }
+    std::printf("(paper: increases with heterogeneity)\n");
+  };
+  return p;
+}
+
+// Paper Fig. 6: streaming throughput with and without the idle CWND reset
+// (default scheduler) against the ideal aggregate bandwidth, for all 36
+// WiFi-LTE pairs. Disabling the reset must recover throughput on average,
+// while both stay below the ideal.
+Plan fig06() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  // Pair-major, with/without reset interleaved per pair.
+  for (double w : grid) {
+    for (double l : grid) {
+      ScenarioSpec spec = streaming_spec(w, l, "default");
+      p.cells.push_back({spec});
+      spec.conn.idle_cwnd_reset = false;
+      p.cells.push_back({spec});
+    }
+  }
+  p.render = [&grid](const Outcomes& out) {
+    std::vector<std::string> pairs;
+    std::vector<double> with_reset, without_reset, ideal;
+    for (double w : grid) {
+      for (double l : grid) {
+        const std::size_t pair = pairs.size();
+        pairs.push_back(pair_label(w, l));
+        with_reset.push_back(out[2 * pair]->streaming.mean_throughput_mbps);
+        without_reset.push_back(out[2 * pair + 1]->streaming.mean_throughput_mbps);
+        ideal.push_back(w + l);
+      }
+    }
+    print_grouped(std::cout, "Throughput (Mbps)", "WiFi-LTE", pairs,
+                  {"w/ reset", "w/o reset", "ideal"},
+                  [&](std::size_t g, std::size_t s) {
+                    return s == 0 ? with_reset[g] : s == 1 ? without_reset[g] : ideal[g];
+                  });
+    double sum_with = 0, sum_without = 0, sum_ideal = 0;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      sum_with += with_reset[i];
+      sum_without += without_reset[i];
+      sum_ideal += ideal[i];
+    }
+    std::printf("\ngrid means: w/ reset %.2f, w/o reset %.2f, ideal %.2f Mbps\n",
+                sum_with / pairs.size(), sum_without / pairs.size(), sum_ideal / pairs.size());
+    std::printf("paper shape: w/o reset >= w/ reset, both < ideal -> %s\n",
+                (sum_without >= sum_with * 0.98 && sum_without < sum_ideal) ? "reproduced"
+                                                                            : "NOT reproduced");
+  };
+  return p;
+}
+
+// Paper Fig. 7: fraction of traffic the default scheduler places on the
+// fast subflow during streaming, against the ideal bandwidth share, for all
+// 36 WiFi-LTE pairs. The default must under-use the fast path when paths
+// are heterogeneous.
+Plan fig07() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  for (double w : grid) {
+    for (double l : grid) p.cells.push_back({streaming_spec(w, l, "default")});
+  }
+  p.render = [&grid](const Outcomes& out) {
+    std::vector<std::string> pairs;
+    std::vector<double> measured, ideal;
+    double under_use = 0;
+    int hetero_cells = 0;
+    for (double w : grid) {
+      for (double l : grid) {
+        measured.push_back(out[pairs.size()]->streaming.fraction_fast);
+        pairs.push_back(pair_label(w, l));
+        const double fast = std::max(w, l);
+        const double slow = std::min(w, l);
+        ideal.push_back(ideal_fast_fraction(fast, slow));
+        if (fast / slow >= 4.0) {
+          under_use += ideal.back() - measured.back();
+          ++hetero_cells;
+        }
+      }
+    }
+    print_grouped(std::cout, "Fraction over fast subflow", "WiFi-LTE", pairs,
+                  {"default", "ideal"},
+                  [&](std::size_t g, std::size_t s) { return s == 0 ? measured[g] : ideal[g]; });
+    std::printf("\nmean (ideal - measured) over strongly heterogeneous cells: %.3f (n=%d)\n",
+                hetero_cells ? under_use / hetero_cells : 0.0, hetero_cells);
+  };
+  return p;
+}
+
+// Paper Table 2: average measured RTT per interface under each regulated
+// bandwidth. Queueing at the regulated bottleneck dominates: RTT grows as
+// bandwidth shrinks, and WiFi < LTE at equal bandwidth.
+Plan tab02() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  for (double bw : grid) p.cells.push_back({streaming_spec(bw, bw, "default")});
+  p.render = [&grid](const Outcomes& out) {
+    static constexpr double kPaperWifiMs[6] = {969, 413, 273, 196, 87, 40};
+    static constexpr double kPaperLteMs[6] = {858, 416, 268, 210, 131, 105};
+    std::printf("%10s %14s %14s %14s %14s\n", "Mbps", "wifi (ms)", "paper wifi", "lte (ms)",
+                "paper lte");
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const StreamingResult& r = out[i]->streaming;
+      std::printf("%10.1f %14.0f %14.0f %14.0f %14.0f\n", grid[i], r.mean_rtt_wifi_ms,
+                  kPaperWifiMs[i], r.mean_rtt_lte_ms, kPaperLteMs[i]);
+    }
+    std::printf("\nshape checks: RTT decreasing in bandwidth; wifi < lte at equal rate\n");
+  };
+  return p;
+}
+
+// Paper Fig. 9: ratio of measured vs ideal average bit rate for all four
+// schedulers (default, ECF, DAPS, BLEST) on the 6x6 bandwidth grid. ECF
+// must come closest to ideal under heterogeneity; DAPS must not improve on
+// the default.
+Plan fig09() {
+  const auto& grid = paper_bandwidth_grid();
+  const auto& scheds = paper_schedulers();  // default, ecf, daps, blest
+  Plan p;
+  // Scheduler x WiFi x LTE, scheduler-major.
+  for (const std::string& s : scheds) {
+    for (double w : grid) {
+      for (double l : grid) p.cells.push_back({streaming_spec(w, l, s)});
+    }
+  }
+  p.render = [&grid, &scheds](const Outcomes& out) {
+    const std::vector<std::string> labels = grid_labels();
+    const std::size_t n = grid.size();
+    double mean_ratio[4] = {};
+    double hetero_ratio[4] = {};
+    int hetero_cells = 0;
+    for (std::size_t s = 0; s < scheds.size(); ++s) {
+      std::vector<std::vector<double>> ratio(n, std::vector<double>(n));
+      int hcells = 0;
+      for (std::size_t w = 0; w < n; ++w) {
+        for (std::size_t l = 0; l < n; ++l) {
+          const double v = out[s * n * n + w * n + l]->streaming.mean_bitrate_mbps /
+                           ideal_bitrate_mbps(grid[w], grid[l]);
+          ratio[l][w] = v;
+          mean_ratio[s] += v;
+          const double het = std::max(grid[w], grid[l]) / std::min(grid[w], grid[l]);
+          if (het >= 4.0) {
+            hetero_ratio[s] += v;
+            ++hcells;
+          }
+        }
+      }
+      hetero_cells = hcells;
+      print_heatmap(std::cout,
+                    "(" + std::string(1, static_cast<char>('a' + s)) + ") " + scheds[s],
+                    "LTE (Mbps)", "WiFi (Mbps)", labels, labels,
+                    [&](std::size_t row, std::size_t col) { return ratio[row][col]; });
+    }
+    std::printf("\nmean ratio over grid / over heterogeneous cells (het >= 4x):\n");
+    for (std::size_t s = 0; s < scheds.size(); ++s) {
+      std::printf("  %-8s %.3f / %.3f\n", scheds[s].c_str(), mean_ratio[s] / 36.0,
+                  hetero_ratio[s] / hetero_cells);
+    }
+    std::printf("paper shape: ecf closest to ideal under heterogeneity; daps <= default\n");
+  };
+  return p;
+}
+
+// Paper Fig. 10: fraction of traffic scheduled onto the fast subflow for
+// BLEST and ECF against the ideal share, streaming with fixed bandwidth.
+// ECF must track the ideal allocation more closely than BLEST.
+Plan fig10() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  // Pair-major, BLEST/ECF interleaved per pair.
+  for (double w : grid) {
+    for (double l : grid) {
+      p.cells.push_back({streaming_spec(w, l, "blest")});
+      p.cells.push_back({streaming_spec(w, l, "ecf")});
+    }
+  }
+  p.render = [&grid](const Outcomes& out) {
+    std::vector<std::string> pairs;
+    std::vector<double> blest, ecf, ideal;
+    double err_blest = 0, err_ecf = 0;
+    for (double w : grid) {
+      for (double l : grid) {
+        const std::size_t pair = pairs.size();
+        pairs.push_back(pair_label(w, l));
+        blest.push_back(out[2 * pair]->streaming.fraction_fast);
+        ecf.push_back(out[2 * pair + 1]->streaming.fraction_fast);
+        ideal.push_back(ideal_fast_fraction(std::max(w, l), std::min(w, l)));
+        err_blest += std::abs(blest.back() - ideal.back());
+        err_ecf += std::abs(ecf.back() - ideal.back());
+      }
+    }
+    print_grouped(std::cout, "Fraction over fast subflow", "WiFi-LTE", pairs,
+                  {"BLEST", "ECF", "ideal"}, [&](std::size_t g, std::size_t s) {
+                    return s == 0 ? blest[g] : s == 1 ? ecf[g] : ideal[g];
+                  });
+    std::printf("\nmean |measured - ideal|: blest %.3f, ecf %.3f (paper: ecf closer)\n",
+                err_blest / pairs.size(), err_ecf / pairs.size());
+  };
+  return p;
+}
+
+// Paper Figs. 11 and 12: WiFi and LTE CWND traces for each scheduler at
+// 0.3 Mbps WiFi / 8.6 Mbps LTE. ECF must hold the LTE window high (few
+// resets to the initial window) while the other schedulers collapse it
+// repeatedly.
+Plan fig11_12() {
+  const auto& scheds = paper_schedulers();
+  // One flight recorder per scheduler run: the CWND series come from its
+  // metrics registry, and the decision aggregates feed the report below.
+  auto recorders = std::make_shared<std::vector<std::unique_ptr<FlightRecorder>>>();
+  Plan p;
+  for (const std::string& s : scheds) {
+    recorders->push_back(std::make_unique<FlightRecorder>());
+    Cell cell{single_run(streaming_spec(0.3, 8.6, s))};
+    cell.spec.record.collect_traces = true;
+    cell.opts.recorder = recorders->back().get();
+    p.cells.push_back(std::move(cell));
+  }
+  p.render = [&scheds, recorders](const Outcomes& out) {
+    const TimePoint from = TimePoint::origin();
+    const TimePoint to = TimePoint::origin() + bench_scale().video;
+    const Duration bucket = bench_scale().video / 30;
+    const auto cwnd = [&](TimeSeries StreamingResult::*trace) {
+      std::vector<std::pair<std::string, const TimeSeries*>> series;
+      for (std::size_t i = 0; i < scheds.size(); ++i) {
+        series.emplace_back(scheds[i], &(out[i]->streaming.*trace));
+      }
+      return series;
+    };
+    print_trace(std::cout, "Fig. 11 — WiFi CWND (segments, bucket means)",
+                cwnd(&StreamingResult::cwnd_wifi), bucket, from, to);
+    print_trace(std::cout, "Fig. 12 — LTE CWND (segments, bucket means)",
+                cwnd(&StreamingResult::cwnd_lte), bucket, from, to);
+    std::printf("\nLTE CWND time-means: ");
+    for (std::size_t i = 0; i < scheds.size(); ++i) {
+      std::printf("%s=%.1f ", scheds[i].c_str(), out[i]->streaming.cwnd_lte.time_mean(from, to));
+    }
+    std::printf("\npaper shape: ecf highest LTE utilization, then blest, daps, default\n");
+    // Flight-recorder end-of-run reports, after the figure output.
+    for (std::size_t i = 0; i < scheds.size(); ++i) {
+      std::cout << "\n--- flight recorder: " << scheds[i] << " ---\n";
+      (*recorders)[i]->summarize(std::cout);
+    }
+  };
+  return p;
+}
+
+// Paper Table 3: number of LTE CWND resets to the initial window (idle
+// restarts + loss timeouts) per scheduler over a full playback at 0.3 Mbps
+// WiFi / 8.6 Mbps LTE. ECF must show by far the fewest.
+Plan tab03() {
+  const auto& scheds = paper_schedulers();
+  Plan p;
+  for (const std::string& s : scheds) p.cells.push_back({streaming_spec(0.3, 8.6, s)});
+  p.render = [&scheds](const Outcomes& out) {
+    // Paper values, for a 1332 s playback: default 486, DAPS 92, BLEST 382,
+    // ECF 16. We print measured counts plus a per-paper-duration scaling.
+    static constexpr double kPaper[4] = {486, 92, 382, 16};
+    const double scale_to_paper = 1332.0 / bench_scale().video.to_seconds();
+    std::printf("%10s %16s %22s %14s\n", "scheduler", "measured", "scaled to 1332s", "paper");
+    for (std::size_t i = 0; i < scheds.size(); ++i) {
+      const double m = static_cast<double>(out[i]->streaming.iw_resets_lte);
+      // paper_schedulers() order: default, ecf, daps, blest -> map to the
+      // paper's column order per name.
+      const double paper = scheds[i] == "default" ? kPaper[0]
+                           : scheds[i] == "daps"  ? kPaper[1]
+                           : scheds[i] == "blest" ? kPaper[2]
+                                                  : kPaper[3];
+      std::printf("%10s %16.0f %22.0f %14.0f\n", scheds[i].c_str(), m, m * scale_to_paper, paper);
+    }
+    std::printf("\npaper shape: ecf fewest resets; default most\n");
+  };
+  return p;
+}
+
+// Paper Fig. 13: CCDF of per-packet out-of-order delay under the default
+// scheduler for {0.3, 0.7, 1.1, 4.2} Mbps WiFi vs 8.6 Mbps LTE. Delays must
+// grow with heterogeneity.
+Plan fig13() {
+  Plan p;
+  for (double w : kHeteroWifi) p.cells.push_back({streaming_spec(w, 8.6, "default")});
+  p.render = [](const Outcomes& out) {
+    Series series;
+    for (std::size_t i = 0; i < kHeteroWifi.size(); ++i) {
+      series.emplace_back(pair_label(kHeteroWifi[i], 8.6) + "Mbps", &out[i]->streaming.ooo_delay);
+    }
+    print_distribution(std::cout, "Out-of-order delay (s)", "delay(s)", series, /*ccdf=*/true,
+                       make_x_grid(series, 14));
+    std::printf("\nmedians: ");
+    for (std::size_t i = 0; i < kHeteroWifi.size(); ++i) {
+      std::printf("%s=%.3fs ", pair_label(kHeteroWifi[i], 8.6).c_str(),
+                  out[i]->streaming.ooo_delay.quantile(0.5));
+    }
+    std::printf("(paper: ~1 s median at 0.3-8.6, shrinking as paths homogenize)\n");
+  };
+  return p;
+}
+
+// Paper Fig. 14: CCDF of out-of-order delay for all four schedulers under a
+// heterogeneous (0.3/8.6) and a relatively symmetric (4.2/8.6) bandwidth
+// pair. ECF must perform best under heterogeneity; little difference under
+// symmetry.
+Plan fig14() {
+  const auto& scheds = paper_schedulers();
+  Plan p;
+  // Config x scheduler, config-major.
+  for (double w : {0.3, 4.2}) {
+    for (const std::string& s : scheds) p.cells.push_back({streaming_spec(w, 8.6, s)});
+  }
+  p.render = [&scheds](const Outcomes& out) {
+    const char* names[2] = {"(a) 0.3 Mbps WiFi / 8.6 Mbps LTE",
+                            "(b) 4.2 Mbps WiFi / 8.6 Mbps LTE"};
+    const std::size_t ns = scheds.size();
+    for (std::size_t c = 0; c < 2; ++c) {
+      Series series;
+      for (std::size_t i = 0; i < ns; ++i) {
+        series.emplace_back(scheds[i], &out[c * ns + i]->streaming.ooo_delay);
+      }
+      print_distribution(std::cout, names[c], "delay(s)", series, /*ccdf=*/true,
+                         make_x_grid(series, 14));
+      std::printf("p90 delays: ");
+      for (std::size_t i = 0; i < ns; ++i) {
+        std::printf("%s=%.3fs ", scheds[i].c_str(),
+                    out[c * ns + i]->streaming.ooo_delay.quantile(0.9));
+      }
+      std::printf("\n");
+    }
+    std::printf("\npaper shape: (a) ecf smallest delays; (b) all similar except daps\n");
+  };
+  return p;
+}
+
+// Paper Fig. 15: four subflows (two per interface), 0.3 Mbps WiFi with LTE
+// swept over the grid: measured/ideal bit-rate ratio for default vs ECF.
+// ECF must mitigate the degradation with more subflows too.
+Plan fig15() {
+  const auto& grid = paper_bandwidth_grid();
+  Plan p;
+  for (const char* s : {"ecf", "default"}) {  // rows: ECF on top as in the figure
+    for (double l : grid) {
+      ScenarioSpec spec = streaming_spec(0.3, l, s);
+      spec.subflows_per_path = 2;
+      p.cells.push_back({spec});
+    }
+  }
+  p.render = [&grid](const Outcomes& out) {
+    const std::size_t n = grid.size();
+    const auto ratio = [&](std::size_t s, std::size_t l) {
+      return out[s * n + l]->streaming.mean_bitrate_mbps / ideal_bitrate_mbps(0.3, grid[l]);
+    };
+    print_heatmap(std::cout, "Ratio of measured vs ideal bit rate (0.3 Mbps WiFi, 4 subflows)",
+                  "scheduler", "LTE (Mbps)", {"Default", "ECF"}, grid_labels(),
+                  [&](std::size_t row, std::size_t col) {
+                    // row 0 -> Default (bottom), row 1 -> ECF (top).
+                    return row == 0 ? ratio(1, col) : ratio(0, col);
+                  });
+    double mean_def = 0, mean_ecf = 0;
+    for (std::size_t l = 0; l < n; ++l) {
+      mean_ecf += ratio(0, l);
+      mean_def += ratio(1, l);
+    }
+    std::printf("\nrow means: ecf %.3f, default %.3f (paper: ecf mitigates degradation)\n",
+                mean_ecf / n, mean_def / n);
+  };
+  return p;
+}
+
+// Paper Fig. 16: average streaming throughput under random bandwidth
+// changes, one cell per seeded scenario x scheduler. ECF must win on
+// average; DAPS (not shown in the paper's figure for clarity) consistently
+// loses.
+Plan fig16() {
+  static const std::vector<std::string> kScheds = {"default", "blest", "ecf"};
+  const int scenarios = bench_scale().random_scenarios;
+  Plan p;
+  for (int sc = 0; sc < scenarios; ++sc) {
+    for (const std::string& s : kScheds) p.cells.push_back({random_bw_spec(sc, s)});
+  }
+  p.render = [scenarios](const Outcomes& out) {
+    const std::size_t ns = kScheds.size();
+    std::vector<std::string> labels;
+    double mean[3] = {};
+    std::vector<std::vector<double>> tput(static_cast<std::size_t>(scenarios),
+                                          std::vector<double>(ns));
+    for (int sc = 0; sc < scenarios; ++sc) {
+      labels.push_back(std::to_string(sc + 1));
+      for (std::size_t s = 0; s < ns; ++s) {
+        const double v =
+            out[static_cast<std::size_t>(sc) * ns + s]->streaming.mean_throughput_mbps;
+        tput[static_cast<std::size_t>(sc)][s] = v;
+        mean[s] += v;
+      }
+    }
+    print_grouped(std::cout, "Average throughput (Mbps) per scenario", "scenario", labels,
+                  {"Default", "BLEST", "ECF"},
+                  [&](std::size_t g, std::size_t s) { return tput[g][s]; });
+    std::printf("\nscenario means: default %.2f, blest %.2f, ecf %.2f Mbps\n",
+                mean[0] / scenarios, mean[1] / scenarios, mean[2] / scenarios);
+    std::printf("paper shape: ecf highest average throughput across scenarios\n");
+  };
+  return p;
+}
+
+// Paper Fig. 17: per-chunk download throughput trace for one random
+// bandwidth scenario ("scenario 6" of Fig. 16's seeding), default vs ECF.
+// ECF must match or beat the default on (nearly) every chunk, with up to
+// ~2x gains during heterogeneous phases.
+Plan fig17() {
+  Plan p;
+  for (const char* s : {"default", "ecf"}) p.cells.push_back({random_bw_spec(5, s)});
+  p.render = [](const Outcomes& out) {
+    const auto& def = out[0]->streaming.chunks;
+    const auto& ecf = out[1]->streaming.chunks;
+    std::printf("\n%10s %14s %14s\n", "chunk", "default", "ecf");
+    double best_gain = 0;
+    for (std::size_t i = 0; i < std::min(def.size(), ecf.size()); ++i) {
+      std::printf("%10zu %14.2f %14.2f\n", i, def[i].throughput_mbps, ecf[i].throughput_mbps);
+      if (def[i].throughput_mbps > 0.1) {
+        best_gain = std::max(best_gain, ecf[i].throughput_mbps / def[i].throughput_mbps);
+      }
+    }
+    std::printf("\nbest per-chunk ECF/default gain: %.2fx (paper: up to ~2x)\n", best_gain);
+  };
+  return p;
+}
+
+// wget file sizes of Figs. 18 and 19.
+const std::vector<std::uint64_t> kWgetKb = {128, 256, 512, 1024};
+
+// Paper Fig. 18: average wget completion time for 128 KB - 1 MB files with
+// WiFi fixed at 1 Mbps and LTE swept 1..10 Mbps, all four schedulers. ECF
+// must never lose to the default and win modestly for >= 256 KB under
+// heterogeneity; DAPS is frequently worse.
+Plan fig18() {
+  const auto& scheds = paper_schedulers();
+  Plan p;
+  // Size x LTE rate x scheduler, size-major.
+  for (std::uint64_t kb : kWgetKb) {
+    for (int lte = 1; lte <= 10; ++lte) {
+      for (const std::string& s : scheds) {
+        p.cells.push_back({download_spec(1.0, lte, s, kb * 1024,
+                                         10 * static_cast<std::uint64_t>(lte),
+                                         bench_scale().wget_runs)});
+      }
+    }
+  }
+  p.render = [&scheds](const Outcomes& out) {
+    const std::size_t ns = scheds.size();
+    std::vector<std::string> rows;
+    for (int lte = 1; lte <= 10; ++lte) rows.push_back(std::to_string(lte));
+    for (std::size_t k = 0; k < kWgetKb.size(); ++k) {
+      // paper_schedulers() order is default, ecf, daps, blest.
+      print_grouped(std::cout,
+                    "(" + std::to_string(kWgetKb[k]) + " KB) avg completion time (s), WiFi 1 Mbps",
+                    "LTE Mbps", rows, {"Default", "ECF", "DAPS", "BLEST"},
+                    [&](std::size_t g, std::size_t s) {
+                      return out[k * 10 * ns + g * ns + s]->download_completions.mean();
+                    });
+    }
+    std::printf("\npaper shape: ecf <= default everywhere; differences grow with size and\n"
+                "heterogeneity; daps frequently worst\n");
+  };
+  return p;
+}
+
+// Paper Fig. 19: ECF completion time normalized by the default scheduler
+// over the 10x10 WiFi x LTE grid for four file sizes. Values are clamped to
+// 1.0 when the difference is within one standard deviation (as the paper
+// does); < 1 means ECF faster. ECF must never be meaningfully worse.
+Plan fig19() {
+  const int step = bench_scale().grid_step;
+  std::vector<int> points;
+  for (int v = 1; v <= 10; v += step) points.push_back(v);
+  Plan p;
+  // Size x WiFi x LTE, size-major, default then ECF on the same seeds.
+  for (std::uint64_t kb : kWgetKb) {
+    for (std::size_t wi = 0; wi < points.size(); ++wi) {
+      for (std::size_t li = 0; li < points.size(); ++li) {
+        ScenarioSpec spec =
+            download_spec(points[wi], points[li], "default", kb * 1024,
+                          100 * static_cast<std::uint64_t>(wi) + static_cast<std::uint64_t>(li),
+                          bench_scale().wget_runs);
+        p.cells.push_back({spec});
+        spec.scheduler = "ecf";
+        p.cells.push_back({spec});
+      }
+    }
+  }
+  p.render = [points](const Outcomes& out) {
+    std::vector<std::string> labels;
+    for (int v : points) labels.push_back(std::to_string(v));
+    const std::size_t np = points.size();
+    int worse_cells = 0, better_cells = 0;
+    for (std::size_t k = 0; k < kWgetKb.size(); ++k) {
+      std::vector<std::vector<double>> ratio(np, std::vector<double>(np));
+      for (std::size_t wi = 0; wi < np; ++wi) {
+        for (std::size_t li = 0; li < np; ++li) {
+          const std::size_t i = 2 * (k * np * np + wi * np + li);
+          const Samples& def = out[i]->download_completions;
+          const Samples& ecf = out[i + 1]->download_completions;
+          // Paper: set to 1 when within one standard deviation of each other.
+          const double band = std::max(def.stddev(), ecf.stddev());
+          double r = 1.0;
+          if (std::abs(ecf.mean() - def.mean()) > band && def.mean() > 0) {
+            r = ecf.mean() / def.mean();
+          }
+          ratio[li][wi] = r;
+          if (r > 1.05) ++worse_cells;
+          if (r < 0.95) ++better_cells;
+        }
+      }
+      print_heatmap(std::cout,
+                    "(" + std::to_string(kWgetKb[k]) + " KB) ECF/default completion ratio",
+                    "LTE (Mbps)", "WiFi (Mbps)", labels, labels,
+                    [&](std::size_t row, std::size_t col) { return ratio[row][col]; },
+                    /*lo=*/0.7, /*hi=*/1.3);
+    }
+    std::printf("\ncells ECF better: %d, cells ECF worse: %d (paper: better cells only,\n"
+                "concentrated at slow-WiFi rows for >= 256 KB)\n",
+                better_cells, worse_cells);
+  };
+  return p;
+}
+
+// The three web bandwidth configurations of Figs. 20 and 21, as
+// (WiFi, LTE) Mbps.
+const std::pair<double, double> kWebConfigs[3] = {{5.0, 5.0}, {1.0, 5.0}, {1.0, 10.0}};
+const char* const kWebConfigNames[3] = {"(a) 5.0/5.0 Mbps", "(b) 1.0/5.0 Mbps",
+                                        "(c) 1.0/10.0 Mbps"};
+
+// Config x scheduler web cells, config-major, config c seeded `seed_base + c`.
+std::vector<Cell> web_cells(std::uint64_t seed_base) {
+  std::vector<Cell> cells;
+  for (std::uint64_t c = 0; c < 3; ++c) {
+    for (const std::string& s : paper_schedulers()) {
+      cells.push_back({web_spec(kWebConfigs[c].first, kWebConfigs[c].second, s, seed_base + c)});
+    }
+  }
+  return cells;
+}
+
+// Per config, one CCDF of `samples` over the schedulers and a `stat` line.
+void render_web(const Outcomes& out, Samples WebRunResult::*samples, const char* axis,
+                const char* stat_label, double (*stat)(const Samples&)) {
+  const auto& scheds = paper_schedulers();
+  const std::size_t ns = scheds.size();
+  for (std::size_t c = 0; c < 3; ++c) {
+    Series series;
+    for (std::size_t i = 0; i < ns; ++i) {
+      series.emplace_back(scheds[i], &(out[c * ns + i]->web.*samples));
+    }
+    print_distribution(std::cout, kWebConfigNames[c], axis, series, /*ccdf=*/true,
+                       make_x_grid(series, 12));
+    std::printf("%s: ", stat_label);
+    for (std::size_t i = 0; i < ns; ++i) {
+      std::printf("%s=%.3fs ", scheds[i].c_str(), stat(out[c * ns + i]->web.*samples));
+    }
+    std::printf("\n");
+  }
+}
+
+// Paper Fig. 20: CCDF of per-object download completion time for the
+// CNN-page workload over six persistent connections, three bandwidth
+// configurations. ECF must complete objects earlier under heterogeneity and
+// match the others under symmetry.
+Plan fig20() {
+  Plan p{web_cells(300), [](const Outcomes& out) {
+           render_web(out, &WebRunResult::object_times, "time(s)", "mean object time",
+                      [](const Samples& s) { return s.mean(); });
+           std::printf("\npaper shape: (a) all equal; (b),(c) ecf completes objects earliest\n");
+         }};
+  return p;
+}
+
+// Paper Fig. 21: CCDF of out-of-order delay during web browsing for the
+// same three bandwidth configurations as Fig. 20. ECF must reduce
+// out-of-order delay under path heterogeneity.
+Plan fig21() {
+  Plan p{web_cells(400), [](const Outcomes& out) {
+           render_web(out, &WebRunResult::ooo_delay, "delay(s)", "p99 delay",
+                      [](const Samples& s) { return s.quantile(0.99); });
+           std::printf(
+               "\npaper shape: ecf reduces out-of-order delay when paths are heterogeneous\n");
+         }};
+  return p;
+}
+
+// Paper Fig. 22: in-the-wild streaming — nine runs sorted by WiFi RTT (LTE
+// steady around 70 ms), default vs ECF average throughput per run. The ECF
+// gain must appear as WiFi RTT heterogeneity grows, with parity on the
+// symmetric early runs (paper: 7.79 vs 6.72 Mbps overall, +16%).
+Plan fig22() {
+  const std::vector<WildRunProfile> runs = wild_streaming_runs();
+  Plan p;
+  // Profile x scheduler, profile-major. Unregulated real networks fluctuate:
+  // the spec carries the profile's rate jitter, re-derived from trace_seed
+  // identically for both schedulers.
+  for (const WildRunProfile& profile : runs) {
+    for (const char* s : {"default", "ecf"}) {
+      ScenarioSpec spec = single_run(wild_spec(profile, s, /*jitter=*/true));
+      spec.workload.video_s = bench_scale().video.to_seconds();
+      spec.seed = 500 + static_cast<std::uint64_t>(profile.run_index);
+      spec.trace_seed = 9000 + static_cast<std::uint64_t>(profile.run_index);
+      p.cells.push_back({spec});
+    }
+  }
+  p.render = [runs](const Outcomes& out) {
+    std::printf("\n%6s %12s %12s %14s %14s %12s\n", "run", "wifi rtt", "lte rtt",
+                "default Mbps", "ecf Mbps", "ecf gain");
+    double mean_def = 0, mean_ecf = 0;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      const double tput[2] = {out[2 * r]->streaming.mean_throughput_mbps,
+                              out[2 * r + 1]->streaming.mean_throughput_mbps};
+      mean_def += tput[0];
+      mean_ecf += tput[1];
+      std::printf("%6d %10.0fms %10dms %14.2f %14.2f %11.0f%%\n", runs[r].run_index,
+                  out[2 * r]->streaming.mean_rtt_wifi_ms, 70, tput[0], tput[1],
+                  tput[0] > 0 ? (tput[1] / tput[0] - 1.0) * 100.0 : 0.0);
+    }
+    mean_def /= static_cast<double>(runs.size());
+    mean_ecf /= static_cast<double>(runs.size());
+    std::printf("\noverall: default %.2f Mbps, ecf %.2f Mbps, gain %.0f%% (paper: 6.72 vs 7.79, "
+                "+16%%)\n",
+                mean_def, mean_ecf, (mean_ecf / mean_def - 1.0) * 100.0);
+  };
+  return p;
+}
+
+// Paper Fig. 23 + Table 4: in-the-wild web browsing (WDC profile) — CCDFs
+// of object completion time and out-of-order delay, default vs ECF, plus
+// the Table 4 averages (paper: completion 0.882 -> 0.650 s, -26%; OOO delay
+// 0.297 -> 0.087 s, -71%).
+Plan fig23_tab4() {
+  Plan p;
+  for (const char* s : {"default", "ecf"}) {
+    ScenarioSpec spec = wild_spec(wild_web_profile(), s, /*jitter=*/false);
+    spec.workload.kind = WorkloadKind::kWeb;
+    spec.workload.runs = bench_scale().web_runs;
+    spec.seed = 600;
+    p.cells.push_back({spec});
+  }
+  p.render = [](const Outcomes& out) {
+    const WebRunResult& def = out[0]->web;
+    const WebRunResult& ecf = out[1]->web;
+    {
+      Series series = {{"Default", &def.object_times}, {"ECF", &ecf.object_times}};
+      print_distribution(std::cout, "(a) object download completion time", "time(s)", series,
+                         /*ccdf=*/true, make_x_grid(series, 12));
+    }
+    {
+      Series series = {{"Default", &def.ooo_delay}, {"ECF", &ecf.ooo_delay}};
+      print_distribution(std::cout, "(b) out-of-order delay", "delay(s)", series, /*ccdf=*/true,
+                         make_x_grid(series, 12));
+    }
+    const double ct_def = def.object_times.mean();
+    const double ct_ecf = ecf.object_times.mean();
+    const double oo_def = def.ooo_delay.mean();
+    const double oo_ecf = ecf.ooo_delay.mean();
+    std::printf("\nTable 4 (measured vs paper):\n");
+    std::printf("%28s %10s %10s %14s\n", "", "Default", "ECF", "improvement");
+    std::printf("%28s %10.3f %10.3f %13.0f%%  (paper: 26%% shorter)\n", "completion time (s)",
+                ct_def, ct_ecf, (1.0 - ct_ecf / ct_def) * 100.0);
+    std::printf("%28s %10.3f %10.3f %13.0f%%  (paper: 71%% shorter)\n",
+                "out-of-order delay (s)", oo_def, oo_ecf, (1.0 - oo_ecf / oo_def) * 100.0);
+  };
+  return p;
+}
+
+// Ablation (beyond the paper's figures): congestion-controller choice.
+// The paper reports "similar performance degradation regardless of the
+// congestion controller (e.g., Olia)" for the default scheduler; this
+// section verifies that claim in our stack and shows ECF's gain is
+// CC-agnostic.
+Plan ablation_cc() {
+  static const std::pair<double, double> kConfigs[2] = {{0.3, 8.6}, {4.2, 8.6}};
+  static const char* const kCcs[4] = {"lia", "olia", "reno", "cubic"};
+  Plan p;
+  // Config x CC x {default, ECF}.
+  for (const auto& [wifi, lte] : kConfigs) {
+    for (const char* cc : kCcs) {
+      ScenarioSpec spec = single_run(streaming_spec(wifi, lte, "default"));
+      spec.conn.cc = cc;
+      p.cells.push_back({spec});
+      spec.scheduler = "ecf";
+      p.cells.push_back({spec});
+    }
+  }
+  p.render = [](const Outcomes& out) {
+    std::size_t i = 0;
+    for (const auto& [wifi, lte] : kConfigs) {
+      const double ideal = ideal_bitrate_mbps(wifi, lte);
+      std::printf("\n%.1f Mbps WiFi / %.1f Mbps LTE (bitrate ratio vs ideal %.2f Mbps)\n", wifi,
+                  lte, ideal);
+      std::printf("%10s %12s %12s %14s\n", "cc", "default", "ecf", "ecf gain");
+      for (const char* cc : kCcs) {
+        const double def = out[i++]->streaming.mean_bitrate_mbps / ideal;
+        const double ecf = out[i++]->streaming.mean_bitrate_mbps / ideal;
+        std::printf("%10s %12.3f %12.3f %13.0f%%\n", cc, def, ecf,
+                    def > 0 ? (ecf / def - 1.0) * 100.0 : 0.0);
+      }
+    }
+    std::printf("\nexpected: default degrades under heterogeneity for every controller;\n"
+                "ecf's advantage persists across controllers (paper Section 3.1)\n");
+  };
+  return p;
+}
+
+// Ablation (design choices in DESIGN.md): ECF's hysteresis beta — the paper
+// uses 0.25 throughout and reports other values "yield similar results".
+// Each cell overrides the scheduler in code, so none is merged.
+Plan ablation_ecf() {
+  static const std::pair<double, double> kConfigs[2] = {{0.3, 8.6}, {1.1, 8.6}};
+  static const double kBetas[5] = {0.0, 0.1, 0.25, 0.5, 1.0};
+  Plan p;
+  for (const auto& [wifi, lte] : kConfigs) {
+    for (double beta : kBetas) {
+      Cell cell{single_run(streaming_spec(wifi, lte, "default"))};
+      cell.opts.scheduler_override = [beta] {
+        EcfConfig config;
+        config.beta = beta;
+        return std::make_unique<EcfScheduler>(config);
+      };
+      p.cells.push_back(std::move(cell));
+    }
+  }
+  p.render = [](const Outcomes& out) {
+    std::size_t i = 0;
+    for (const auto& [wifi, lte] : kConfigs) {
+      std::printf("\n%.1f Mbps WiFi / %.1f Mbps LTE\n", wifi, lte);
+      std::printf("%10s %14s %14s %14s\n", "beta", "bitrate ratio", "gap p50 (s)",
+                  "lte IW resets");
+      for (double beta : kBetas) {
+        const StreamingResult& r = out[i++]->streaming;
+        std::printf("%10.2f %14.3f %14.3f %14llu\n", beta,
+                    r.mean_bitrate_mbps / ideal_bitrate_mbps(wifi, lte),
+                    r.last_packet_gap.quantile(0.5),
+                    static_cast<unsigned long long>(r.iw_resets_lte));
+      }
+    }
+    std::printf("\nexpected: results similar across beta (paper found the same); beta only\n"
+                "prevents rapid wait/send oscillation at decision boundaries\n");
+  };
+  return p;
+}
+
+// Ablation (design choices in DESIGN.md): the per-subflow send-queue
+// (staging) limit — the 0.89-style committed backlog that makes default
+// scheduling costly on slow paths. Deeper queues hurt the default scheduler
+// sharply and ECF only mildly.
+Plan ablation_staging() {
+  static const std::uint64_t kStagingKb[5] = {16, 32, 64, 128, 256};
+  Plan p;
+  for (std::uint64_t kb : kStagingKb) {
+    ScenarioSpec spec = single_run(streaming_spec(0.3, 8.6, "default"));
+    spec.conn.staging_bytes = static_cast<std::int64_t>(kb * 1024);
+    p.cells.push_back({spec});
+    spec.scheduler = "ecf";
+    p.cells.push_back({spec});
+  }
+  p.render = [](const Outcomes& out) {
+    std::printf("\n0.3 Mbps WiFi / 8.6 Mbps LTE, bitrate ratio vs ideal\n");
+    std::printf("%14s %12s %12s %14s\n", "staging (KB)", "default", "ecf", "ecf gain");
+    std::size_t i = 0;
+    for (std::uint64_t kb : kStagingKb) {
+      const double def = out[i++]->streaming.mean_bitrate_mbps / ideal_bitrate_mbps(0.3, 8.6);
+      const double ecf = out[i++]->streaming.mean_bitrate_mbps / ideal_bitrate_mbps(0.3, 8.6);
+      std::printf("%14llu %12.3f %12.3f %13.0f%%\n", static_cast<unsigned long long>(kb), def,
+                  ecf, def > 0 ? (ecf / def - 1.0) * 100.0 : 0.0);
+    }
+    std::printf("\nexpected: default degrades as the committed backlog grows; ecf stays\n"
+                "roughly flat because it declines slow-path commitments\n");
+  };
+  return p;
+}
+
+}  // namespace
+
+const std::vector<Section>& paper_sections() {
+  static const std::vector<Section> kSections = {
+      {"bench_fig02_motivation_heatmap",
+       "Fig. 2 — measured/ideal bit rate, default scheduler, 6x6 grid", fig02},
+      {"bench_fig03_sndbuf_trace", "Fig. 3 — send buffer occupancy, 0.3 Mbps WiFi / 8.6 Mbps LTE",
+       fig03},
+      {"bench_fig05_lastpacket_cdf", "Fig. 5 — time difference between last packets (default)",
+       fig05},
+      {"bench_fig06_cwnd_reset", "Fig. 6 — throughput with/without CWND reset vs ideal (default)",
+       fig06},
+      {"bench_fig07_traffic_split_default",
+       "Fig. 7 — fraction of traffic on fast subflow (default vs ideal)", fig07},
+      {"bench_tab02_rtt", "Table 2 — average RTT (ms) vs regulated bandwidth", tab02},
+      {"bench_fig09_scheduler_heatmaps",
+       "Fig. 9 — measured/ideal bit rate heat maps per scheduler", fig09},
+      {"bench_fig10_traffic_split",
+       "Fig. 10 — fraction of traffic on fast subflow (BLEST, ECF, ideal)", fig10},
+      {"bench_fig11_12_cwnd_traces", "Figs. 11/12 — CWND traces, 0.3 Mbps WiFi / 8.6 Mbps LTE",
+       fig11_12},
+      {"bench_tab03_iw_resets", "Table 3 — # of IW resets, 0.3 Mbps WiFi / 8.6 Mbps LTE", tab03},
+      {"bench_fig13_ooo_default", "Fig. 13 — out-of-order delay CCDF (default scheduler)", fig13},
+      {"bench_fig14_ooo_schedulers", "Fig. 14 — out-of-order delay CCDF per scheduler", fig14},
+      {"bench_fig15_four_subflows", "Fig. 15 — 4 subflows (2 per interface), default vs ECF",
+       fig15},
+      {"bench_fig16_random_bw", "Fig. 16 — streaming throughput, random bandwidth changes",
+       fig16},
+      {"bench_fig17_chunk_trace", "Fig. 17 — per-chunk throughput, random bandwidth scenario",
+       fig17},
+      {"bench_fig18_wget", "Fig. 18 — wget completion time, 1 Mbps WiFi, LTE 1..10 Mbps", fig18},
+      {"bench_fig19_wget_ratio", "Fig. 19 — ECF/default wget completion ratio, 10x10 grid",
+       fig19},
+      {"bench_fig20_web_completion", "Fig. 20 — web object download completion time CCDF",
+       fig20},
+      {"bench_fig21_web_ooo", "Fig. 21 — web browsing out-of-order delay CCDF", fig21},
+      {"bench_fig22_wild_streaming", "Fig. 22 — in-the-wild streaming, 9 runs, default vs ECF",
+       fig22},
+      {"bench_fig23_tab4_wild_web",
+       "Fig. 23 / Table 4 — in-the-wild web browsing, default vs ECF", fig23_tab4},
+      {"bench_ablation_cc", "ablation — congestion controller (paper Section 3.1 claim)",
+       ablation_cc},
+      {"bench_ablation_ecf", "ablation — ECF beta sweep (paper Section 5.1: beta = 0.25)",
+       ablation_ecf},
+      {"bench_ablation_staging", "ablation — subflow send-queue limit (0.89 commitment model)",
+       ablation_staging},
+  };
+  return kSections;
+}
+
+std::size_t Suite::declared() const {
+  std::size_t n = 0;
+  for (const auto& cells : run_of) n += cells.size();
+  return n;
+}
+
+Suite plan_suite(const std::vector<std::string>& names) {
+  Suite suite;
+  for (const Section& section : paper_sections()) {
+    if (names.empty() || std::ranges::find(names, section.name) != names.end()) {
+      suite.sections.push_back(&section);
+    }
+  }
+  for (const std::string& name : names) {
+    if (std::ranges::none_of(suite.sections, [&](const Section* s) { return name == s->name; })) {
+      std::string msg = "unknown section \"" + name + "\" (known:";
+      for (const Section& s : paper_sections()) msg += std::string(" ") + s.name;
+      throw std::invalid_argument(msg + ")");
+    }
+  }
+  std::unordered_map<std::string, std::size_t> run_by_key;
+  for (const Section* section : suite.sections) {
+    const std::size_t p = suite.plans.size();
+    suite.plans.push_back(section->cells());
+    std::vector<std::size_t>& run_of = suite.run_of.emplace_back();
+    for (std::size_t c = 0; c < suite.plans[p].cells.size(); ++c) {
+      const Cell& cell = suite.plans[p].cells[c];
+      std::size_t run = suite.runs.size();
+      if (cell.mergeable()) {
+        run = run_by_key.try_emplace(serialize_scenario(cell.spec), run).first->second;
+      }
+      if (run == suite.runs.size()) suite.runs.push_back({p, c});
+      run_of.push_back(run);
+    }
+  }
+  return suite;
+}
+
+void run_suite(const Suite& suite) {
+  const auto outcomes = sweep_map<ScenarioOutcome>(suite.runs.size(), [&](std::size_t i) {
+    const Cell& cell = suite.cell(suite.runs[i]);
+    return run_scenario(cell.spec, cell.opts);
+  });
+  for (std::size_t p = 0; p < suite.plans.size(); ++p) {
+    print_header(std::cout, suite.sections[p]->name, suite.sections[p]->title, scale_note());
+    Outcomes outs;
+    for (std::size_t run : suite.run_of[p]) outs.push_back(&outcomes[run]);
+    suite.plans[p].render(outs);
+  }
+}
+
+}  // namespace mps::bench

@@ -61,6 +61,9 @@ constexpr Check kFraction{[](double v) { return v >= 0.0 && v < 1.0; }, "must be
 constexpr Check kProbability{[](double v) { return v >= 0.0 && v <= 1.0; }, "must be in [0, 1]"};
 // The runners hold these counts in an int.
 constexpr Check kFitsInt{[](std::int64_t v) { return v <= INT_MAX; }, "must be <= 2147483647"};
+constexpr Check kFlowCount{[](std::int64_t v) { return v <= kMaxTrafficFlows; },
+                          "must be <= 1000000"};
+static_assert(kMaxTrafficFlows == 1'000'000, "kFlowCount's message names the bound");
 constexpr Check kNonEmpty{[](const auto& v) { return !v.empty(); }, "required (non-empty)"};
 
 // A name a registry must know; the registry's own error is the message.
@@ -179,15 +182,15 @@ void walk(IO& io, WorkloadSpec& w) {
 template <class IO>
 void walk(IO& io, CrossTrafficSpec& x) {
   io("path", x.path, PathIndex{});
-  io("flows", x.flows, kPositive);
+  io("flows", x.flows, kPositive, kFlowCount);
   io("start_s", x.start_s, kNonNegative);
 }
 
 template <class IO>
 void walk(IO& io, TrafficSpec& t) {
-  io("flows", t.flows, kPositive);
+  io("flows", t.flows, kPositive, kFlowCount);
   io("arrival_rate_per_s", t.arrival_rate_per_s, kNonNegative);
-  io("max_arrivals", t.max_arrivals, kNonNegative);
+  io("max_arrivals", t.max_arrivals, kNonNegative, kFlowCount);
   io("flow_bytes", t.flow_bytes, kPositive);
   io("size_dist", t.size_dist, kSizeDists);
   io("pareto_alpha", t.pareto_alpha,

@@ -167,6 +167,12 @@ struct CrossTrafficSpec {
   friend bool operator==(const CrossTrafficSpec&, const CrossTrafficSpec&) = default;
 };
 
+// Largest flow count a spec may ask for (traffic.flows, traffic.cross[].flows,
+// traffic.max_arrivals): the engine plans one entry per flow up front, so an
+// unbounded count would exhaust memory instead of failing at parse time.
+// Ten times bench_scale's largest (100k-flow) cell.
+inline constexpr std::int64_t kMaxTrafficFlows = 1'000'000;
+
 // Competing-traffic model: N concurrent MPTCP flows over the shared paths,
 // with optional Poisson connection churn and single-path cross traffic.
 // Enabled by the presence of a "traffic" JSON block; when enabled the

@@ -414,6 +414,28 @@ TEST(ScenarioSpecTest, IntCountsAboveIntMaxAreRejected) {
   }
 }
 
+// The traffic engine plans one entry per flow up front: a flow count past
+// kMaxTrafficFlows must fail at parse time naming its key, not in the
+// allocator (2^32 + 1 flows used to end in std::bad_alloc).
+TEST(ScenarioSpecTest, TrafficFlowCountsAboveTheBoundAreRejected) {
+  for (const char* key : {"traffic.flows", "traffic.cross[0].flows", "traffic.max_arrivals"}) {
+    Json doc = Json::parse(R"({"paths": [{"profile": "wifi", "rate_mbps": 1}],
+                               "traffic": {"cross": [{"path": 0}]}})");
+    set_at_path(doc, key, Json::number(kMaxTrafficFlows));
+    EXPECT_NO_THROW((void)scenario_from_json(doc)) << key;
+    for (std::int64_t v : {kMaxTrafficFlows + 1, std::int64_t{4294967297}}) {
+      set_at_path(doc, key, Json::number(v));
+      try {
+        (void)scenario_from_json(doc);
+        ADD_FAILURE() << key << " = " << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string("scenario spec: ") + key + ": must be <= 1000000");
+      }
+    }
+  }
+}
+
 TEST(ScenarioSpecTest, TrafficBlockRoundTripsFieldExact) {
   ScenarioSpec s;
   s.paths = {wifi_path(8.0), lte_path(10.0)};

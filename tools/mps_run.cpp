@@ -34,10 +34,11 @@
 //                     outcomes are identical before printing; a `fork-check`
 //                     line reports the verdict to stderr.
 //
-// Exit status: 0 on success, 1 on a runtime error, 2 on bad usage or input,
-// 3 when the run completed but is capped (a download reached its 600 s cap,
-// a stream its 30 x video + 600 s cap or a page load its 3600 s cap before
-// finishing; the output says so on a `capped:` line).
+// Exit status: 0 on success, 1 on a runtime error, 2 on bad usage or input
+// (an unreadable or malformed spec file, a bad --set, a spec that fails
+// validation), 3 when the run completed but is capped (a download reached
+// its 600 s cap, a stream its 30 x video + 600 s cap or a page load its
+// 3600 s cap before finishing; the output says so on a `capped:` line).
 //
 // The run goes through the same spec -> params conversion as the bench
 // drivers (exp/scenario_run.h), so a preset that mirrors a bench cell
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
     doc = Json::parse(buf.str());
   } catch (const JsonError& e) {
     std::fprintf(stderr, "mps_run: %s: %s\n", spec_path.c_str(), e.what());
-    return 1;
+    return 2;
   }
 
   std::string prof_out;
@@ -171,7 +172,7 @@ int main(int argc, char** argv) {
     spec = scenario_from_json(doc);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mps_run: %s: %s\n", spec_path.c_str(), e.what());
-    return 1;
+    return 2;
   }
 
   if (print_spec) {
