@@ -776,8 +776,9 @@ Plan fig22() {
                               out[2 * r + 1]->streaming.mean_throughput_mbps};
       mean_def += tput[0];
       mean_ecf += tput[1];
-      std::printf("%6d %10.0fms %10dms %14.2f %14.2f %11.0f%%\n", runs[r].run_index,
-                  out[2 * r]->streaming.mean_rtt_wifi_ms, 70, tput[0], tput[1],
+      std::printf("%6d %10.0fms %10.0fms %14.2f %14.2f %11.0f%%\n", runs[r].run_index,
+                  out[2 * r]->streaming.mean_rtt_wifi_ms,
+                  out[2 * r]->streaming.mean_rtt_lte_ms, tput[0], tput[1],
                   tput[0] > 0 ? (tput[1] / tput[0] - 1.0) * 100.0 : 0.0);
     }
     mean_def /= static_cast<double>(runs.size());

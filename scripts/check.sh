@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 check: configure, build, and run the unit/integration test suite.
-# The default suite runs ctest twice: in ./build, and in a fresh git worktree
-# of HEAD (only committed files).
+# The default suite runs ctest three times: in ./build (RelWithDebInfo), in a
+# fresh git worktree of HEAD (only committed files), and in build-release
+# (Release, which compiles the libraries with link-time optimisation): the
+# goldens, fire digests and fork checks then also hold in the optimised
+# binaries that perfbench and the scripts/bench_*.sh scripts measure.
 #
-#   scripts/check.sh               # RelWithDebInfo build + ctest + scenario smoke
+#   scripts/check.sh               # RelWithDebInfo + Release builds, ctest, smokes
 #   scripts/check.sh --sanitize    # additionally run suite + smoke under ASan+UBSan
 #   scripts/check.sh --tsan        # additionally run the sweep/kernel tests + smoke under TSan
 #   scripts/check.sh --notrace     # additionally prove MPS_TRACE_EVENTS=OFF builds
@@ -309,6 +312,7 @@ fi
 
 run_suite build "" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 run_clean_checkout_suite
+run_suite build-release "" -DCMAKE_BUILD_TYPE=Release
 run_scenarios_smoke build
 run_snapshot_smoke build
 run_handover_smoke build

@@ -26,8 +26,12 @@ struct Names {
   }
   std::string unknown(const char* key, const std::string& s) const {
     std::string msg = "unknown " + std::string(what ? what : key) + " \"" + s + "\" (known: ";
-    for (std::size_t i = 0; i < size(); ++i) msg += (i ? ", " : "") + std::string(names[i]);
-    return msg + ")";
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (i) msg += ", ";
+      msg += names[i];
+    }
+    msg += ")";
+    return msg;
   }
 };
 

@@ -165,7 +165,9 @@ TEST(SeqWindowTest, MatchesStdMapUnderChurn) {
       const std::uint64_t probe = base + Rnd(250);
       const auto it = model.find(probe);
       ASSERT_EQ(w.contains(probe), it != model.end());
-      if (it != model.end()) ASSERT_EQ(*w.find(probe), it->second);
+      if (it != model.end()) {
+        ASSERT_EQ(*w.find(probe), it->second);
+      }
       const auto after = model.lower_bound(probe);
       ASSERT_EQ(w.first_at_or_after(probe),
                 after == model.end() ? SeqWindow<int>::kNone : after->first);
