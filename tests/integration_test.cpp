@@ -192,8 +192,16 @@ TEST(StreamingRunnerTest, TracesCollectedWhenRequested) {
   const auto r = run_streaming(p);
   EXPECT_FALSE(r.cwnd_wifi.empty());
   EXPECT_FALSE(r.cwnd_lte.empty());
-  EXPECT_FALSE(r.sndbuf_wifi.empty());
   EXPECT_GT(r.cwnd_lte.max_value(), 10.0);
+  // Send-buffer occupancy: one point per path at t = 0, then every 100 ms.
+  for (const TimeSeries* s : {&r.sndbuf_wifi, &r.sndbuf_lte}) {
+    ASSERT_GT(s->size(), 100u);
+    EXPECT_EQ(s->points().front().t, TimePoint::origin());
+    for (std::size_t i = 1; i < s->size(); ++i) {
+      ASSERT_EQ(s->points()[i].t - s->points()[i - 1].t, Duration::millis(100)) << i;
+    }
+  }
+  EXPECT_GT(r.sndbuf_wifi.max_value(), 0.0);
 }
 
 TEST(StreamingRunnerTest, VariableBandwidthTraceApplies) {

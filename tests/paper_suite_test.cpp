@@ -1,14 +1,22 @@
 // The paper suite's cell table (bench/suite.h), planned without running a
 // simulation: the sections and their order, the dedupe key, and the rule
-// that a cell with code options never shares a run.
+// that a cell with code options never shares a run. One test does run the
+// two time-series sections (Figs. 3 and 11/12) and pins their output.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "bench/suite.h"
+#include "test_util.h"
 
 namespace mps::bench {
 namespace {
@@ -97,6 +105,28 @@ TEST(PaperSuiteTest, NamedSectionsPlanInTableOrder) {
   EXPECT_STREQ(suite.sections[0]->name, "bench_fig02_motivation_heatmap");
   EXPECT_STREQ(suite.sections[1]->name, "bench_ablation_cc");
   EXPECT_THROW(plan_suite({"bench_fig08"}), std::invalid_argument);
+}
+
+// Figs. 3 and 11/12 at quick scale, byte for byte: the send-buffer and CWND
+// series, their bucketing and the four flight-recorder summaries. Refresh
+// after an intended change with
+//   MPS_UPDATE_GOLDENS=1 ./build/tests/paper_suite_test
+// and review the diff.
+TEST(PaperSuiteTest, TracedSectionsMatchGolden) {
+  ASSERT_EQ(bench_scale().name, "quick") << "the golden is recorded at quick scale";
+  const std::filesystem::path golden =
+      std::filesystem::path(MPS_SOURCE_DIR) / "tests" / "data" / "paper_suite_traced.golden";
+  ::testing::internal::CaptureStdout();
+  run_suite(plan_suite({"bench_fig03_sndbuf_trace", "bench_fig11_12_cwnd_traces"}));
+  std::cout.flush();
+  std::fflush(stdout);
+  const std::string actual = ::testing::internal::GetCapturedStdout();
+  const char* update = std::getenv("MPS_UPDATE_GOLDENS");
+  if (update != nullptr && std::string(update) == "1") {
+    std::ofstream(golden, std::ios::binary) << actual;
+    return;
+  }
+  EXPECT_EQ(slurp(golden), actual) << "output drifted from " << golden;
 }
 
 }  // namespace

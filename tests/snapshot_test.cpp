@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -195,6 +197,52 @@ TEST(SnapshotFork, ForkAtSeveralTimesIsEquivalent) {
       os << c.bitrate_mbps << ":" << (c.fetch_end - c.fetch_start).to_seconds() << ";";
     }
     EXPECT_EQ(scratch_chunks, os.str());
+  }
+}
+
+// The time series of a traced stream (CWND from the recorder's gauge
+// history, send-buffer occupancy from the run's 100 ms sampler) survive a
+// fork point for point: same stamps, bitwise-equal values. Covers the
+// handover preset (traces plus path-manager churn, so the lte slot and a
+// torn-down wifi slot are both sampled) and a Fig. 3-shaped stream.
+TEST(SnapshotFork, TracesMatchScratchPointForPoint) {
+  ScenarioSpec handover =
+      scenario_from_json(Json::parse(slurp(kScenarioDir / "handover_commuter.json")));
+  apply_smoke_overrides(handover);
+  ScenarioSpec fig03;
+  fig03.paths = {wifi_path(0.3), lte_path(8.6)};
+  fig03.scheduler = "default";
+  fig03.workload.video_s = 10.0;
+  fig03.record.collect_traces = true;
+
+  const auto same = [](const TimeSeries& a, const TimeSeries& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const TimeSeriesPoint& p = a.points()[i];
+      const TimeSeriesPoint& q = b.points()[i];
+      if (p.t != q.t || std::bit_cast<std::uint64_t>(p.value) !=
+                            std::bit_cast<std::uint64_t>(q.value)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const ScenarioSpec* spec : {&handover, &fig03}) {
+    SCOPED_TRACE(spec->name.empty() ? "fig03-shaped" : spec->name);
+    const StreamingResult scratch = run_scenario(*spec).streaming;
+    ASSERT_GE(scratch.sndbuf_wifi.size(), 3u);
+    ASSERT_EQ(scratch.sndbuf_lte.size(), scratch.sndbuf_wifi.size());
+    ASSERT_FALSE(scratch.cwnd_wifi.empty());
+    ASSERT_FALSE(scratch.cwnd_lte.empty());
+    // The handover stream ends near 0.3 s at smoke scale, the other near 10 s.
+    for (const double at_s : {0.0, 0.02, 0.15, 0.25, 2.05, 4.5, 7.0}) {
+      SCOPED_TRACE(at_s);
+      const StreamingResult forked = run_scenario_forked(*spec, at_s).streaming;
+      EXPECT_TRUE(same(scratch.cwnd_wifi, forked.cwnd_wifi));
+      EXPECT_TRUE(same(scratch.cwnd_lte, forked.cwnd_lte));
+      EXPECT_TRUE(same(scratch.sndbuf_wifi, forked.sndbuf_wifi));
+      EXPECT_TRUE(same(scratch.sndbuf_lte, forked.sndbuf_lte));
+    }
   }
 }
 
