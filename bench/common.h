@@ -1,7 +1,7 @@
 // Shared helpers for the bench binaries (paper_suite and the standalone
 // benches). Every section prints: a header naming the paper artifact it
 // regenerates, the scale note (MPS_BENCH_SCALE), and then the same
-// rows/series the paper reports, via the trace/emit.h renderers.
+// rows/series the paper reports, via the bench/emit.h renderers.
 #pragma once
 
 #include <cstdio>
@@ -11,7 +11,7 @@
 
 #include "exp/download.h"
 #include "exp/ideal.h"
-#include "exp/scale.h"
+#include "bench/scale.h"
 #include "exp/scenario_run.h"
 #include "exp/streaming.h"
 #include "exp/sweep.h"
@@ -20,7 +20,7 @@
 #include "obs/recorder.h"
 #include "scenario/world.h"
 #include "sched/registry.h"
-#include "trace/emit.h"
+#include "bench/emit.h"
 
 namespace mps::bench {
 

@@ -1,4 +1,4 @@
-#include "trace/emit.h"
+#include "bench/emit.h"
 
 #include <algorithm>
 #include <cmath>

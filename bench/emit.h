@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/series.h"
+#include "obs/series.h"
 #include "util/stats.h"
 
 namespace mps {

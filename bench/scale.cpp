@@ -1,4 +1,4 @@
-#include "exp/scale.h"
+#include "bench/scale.h"
 
 #include <cstdlib>
 

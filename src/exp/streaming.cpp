@@ -4,9 +4,10 @@
 #include <stdexcept>
 
 #include "app/http.h"
+#include "mptcp/connection.h"
 #include "obs/recorder.h"
 #include "scenario/world.h"
-#include "trace/collect.h"
+#include "tcp/subflow.h"
 
 namespace mps {
 
@@ -15,6 +16,8 @@ namespace {
 // Safety cap: streaming can stall indefinitely only through a modelling bug;
 // a generous multiple of the nominal video length bounds every run.
 Duration run_cap(Duration video) { return video * std::int64_t{30} + Duration::seconds(600); }
+
+constexpr Duration kSndbufInterval = Duration::millis(100);
 
 }  // namespace
 
@@ -30,8 +33,11 @@ StreamingRun::StreamingRun(const StreamingRun& src, ForkTag)
   construct(/*fork_shell=*/true);
   adopt(src, "StreamingRun::fork", [&] {
     session_->restore_from(*src.session_);
-    if (buf_wifi_ != nullptr) buf_wifi_->restore_from(*src.buf_wifi_);
-    if (buf_lte_ != nullptr) buf_lte_->restore_from(*src.buf_lte_);
+    for (std::size_t i = 0; i < sndbuf_timer_.size(); ++i) {
+      if (!sndbuf_timer_[i]) continue;
+      sndbuf_[i] = src.sndbuf_[i];
+      sndbuf_timer_[i]->clone_from(*src.sndbuf_timer_[i], [this, i] { sample_sndbuf(i); });
+    }
   });
 }
 
@@ -60,32 +66,35 @@ void StreamingRun::construct(bool fork_shell) {
 
   // Trace collectors (paper Figs. 3, 11, 12). The CWND series come straight
   // from the flight recorder's "subflow.cwnd" gauge history; the send-buffer
-  // occupancy still uses a periodic sampler, bounded by the run cap so the
-  // drain-style Simulator::run() terminates. Fork shells defer the initial
-  // tick; the source's samples arrive via restore_from.
-  // Samplers address subflows by slot id, not live-list position: the live
-  // list compacts under path-manager churn, and a torn-down slot samples 0.
+  // occupancy is sampled here, wifi first, from t = 0. A fork shell takes no
+  // sample: adopt() copies the source's series and pending ticks.
   if (params_.collect_traces) {
-    Connection* conn = conn_.get();
-    const auto sampler = [&](std::size_t slot) {
-      auto probe = [conn, slot] {
-        const Subflow* sf = conn->subflow_at(slot);
-        return sf != nullptr ? subflow_sndbuf_bytes(*sf) : 0.0;
-      };
-      return fork_shell ? std::make_unique<PeriodicSampler>(PeriodicSampler::deferred_t{},
-                                                            sim(), Duration::millis(100),
-                                                            probe, end_)
-                        : std::make_unique<PeriodicSampler>(sim(), Duration::millis(100),
-                                                            probe, end_);
-    };
-    buf_wifi_ = sampler(0);
-    buf_lte_ = sampler(lte_slot());
+    for (std::size_t i = 0; i < sndbuf_timer_.size(); ++i) {
+      sndbuf_timer_[i].emplace(sim());
+      if (!fork_shell) sample_sndbuf(i);
+    }
   }
 
   session_->on_finished = [this] {
     done_ = true;
     sim().request_stop();
   };
+}
+
+// Occupancy is staged (scheduled, awaiting CWND) plus un-acked in-flight
+// bytes, "including in-flight packets" as in paper Fig. 3. Subflows are
+// addressed by slot id, not live-list position: the live list compacts under
+// path-manager churn, and a torn-down slot samples 0. The cap bound lets a
+// drain-style Simulator::run() terminate.
+void StreamingRun::sample_sndbuf(std::size_t i) {
+  double bytes = 0.0;
+  if (const Subflow* sf = conn_->subflow_at(i == 0 ? 0 : lte_slot())) {
+    bytes = static_cast<double>(sf->staged_bytes()) +
+            static_cast<double>(sf->inflight_segments()) * sf->mss();
+  }
+  sndbuf_[i].add(sim().now(), bytes);
+  if (sim().now() + kSndbufInterval > end_) return;
+  sndbuf_timer_[i]->schedule_after(kSndbufInterval, [this, i] { sample_sndbuf(i); });
 }
 
 void StreamingRun::begin() { session_->start(); }
@@ -151,8 +160,8 @@ StreamingResult StreamingRun::finish() {
     if (const TimeSeries* s = rec_->metrics().series("subflow.cwnd", labels)) {
       res.cwnd_lte = *s;
     }
-    res.sndbuf_wifi = buf_wifi_->series();
-    res.sndbuf_lte = buf_lte_->series();
+    res.sndbuf_wifi = sndbuf_[0];
+    res.sndbuf_lte = sndbuf_[1];
   }
   return res;
 }

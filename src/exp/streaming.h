@@ -2,24 +2,25 @@
 // all the observables the paper's streaming figures need.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "app/dash.h"
 #include "exp/run.h"
-#include "trace/series.h"
+#include "obs/series.h"
+#include "sim/simulator.h"
 #include "util/stats.h"
 #include "util/time.h"
 
 namespace mps {
 
-class PeriodicSampler;
-
 struct StreamingParams : RunParams {
   Duration video = Duration::seconds(180);
   AbrKind abr = AbrKind::kBufferBased;
   // CWND + send-buffer time series. Without a caller recorder the run owns
-  // one for the CWND series.
+  // one for the CWND series; the run samples the send buffers itself.
   bool collect_traces = false;
 };
 
@@ -74,10 +75,15 @@ class StreamingRun final : public RunShell {
   void construct(bool fork_shell);
   void begin() override;
   std::size_t lte_slot() const;
+  // Records path `i`'s send-buffer occupancy (0 wifi, 1 lte) and schedules
+  // the next sample 100 ms on, unless that would pass the safety cap.
+  void sample_sndbuf(std::size_t i);
 
   StreamingParams params_;
   std::unique_ptr<DashSession> session_;
-  std::unique_ptr<PeriodicSampler> buf_wifi_, buf_lte_;
+  // Send-buffer occupancy per path, sampled while collect_traces is set.
+  std::array<TimeSeries, 2> sndbuf_;
+  std::array<std::optional<Timer>, 2> sndbuf_timer_;
 };
 
 StreamingResult run_streaming(const StreamingParams& params);

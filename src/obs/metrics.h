@@ -19,7 +19,7 @@
 #include <string>
 #include <string_view>
 
-#include "trace/series.h"
+#include "obs/series.h"
 #include "util/time.h"
 
 namespace mps {

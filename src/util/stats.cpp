@@ -41,23 +41,4 @@ double Samples::cdf_at(double x) const {
   return static_cast<double>(it - data_.begin()) / static_cast<double>(data_.size());
 }
 
-std::vector<Samples::Point> Samples::cdf_points() const {
-  std::vector<Point> out;
-  if (data_.empty()) return out;
-  ensure_sorted();
-  const double n = static_cast<double>(data_.size());
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    // Emit only the last index of each run of equal values.
-    if (i + 1 < data_.size() && data_[i + 1] == data_[i]) continue;
-    out.push_back({data_[i], static_cast<double>(i + 1) / n});
-  }
-  return out;
-}
-
-std::vector<Samples::Point> Samples::ccdf_points() const {
-  auto pts = cdf_points();
-  for (auto& p : pts) p.y = 1.0 - p.y;
-  return pts;
-}
-
 }  // namespace mps

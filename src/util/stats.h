@@ -134,15 +134,6 @@ class Samples {
   // Fraction of samples > x.
   double ccdf_at(double x) const { return 1.0 - cdf_at(x); }
 
-  struct Point {
-    double x;
-    double y;
-  };
-  // Staircase CDF points (one per distinct value), suitable for plotting.
-  std::vector<Point> cdf_points() const;
-  // CCDF points: y = P(X > x).
-  std::vector<Point> ccdf_points() const;
-
   const std::vector<double>& raw() const { return data_; }
   void clear() {
     data_.clear();

@@ -1,58 +1,21 @@
-// Tests for the trace module: time series, collectors, text emitters.
+// Tests for what only the benches use (bench/emit.h, bench/scale.h): the text
+// renderers and the bench scale.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "trace/collect.h"
-#include "trace/emit.h"
-#include "trace/series.h"
+#include "bench/emit.h"
+#include "bench/scale.h"
 
 namespace mps {
 namespace {
 
-TEST(TimeSeriesTest, StepInterpolation) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_ns(0), 1.0);
-  ts.add(TimePoint::origin() + Duration::seconds(10), 5.0);
-  EXPECT_DOUBLE_EQ(ts.at(TimePoint::origin() + Duration::seconds(5)), 1.0);
-  EXPECT_DOUBLE_EQ(ts.at(TimePoint::origin() + Duration::seconds(10)), 5.0);
-  EXPECT_DOUBLE_EQ(ts.at(TimePoint::origin() + Duration::seconds(50)), 5.0);
-}
-
-TEST(TimeSeriesTest, TimeMeanWeightsDurations) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_ns(0), 0.0);
-  ts.add(TimePoint::origin() + Duration::seconds(5), 10.0);
-  // Over [0, 10): 5 s at 0 plus 5 s at 10 -> mean 5.
-  EXPECT_DOUBLE_EQ(
-      ts.time_mean(TimePoint::origin(), TimePoint::origin() + Duration::seconds(10)), 5.0);
-}
-
-TEST(TimeSeriesTest, TimeMeanWithValueBeforeWindow) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_ns(0), 3.0);
-  const TimePoint from = TimePoint::origin() + Duration::seconds(100);
-  EXPECT_DOUBLE_EQ(ts.time_mean(from, from + Duration::seconds(10)), 3.0);
-}
-
-TEST(TimeSeriesTest, MaxValue) {
-  TimeSeries ts;
-  ts.add(TimePoint::from_ns(0), 2.0);
-  ts.add(TimePoint::from_ns(5), 9.0);
-  ts.add(TimePoint::from_ns(9), 4.0);
-  EXPECT_DOUBLE_EQ(ts.max_value(), 9.0);
-}
-
-TEST(PeriodicSamplerTest, SamplesAtInterval) {
-  Simulator sim;
-  double value = 1.0;
-  PeriodicSampler sampler(sim, Duration::millis(100), [&] { return value; });
-  sim.after(Duration::millis(250), [&] { value = 7.0; });
-  sim.run_until(TimePoint::origin() + Duration::millis(520));
-  // Samples at 0, 100, 200, 300, 400, 500 ms.
-  EXPECT_EQ(sampler.series().size(), 6u);
-  EXPECT_DOUBLE_EQ(sampler.series().points()[2].value, 1.0);
-  EXPECT_DOUBLE_EQ(sampler.series().points()[3].value, 7.0);
+TEST(ScaleTest, DefaultsAreQuick) {
+  // The env var is unset (or quick) in the test harness; defaults must be
+  // the fast configuration and the note must mention the switch.
+  const BenchScale& s = bench_scale();
+  EXPECT_GE(s.streaming_runs, 1);
+  EXPECT_NE(scale_note().find("MPS_BENCH_SCALE"), std::string::npos);
 }
 
 TEST(EmitTest, HeatmapContainsLabelsAndShades) {

@@ -1,5 +1,5 @@
-// Tests for the experiment harness: world wiring, ideal references, scale,
-// and what every runner takes from a spec.
+// Tests for the experiment harness: world wiring, ideal references and what
+// every runner takes from a spec.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -7,7 +7,6 @@
 #include <string>
 
 #include "exp/ideal.h"
-#include "exp/scale.h"
 #include "exp/scenario_run.h"
 #include "exp/snapshot.h"
 #include "exp/streaming.h"
@@ -36,14 +35,6 @@ TEST(IdealTest, GridMatchesPaper) {
   ASSERT_EQ(grid.size(), 6u);
   EXPECT_DOUBLE_EQ(grid.front(), 0.3);
   EXPECT_DOUBLE_EQ(grid.back(), 8.6);
-}
-
-TEST(ScaleTest, DefaultsAreQuick) {
-  // The env var is unset (or quick) in the test harness; defaults must be
-  // the fast configuration and the note must mention the switch.
-  const BenchScale& s = bench_scale();
-  EXPECT_GE(s.streaming_runs, 1);
-  EXPECT_NE(scale_note().find("MPS_BENCH_SCALE"), std::string::npos);
 }
 
 TEST(TestbedTest, RequestDelayIsHalfPrimaryRtt) {

@@ -1,6 +1,6 @@
 // Tests for the observability subsystem (src/obs): metrics registry
-// semantics, the JSONL event schema, and the flight recorder's scheduler
-// decision log — including the replay contract that a recorded ECF
+// semantics, time series, the JSONL event schema, and the flight recorder's
+// scheduler decision log — including the replay contract that a recorded ECF
 // decision's Algorithm 1 terms reproduce the live verdict.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "scenario/world.h"
 #include "sched/registry.h"
 #include "test_util.h"
-#include "trace/collect.h"
 
 namespace mps {
 namespace {
@@ -142,25 +141,30 @@ TEST(TraceMacroTest, FieldsNotEvaluatedWithoutSink) {
 #endif
 }
 
-// --- periodic sampler -------------------------------------------------------
+// --- time series -----------------------------------------------------------
 
-TEST(PeriodicSamplerTest, DeadlineLetsRunDrainTheQueue) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, Duration::millis(100), [] { return 1.0; },
-                          TimePoint::origin() + Duration::seconds(1));
-  sim.run();  // would never return with a free-running sampler
-  EXPECT_FALSE(sampler.running());
-  EXPECT_EQ(sampler.series().size(), 11u);  // samples at 0, 100, ..., 1000 ms
-  EXPECT_EQ(sim.now(), TimePoint::origin() + Duration::seconds(1));
+TEST(TimeSeriesTest, TimeMeanWeightsDurations) {
+  TimeSeries ts;
+  ts.add(TimePoint::from_ns(0), 0.0);
+  ts.add(TimePoint::origin() + Duration::seconds(5), 10.0);
+  // Over [0, 10): 5 s at 0 plus 5 s at 10 -> mean 5.
+  EXPECT_DOUBLE_EQ(
+      ts.time_mean(TimePoint::origin(), TimePoint::origin() + Duration::seconds(10)), 5.0);
 }
 
-TEST(PeriodicSamplerTest, StopCancelsFutureSamples) {
-  Simulator sim;
-  PeriodicSampler sampler(sim, Duration::millis(100), [] { return 2.0; });
-  sim.after(Duration::millis(250), [&] { sampler.stop(); });
-  sim.run();
-  EXPECT_EQ(sampler.series().size(), 3u);  // 0, 100, 200 ms
-  EXPECT_FALSE(sampler.running());
+TEST(TimeSeriesTest, TimeMeanWithValueBeforeWindow) {
+  TimeSeries ts;
+  ts.add(TimePoint::from_ns(0), 3.0);
+  const TimePoint from = TimePoint::origin() + Duration::seconds(100);
+  EXPECT_DOUBLE_EQ(ts.time_mean(from, from + Duration::seconds(10)), 3.0);
+}
+
+TEST(TimeSeriesTest, MaxValue) {
+  TimeSeries ts;
+  ts.add(TimePoint::from_ns(0), 2.0);
+  ts.add(TimePoint::from_ns(5), 9.0);
+  ts.add(TimePoint::from_ns(9), 4.0);
+  EXPECT_DOUBLE_EQ(ts.max_value(), 9.0);
 }
 
 // --- flight recorder integration -------------------------------------------

@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
+#include "bench/scale.h"
 #include "bench/suite.h"
 #include "test_util.h"
 

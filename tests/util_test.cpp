@@ -199,15 +199,6 @@ TEST(SamplesTest, CdfCcdf) {
   EXPECT_DOUBLE_EQ(s.cdf_at(10.0), 1.0);
 }
 
-TEST(SamplesTest, CdfPointsCollapseDuplicates) {
-  Samples s;
-  for (double x : {1.0, 2.0, 2.0, 3.0}) s.add(x);
-  const auto pts = s.cdf_points();
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_DOUBLE_EQ(pts[1].x, 2.0);
-  EXPECT_DOUBLE_EQ(pts[1].y, 0.75);
-}
-
 TEST(SamplesTest, MergeCombines) {
   Samples a, b;
   a.add(1.0);

@@ -4,9 +4,9 @@
 //   mps_report <prof.json> [--top N] [--trace events.jsonl] [--check]
 //
 //   --top N              Show the N hottest scopes by self time (default 10).
-//   --trace FILE         Also read a JSONL trace (mps_run presets with
-//                        record.collect_traces, obs/events.h format) and
-//                        print per-flow timeline summaries.
+//   --trace FILE         Also read a JSONL event trace (obs/events.h
+//                        format, as written by examples/quickstart
+//                        --trace-out) and print per-flow timeline summaries.
 //   --check              Validate only: parse the report against the
 //                        mps.profile.v1 schema, print nothing on success.
 //                        Exit 1 with the offending key on stderr otherwise.
