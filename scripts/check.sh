@@ -143,7 +143,10 @@ run_scale_smoke() {
 # snapshot + 2-way fork must print output byte-identical to the plain run
 # (exp/snapshot.h's sequential-consistency contract), and mps_run's own
 # fork-check must pass. Durations are overridden down like the scenario
-# smoke so this stays fast at any scale.
+# smoke so this stays fast at any scale. Then a crowd-shaped traffic world
+# (the contended preset at 200 flows, churn scaled to match) forked 3 ways
+# mid-run must match its plain run in stdout and exit status (3 when flows
+# are still unfinished at the horizon).
 run_snapshot_smoke() {
   local build_dir="$1"
   echo "snapshot smoke ($build_dir): mps_run --snapshot-at=0.5 --fork=2 vs plain"
@@ -162,6 +165,19 @@ run_snapshot_smoke() {
       return 1
     fi
   done
+  local crowd=(scenarios/contended_bottleneck.json --set traffic.flows=200
+    --set traffic.arrival_rate_per_s=50)
+  local plain_status=0 forked_status=0
+  echo "  ${crowd[*]} --snapshot-at=2 --fork=3"
+  plain="$("$build_dir/tools/mps_run" "${crowd[@]}")" || plain_status=$?
+  forked="$("$build_dir/tools/mps_run" "${crowd[@]}" --snapshot-at=2 --fork=3)" ||
+    forked_status=$?
+  if [[ "$plain" != "$forked" || "$plain_status" != "$forked_status" ]]; then
+    echo "mps_run: snapshot+fork changed the crowd traffic run" \
+      "(exit $plain_status plain, $forked_status forked)" >&2
+    diff <(printf '%s\n' "$plain") <(printf '%s\n' "$forked") >&2 || true
+    return 1
+  fi
 }
 
 # Handover smoke: dynamic path management end to end. The commuter preset

@@ -6,6 +6,28 @@ namespace mps {
 
 HttpExchange::HttpExchange(Simulator& sim, Connection& conn, Duration request_delay)
     : sim_(sim), conn_(conn), request_delay_(request_delay) {
+  hook_connection();
+}
+
+HttpExchange::HttpExchange(const HttpExchange& src, Simulator& sim, Connection& conn)
+    : sim_(sim),
+      conn_(conn),
+      request_delay_(src.request_delay_),
+      head_(src.head_),
+      delivered_total_(src.delivered_total_),
+      request_ids_(src.request_ids_) {
+  objects_.reserve(src.objects_.size());
+  for (const PendingObject& from : src.objects_) {
+    objects_.push_back(PendingObject{from.bytes, from.queued_at_server, from.delivered,
+                                     from.serving, from.result, nullptr});
+  }
+  for (std::size_t i = 0; i < request_ids_.size(); ++i) {
+    sim_.rebind(request_ids_.at(i), [this] { on_request_arrival(); });
+  }
+  hook_connection();
+}
+
+void HttpExchange::hook_connection() {
   conn_.on_sendable = [this] { server_pump(); };
   conn_.on_deliver = [this](std::uint64_t bytes, TimePoint when) { on_delivered(bytes, when); };
   conn_.on_wire_arrival_hook = [this](std::uint32_t subflow_id, std::uint64_t, std::uint32_t,
@@ -51,19 +73,6 @@ void HttpExchange::on_request_arrival() {
     }
   }
   server_pump();
-}
-
-void HttpExchange::restore_from(const HttpExchange& src) {
-  objects_ = src.objects_;
-  // Completion callbacks capture the source's owners; each fork owner
-  // re-installs its own via set_outstanding_done.
-  for (PendingObject& obj : objects_) obj.done = nullptr;
-  head_ = src.head_;
-  delivered_total_ = src.delivered_total_;
-  request_ids_ = src.request_ids_;
-  for (std::size_t i = 0; i < request_ids_.size(); ++i) {
-    sim_.rebind(request_ids_.at(i), [this] { on_request_arrival(); });
-  }
 }
 
 void HttpExchange::server_pump() {

@@ -40,7 +40,15 @@ class HttpExchange : public ArenaAllocated<HttpExchange> {
   // `request_delay`: one-way latency of the GET (primary path's base
   // one-way delay by default; pass explicitly when known).
   HttpExchange(Simulator& sim, Connection& conn, Duration request_delay);
+  // Snapshot support (exp/snapshot.h): the twin of `src` over `conn` (src's
+  // connection's twin) in the fork's simulator. Copies the object FIFO and
+  // adopts the in-flight GET events by EventId. Completion callbacks start
+  // empty: they capture the source's owners, so each fork owner re-installs
+  // its own with set_outstanding_done right after.
+  HttpExchange(const HttpExchange& src, Simulator& sim, Connection& conn);
   ~HttpExchange();
+  HttpExchange(const HttpExchange&) = delete;
+  HttpExchange& operator=(const HttpExchange&) = delete;
 
   // Issues a GET for an object of `bytes`. Responses are served FIFO;
   // callers may queue several (browser behaviour differs: see WebBrowser,
@@ -53,14 +61,7 @@ class HttpExchange : public ArenaAllocated<HttpExchange> {
   // Completion time of everything delivered so far.
   std::uint64_t total_delivered() const { return delivered_total_; }
 
-  // --- snapshot support (exp/snapshot.h) ------------------------------------
-  // Copies the object FIFO and in-flight GET events from `src` (an exchange
-  // over the fork's twin connection) and adopts the request events by
-  // EventId. Completion callbacks are deliberately left empty: they capture
-  // the source's owners, so each fork owner re-installs its own with
-  // set_outstanding_done right after this.
-  void restore_from(const HttpExchange& src);
-  // Re-installs the completion callback of outstanding object `i` (0 = the
+  // Snapshot support: re-installs the completion callback of outstanding object `i` (0 = the
   // object currently being served / next to complete).
   void set_outstanding_done(std::size_t i, DoneFn done) {
     objects_[head_ + i].done = std::move(done);
@@ -76,6 +77,8 @@ class HttpExchange : public ArenaAllocated<HttpExchange> {
     DoneFn done;
   };
 
+  // Points the connection's application hooks at this exchange.
+  void hook_connection();
   void server_pump();
   void on_request_arrival();
   void on_delivered(std::uint64_t bytes, TimePoint when);
@@ -96,7 +99,7 @@ class HttpExchange : public ArenaAllocated<HttpExchange> {
   // In-flight GET control messages, in issue order (constant delay => FIFO
   // firing). Tracked so the destructor can cancel them — the closures
   // capture `this`, and an exchange torn down under churn used to leave
-  // them dangling — and so snapshot forks can rebind them.
+  // them dangling — and so a twin can rebind them.
   RingDeque<EventId> request_ids_;
   // Liveness flag on the stack of a running on_delivered (else null): a
   // completion callback may destroy this exchange (WebBrowser retires the

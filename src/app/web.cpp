@@ -84,8 +84,7 @@ void WebBrowser::assign_next(std::size_t slot_index) {
   });
 }
 
-void WebBrowser::restore_from(const WebBrowser& src,
-                              const std::function<void(std::uint32_t)>& set_next_conn_id) {
+void WebBrowser::restore_from(const WebBrowser& src, const TwinFactory& twin) {
   next_object_ = src.next_object_;
   outstanding_ = src.outstanding_;
   finished_ = src.finished_;
@@ -101,12 +100,8 @@ void WebBrowser::restore_from(const WebBrowser& src,
     dst.last_activity = s.last_activity;
     dst.busy = s.busy;
     if (s.conn == nullptr) continue;
-    set_next_conn_id(s.conn->config().conn_id);
-    dst.conn = factory_();
-    const Duration request_delay = dst.conn->subflows()[0]->path().rtt_base() / 2;
-    dst.http = std::make_unique<HttpExchange>(sim_, *dst.conn, request_delay);
-    dst.conn->restore_from(*s.conn);
-    dst.http->restore_from(*s.http);
+    dst.conn = twin(*s.conn);
+    dst.http = std::make_unique<HttpExchange>(*s.http, sim_, *dst.conn);
     for (std::size_t j = 0; j < dst.http->outstanding(); ++j) {
       dst.http->set_outstanding_done(j, [this, i](const ObjectResult& r) {
         Slot& sl = slots_[i];

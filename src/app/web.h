@@ -50,14 +50,13 @@ class WebBrowser {
   std::function<void()> on_finished;
 
   // --- snapshot support (exp/snapshot.h) ------------------------------------
-  // Rebuilds this browser's per-slot connections as twins of `src`'s live
-  // slots — minting each through the factory under the source's conn_id via
-  // `set_next_conn_id` (the owner passes World::set_next_conn_id) — then
-  // restores connection/exchange state and re-installs the completion
-  // callbacks. Owners re-wire on_finished themselves. Call after the world's
-  // event queue has been cloned.
-  void restore_from(const WebBrowser& src,
-                    const std::function<void(std::uint32_t)>& set_next_conn_id);
+  // Copies page state from `src` and rebuilds this browser's per-slot
+  // connections and exchanges as twins of `src`'s live slots — `twin` builds
+  // a connection's twin in the fork's world — then re-installs the
+  // completion callbacks. Owners re-wire on_finished themselves. Call after
+  // the world's event queue has been cloned.
+  using TwinFactory = std::function<std::unique_ptr<Connection>(const Connection&)>;
+  void restore_from(const WebBrowser& src, const TwinFactory& twin);
 
   // --- metrics --------------------------------------------------------------
   // Per-object download completion times, seconds (paper Figs. 20/23a).

@@ -7,25 +7,26 @@ namespace mps {
 
 DownloadRun::DownloadRun(const DownloadParams& params)
     : RunShell(params.recorder, params.telemetry, params.heartbeat), params_(params) {
-  construct(/*fork_shell=*/false);
+  construct(nullptr);
 }
 
 DownloadRun::DownloadRun(const DownloadRun& src, ForkTag)
-    : RunShell(src, ForkTag{}), params_(src.params_) {
-  construct(/*fork_shell=*/true);
-  adopt(src, "DownloadRun::fork", [&] {
-    if (http_->outstanding() > 0) install_done();
-    res_ = src.res_;
-  });
+    : RunShell(src, ForkTag{}), params_(src.params_), res_(src.res_) {
+  construct(&src);
 }
 
-DownloadRun::~DownloadRun() = default;
+DownloadRun::~DownloadRun() { discard_events(); }
 
-void DownloadRun::construct(bool fork_shell) {
+void DownloadRun::construct(const DownloadRun* src) {
+  static constexpr const char* kWho = "DownloadRun::fork";
   end_ = TimePoint::origin() + Duration::seconds(600);
   build_world(params_);
-  build_connection(params_);
-  build_traces(params_, fork_shell);
+  if (src != nullptr) adopt_world(*src, kWho);
+  build_connection(params_, src);
+  build_traces(params_, src);
+  if (src == nullptr) return;
+  if (http_->outstanding() > 0) install_done();
+  adopt(*src, kWho);
 }
 
 void DownloadRun::install_done() {

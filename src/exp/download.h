@@ -47,7 +47,7 @@ class DownloadRun final : public RunShell {
 
  private:
   DownloadRun(const DownloadRun& src, ForkTag);
-  void construct(bool fork_shell);
+  void construct(const DownloadRun* src);  // src: the run a fork copies
   void begin() override;
   void install_done();
 

@@ -13,17 +13,20 @@ namespace mps {
 
 namespace {
 
-// A fork shell's construction scheduled something, which would collide with
-// the adopted source events.
-void require_construction_event_free(Simulator& sim, const char* who) {
-  if (sim.pending_events() != 0) {
-    throw std::logic_error(std::string(who) + ": fork-shell construction scheduled " +
-                           std::to_string(sim.pending_events()) +
-                           " event(s); model construction must be event-free");
+// Fork construction must be event-free: the pending set is exactly
+// `expected` events — none before the source's queue is cloned (the clone
+// would silently discard them), the source's own after it (a twin that
+// scheduled or cancelled one would shift the fire order).
+void require_construction_event_free(Simulator& sim, std::size_t expected, const char* who) {
+  if (sim.pending_events() != expected) {
+    throw std::logic_error(std::string(who) + ": fork construction left " +
+                           std::to_string(sim.pending_events()) + " pending event(s), expected " +
+                           std::to_string(expected) + "; model construction must be event-free");
   }
 }
 
-// A live event with no callback bound: a restore_from path forgot to adopt it.
+// A live event with no callback bound: a twin or restore_from forgot to adopt
+// it.
 void require_fully_rebound(Simulator& sim, const char* who) {
   std::vector<std::pair<EventId, TimePoint>> unbound;
   sim.collect_unbound_events(unbound);
@@ -83,37 +86,51 @@ std::unique_ptr<Connection> RunShell::make_connection(const RunParams& p) {
                                  : world_->make_connection_on(p.initial_paths, p.scheduler);
 }
 
-void RunShell::build_connection(const RunParams& p) {
-  conn_ = make_connection(p);
+std::unique_ptr<Connection> RunShell::twin_connection(const Connection& src,
+                                                      const RunShell& src_run,
+                                                      const SchedulerFactory& scheduler) {
+  return std::make_unique<Connection>(src, world_->twin_world(*src_run.world_), scheduler());
+}
+
+void RunShell::build_connection(const RunParams& p, const RunShell* src) {
+  if (src == nullptr) {
+    scheduler_ = p.scheduler;
+    conn_ = make_connection(p);
+  } else {
+    scheduler_ = src->scheduler_;
+    conn_ = twin_connection(*src->conn_, *src, scheduler_);
+  }
   if (p.path_manager) {
     std::vector<Path*> paths;
     for (std::size_t i = 0; i < world_->path_count(); ++i) paths.push_back(&world_->path(i));
-    pm_ = std::make_unique<PathManager>(*conn_, std::move(paths), *p.path_manager);
+    pm_ = src == nullptr
+              ? std::make_unique<PathManager>(*conn_, std::move(paths), *p.path_manager)
+              : std::make_unique<PathManager>(*src->pm_, *conn_, std::move(paths));
   }
-  http_ = std::make_unique<HttpExchange>(world_->sim(), *conn_, world_->request_delay());
+  http_ = src == nullptr
+              ? std::make_unique<HttpExchange>(world_->sim(), *conn_, world_->request_delay())
+              : std::make_unique<HttpExchange>(*src->http_, world_->sim(), *conn_);
 }
 
-void RunShell::build_traces(const RunParams& p, bool fork_shell) {
+void RunShell::build_traces(const RunParams& p, const RunShell* src) {
   for (std::size_t i = 0; i < p.traces.size(); ++i) {
     if (p.traces[i].empty()) continue;
-    schedules_.push_back(
+    auto& schedule = schedules_.emplace_back(
         std::make_unique<BandwidthSchedule>(world_->sim(), world_->path(i), p.traces[i]));
-    if (!fork_shell) schedules_.back()->start();
+    if (src == nullptr) {
+      schedule->start();
+    } else {
+      schedule->restore_from(*src->schedules_[schedules_.size() - 1]);
+    }
   }
 }
 
-void RunShell::adopt(const RunShell& src, const char* who,
-                     const std::function<void()>& restore_parts) {
-  require_construction_event_free(sim(), who);
+void RunShell::adopt_world(const RunShell& src, const char* who) {
+  require_construction_event_free(sim(), 0, who);
   world_->restore_from(*src.world_);
-  if (pm_ != nullptr) pm_->restore_topology(*src.pm_);
-  if (conn_ != nullptr) conn_->restore_from(*src.conn_);
-  if (pm_ != nullptr) pm_->restore_from(*src.pm_);
-  if (http_ != nullptr) http_->restore_from(*src.http_);
-  restore_parts();
-  for (std::size_t i = 0; i < schedules_.size(); ++i) {
-    schedules_[i]->restore_from(*src.schedules_[i]);
-  }
+}
+
+void RunShell::adopt(const RunShell& src, const char* who) {
   end_ = src.end_;
   base_ = src.base_;
   events_before_ = src.events_before_;
@@ -121,7 +138,12 @@ void RunShell::adopt(const RunShell& src, const char* who,
   done_ = src.done_;
   if (started_ && heartbeat_.enabled()) sim().set_heartbeat(heartbeat_.interval_s, heartbeat_.fn);
   if (rec_ != nullptr) rec_->restore_data_from(*src.rec_);
+  require_construction_event_free(sim(), src.world_->sim().pending_events(), who);
   require_fully_rebound(sim(), who);
+}
+
+void RunShell::discard_events() {
+  if (world_ != nullptr) sim().discard_pending();
 }
 
 void RunShell::start() {
@@ -144,6 +166,7 @@ void RunShell::set_scheduler(const SchedulerFactory& factory) {
     throw std::logic_error("set_scheduler: this run has no single connection to switch");
   }
   conn_->set_scheduler(factory());
+  scheduler_ = factory;
 }
 
 void RunShell::settle() {

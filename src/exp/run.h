@@ -1,8 +1,8 @@
 // The Run shell every experiment runner shares (StreamingRun, DownloadRun,
 // WebPageRun, TrafficRun): one World, a safety cap or end time, the
-// start/run_to/finish staging, and the fork prologue and epilogue of
-// exp/snapshot.h. Each subclass adds only its workload objects, their
-// restore_from calls and its finish().
+// start/run_to/finish staging, and the fork steps of exp/snapshot.h. Each
+// subclass adds only its workload objects, how a fork builds or restores
+// them, and its finish().
 #pragma once
 
 #include <cstdint>
@@ -90,20 +90,32 @@ class RunShell {
   void build_world(const RunParams& p);
   // A connection over the world honouring p.initial_paths.
   std::unique_ptr<Connection> make_connection(const RunParams& p);
+  // The twin in this world of `src`, a connection of `src_run`'s world, with
+  // a fresh `scheduler` restored from src's.
+  std::unique_ptr<Connection> twin_connection(const Connection& src, const RunShell& src_run,
+                                              const SchedulerFactory& scheduler);
   // Single-connection runs: the connection, its optional path manager and
-  // the HTTP exchange over it.
-  void build_connection(const RunParams& p);
-  // One bandwidth schedule per traced path. A fork shell constructs them
-  // idle; the fork epilogue adopts the source's pending events.
-  void build_traces(const RunParams& p, bool fork_shell);
+  // the HTTP exchange over it — in a fork (`src` set), twins of src's.
+  void build_connection(const RunParams& p, const RunShell* src = nullptr);
+  // One bandwidth schedule per traced path, started — or in a fork, adopting
+  // src's pending events.
+  void build_traces(const RunParams& p, const RunShell* src = nullptr);
 
-  // The fork epilogue, after the subclass constructed its fork shell:
-  // checks construction was event-free, restores the world, connection,
-  // path manager and exchange, runs `restore_parts` for the subclass's own
-  // objects, then the schedules, flags, heartbeat and recorder data, and
-  // finally checks every pending event was rebound. `who` names the fork in
-  // errors.
-  void adopt(const RunShell& src, const char* who, const std::function<void()>& restore_parts);
+  // Fork step one, right after the fork's world is built: checks that
+  // construction was event-free, then copies src's world state (clock,
+  // event queue with every callback unbound, links, muxes, RNG). Twins built
+  // after it rebind their own events.
+  void adopt_world(const RunShell& src, const char* who);
+  // The fork epilogue, once every workload object is a twin of src's or
+  // restored from it: copies the shell's flags, re-attaches the heartbeat,
+  // restores the recorder data, and checks that construction scheduled
+  // nothing and that every pending event was rebound. `who` names the fork
+  // in errors.
+  void adopt(const RunShell& src, const char* who);
+
+  // Teardown, first thing in each Run's destructor: drops the world's pending
+  // events in one pass so the workload objects' destructors cancel nothing.
+  void discard_events();
 
   // The finish prologue: runs to the cap or end unless done, detaches the
   // heartbeat and adds this run's kernel accounting to the telemetry.
@@ -122,6 +134,9 @@ class RunShell {
   std::unique_ptr<PathManager> pm_;
   std::unique_ptr<HttpExchange> http_;
   std::vector<std::unique_ptr<BandwidthSchedule>> schedules_;
+  // Makes conn_'s scheduler: the params' until set_scheduler switches it, so
+  // a fork of a switched run rebuilds the switched type.
+  SchedulerFactory scheduler_;
   TimePoint end_;   // safety cap (traffic: the engine's end time)
   TimePoint base_;  // sim time and events processed at start()
   std::uint64_t events_before_ = 0;

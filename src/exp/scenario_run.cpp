@@ -168,6 +168,10 @@ std::string format_traffic(const ScenarioSpec& spec, const TrafficResult& t) {
           "orphans %llu\n",
           t.jain, mptcp_started, t.completed, t.completion_s.mean(),
           t.completion_s.quantile(0.95), static_cast<unsigned long long>(t.orphans));
+  if (t.incomplete > 0) {
+    appendf(s, "  incomplete: %zu mptcp flows started but unfinished at the %.1f s horizon\n",
+            t.incomplete, t.duration_s);
+  }
   return s;
 }
 

@@ -56,8 +56,11 @@ struct ScenarioOutcome {
   TrafficResult traffic;           // spec.traffic.enabled: competing-traffic run
 
   // A run stopped at its runner's safety cap (only the live slot can be set;
-  // format_outcome prints a `capped:` line then).
-  bool capped() const { return streaming.capped || download.capped || web.capped; }
+  // format_outcome prints a `capped:` line then), or a traffic run reached
+  // its horizon with sized flows unfinished (an `incomplete:` line).
+  bool capped() const {
+    return streaming.capped || download.capped || web.capped || traffic.incomplete > 0;
+  }
 };
 
 // Runs the spec's workload.runs repetitions serially and folds them

@@ -16,20 +16,26 @@ TrafficRun::TrafficRun(const ScenarioSpec& spec, const ScenarioRunOptions& opts)
   // As WorldBuilder::build, but the shell owns the recorder so it outlives
   // the world.
   if (rec_ == nullptr && (spec.record.collect_traces || spec.record.summarize)) own_recorder();
-  construct(spec);
+  construct(spec, nullptr);
 }
 
 TrafficRun::TrafficRun(const TrafficRun& src, ForkTag) : RunShell(src, ForkTag{}) {
-  construct(src.builder_->spec());
-  adopt(src, "TrafficRun::fork", [&] { engine_->restore_from(*src.engine_); });
+  construct(src.builder_->spec(), &src);
 }
 
-TrafficRun::~TrafficRun() = default;
+TrafficRun::~TrafficRun() { discard_events(); }
 
-void TrafficRun::construct(const ScenarioSpec& spec) {
+void TrafficRun::construct(const ScenarioSpec& spec, const TrafficRun* src) {
+  static constexpr const char* kWho = "TrafficRun::fork";
   builder_ = std::make_unique<WorldBuilder>(spec);
   world_ = builder_->build(rec_);
-  engine_ = std::make_unique<TrafficEngine>(*world_, builder_->spec());
+  if (src == nullptr) {
+    engine_ = std::make_unique<TrafficEngine>(*world_, builder_->spec());
+    return;
+  }
+  adopt_world(*src, kWho);
+  engine_ = std::make_unique<TrafficEngine>(*src->engine_, *world_, builder_->spec());
+  adopt(*src, kWho);
 }
 
 void TrafficRun::begin() {
@@ -44,6 +50,9 @@ std::unique_ptr<TrafficRun> TrafficRun::fork() const {
 TrafficResult TrafficRun::finish() {
   if (!done_) {
     settle();
+    // Nothing runs after the horizon: drop the pending events before the
+    // engine tears every live flow down, so none of them cancels its own.
+    discard_events();
     engine_->finish();
     done_ = true;
   }

@@ -3,17 +3,24 @@
 // prefix (DESIGN.md §13).
 //
 // Mechanism, shared by every Run class through the Run shell (exp/run.h;
-// StreamingRun, DownloadRun, WebPageRun, and TrafficRun here):
+// StreamingRun, DownloadRun, WebPageRun, and TrafficRun here), one pass over
+// the source:
 //  1. clone the source's FlightRecorder *first*, so the fork's construction
 //     resolves instrument handles into the copied storage;
-//  2. re-run the normal construction path ("fork shell") — construction is
-//     event-free by design, which require_construction_event_free asserts;
-//  3. structure-clone the event queue (EventIds and ordering preserved,
-//     callbacks dropped), then per-object restore_from copies dynamic state
-//     and rebinds each adopted event to the fork's objects;
+//  2. build the fork's world the normal way — construction is event-free by
+//     design, which require_construction_event_free asserts — and copy the
+//     source's world state into it, structure-cloning the event queue
+//     (EventIds and ordering preserved, callbacks dropped);
+//  3. build each per-flow object (connection, subflows, receivers, path
+//     manager, HTTP exchange, traffic engine) as a twin of its source: the
+//     twin constructor copies the state and rebinds the adopted events to
+//     itself. Per-run parts (DASH session, bandwidth schedules, samplers)
+//     are built fresh and restore_from their source;
 //  4. undo construction-time instrument writes via restore_data_from;
-//  5. require_fully_rebound audits that no live event was left without a
-//     callback — the mechanism that surfaces forgotten capture sites.
+//  5. check that construction scheduled nothing (the pending set is exactly
+//     the source's) and, with require_fully_rebound, that no live event was
+//     left without a callback — the mechanism that surfaces forgotten
+//     capture sites.
 //
 // Forks are sequential-consistent: fork-then-finish produces output
 // byte-identical to an unforked run, so a prefix shared by many sweep cells
@@ -50,7 +57,7 @@ class TrafficRun final : public RunShell {
 
  private:
   TrafficRun(const TrafficRun& src, ForkTag);
-  void construct(const ScenarioSpec& spec);
+  void construct(const ScenarioSpec& spec, const TrafficRun* src);  // src: the run a fork copies
   void begin() override;
 
   std::unique_ptr<WorldBuilder> builder_;

@@ -25,23 +25,15 @@ StreamingRun::StreamingRun(const StreamingParams& params)
     : RunShell(params.recorder, params.telemetry, params.heartbeat), params_(params) {
   // The CWND series are read back from the recorder's metrics registry.
   if (rec_ == nullptr && params_.collect_traces) own_recorder();
-  construct(/*fork_shell=*/false);
+  construct(nullptr);
 }
 
 StreamingRun::StreamingRun(const StreamingRun& src, ForkTag)
     : RunShell(src, ForkTag{}), params_(src.params_) {
-  construct(/*fork_shell=*/true);
-  adopt(src, "StreamingRun::fork", [&] {
-    session_->restore_from(*src.session_);
-    for (std::size_t i = 0; i < sndbuf_timer_.size(); ++i) {
-      if (!sndbuf_timer_[i]) continue;
-      sndbuf_[i] = src.sndbuf_[i];
-      sndbuf_timer_[i]->clone_from(*src.sndbuf_timer_[i], [this, i] { sample_sndbuf(i); });
-    }
-  });
+  construct(&src);
 }
 
-StreamingRun::~StreamingRun() = default;
+StreamingRun::~StreamingRun() { discard_events(); }
 
 // Subflow slot of the lte path's first subflow.
 std::size_t StreamingRun::lte_slot() const {
@@ -49,29 +41,37 @@ std::size_t StreamingRun::lte_slot() const {
                                        : 1;
 }
 
-void StreamingRun::construct(bool fork_shell) {
+void StreamingRun::construct(const StreamingRun* src) {
+  static constexpr const char* kWho = "StreamingRun::fork";
   if (params_.paths.size() < 2) {
     throw std::invalid_argument("StreamingRun: needs a wifi and an lte path (paths[0], paths[1])");
   }
   end_ = TimePoint::origin() + run_cap(params_.video);
   if (rec_ != nullptr && params_.collect_traces) rec_->metrics().set_keep_series(true);
   build_world(params_);
-  build_connection(params_);
+  if (src != nullptr) adopt_world(*src, kWho);
+  build_connection(params_, src);
 
   DashConfig dc;
   dc.video_duration = params_.video;
   dc.abr = params_.abr;
   session_ = std::make_unique<DashSession>(sim(), *http_, dc);
-  build_traces(params_, fork_shell);
+  if (src != nullptr) session_->restore_from(*src->session_);
+  build_traces(params_, src);
 
   // Trace collectors (paper Figs. 3, 11, 12). The CWND series come straight
   // from the flight recorder's "subflow.cwnd" gauge history; the send-buffer
-  // occupancy is sampled here, wifi first, from t = 0. A fork shell takes no
-  // sample: adopt() copies the source's series and pending ticks.
+  // occupancy is sampled here, wifi first, from t = 0. A fork takes no
+  // sample: it copies the source's series and adopts its pending ticks.
   if (params_.collect_traces) {
     for (std::size_t i = 0; i < sndbuf_timer_.size(); ++i) {
       sndbuf_timer_[i].emplace(sim());
-      if (!fork_shell) sample_sndbuf(i);
+      if (src == nullptr) {
+        sample_sndbuf(i);
+        continue;
+      }
+      sndbuf_[i] = src->sndbuf_[i];
+      sndbuf_timer_[i]->clone_from(*src->sndbuf_timer_[i], [this, i] { sample_sndbuf(i); });
     }
   }
 
@@ -79,6 +79,7 @@ void StreamingRun::construct(bool fork_shell) {
     done_ = true;
     sim().request_stop();
   };
+  if (src != nullptr) adopt(*src, kWho);
 }
 
 // Occupancy is staged (scheduled, awaiting CWND) plus un-acked in-flight

@@ -72,7 +72,9 @@ class StreamingRun final : public RunShell {
 
  private:
   StreamingRun(const StreamingRun& src, ForkTag);
-  void construct(bool fork_shell);
+  // Builds the run; a fork (`src` set) builds or restores each part from
+  // src's.
+  void construct(const StreamingRun* src);
   void begin() override;
   std::size_t lte_slot() const;
   // Records path `i`'s send-buffer occupancy (0 wifi, 1 lte) and schedules

@@ -8,34 +8,38 @@ namespace mps {
 WebPageRun::WebPageRun(const WebRunParams& params, int rep)
     : RunShell(params.recorder, params.telemetry, params.heartbeat), params_(params) {
   params_.seed += static_cast<std::uint64_t>(rep);
-  construct(/*fork_shell=*/false);
+  construct(nullptr);
 }
 
 WebPageRun::WebPageRun(const WebPageRun& src, ForkTag)
     : RunShell(src, ForkTag{}), params_(src.params_) {
-  construct(/*fork_shell=*/true);
-  adopt(src, "WebPageRun::fork", [&] {
-    browser_->restore_from(*src.browser_,
-                           [this](std::uint32_t id) { world_->set_next_conn_id(id); });
-  });
+  construct(&src);
 }
 
-WebPageRun::~WebPageRun() = default;
+WebPageRun::~WebPageRun() { discard_events(); }
 
-void WebPageRun::construct(bool fork_shell) {
+void WebPageRun::construct(const WebPageRun* src) {
+  static constexpr const char* kWho = "WebPageRun::fork";
   end_ = TimePoint::origin() + Duration::seconds(3600);
   build_world(params_);
+  if (src != nullptr) adopt_world(*src, kWho);
   WebPageConfig wc;
   // The page content is fixed across runs and schedulers (same seed).
   Rng page_rng(0xC0FFEE);
   auto objects = make_page_objects(page_rng, wc);
   browser_ = std::make_unique<WebBrowser>(sim(), wc, std::move(objects),
                                           [this] { return make_connection(params_); });
+  if (src != nullptr) {
+    browser_->restore_from(*src->browser_, [this, src](const Connection& c) {
+      return twin_connection(c, *src, params_.scheduler);
+    });
+  }
   browser_->on_finished = [this] {
     done_ = true;
     sim().request_stop();
   };
-  build_traces(params_, fork_shell);
+  build_traces(params_, src);
+  if (src != nullptr) adopt(*src, kWho);
 }
 
 void WebPageRun::begin() { browser_->start(); }

@@ -42,7 +42,7 @@ class WebPageRun final : public RunShell {
 
  private:
   WebPageRun(const WebPageRun& src, ForkTag);
-  void construct(bool fork_shell);
+  void construct(const WebPageRun* src);  // src: the run a fork copies
   void begin() override;
 
   WebRunParams params_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/prof.h"
 #include "obs/recorder.h"
@@ -19,22 +20,7 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, const std::vecto
       drs_window_(config.rcv_initial_window) {
   assert(!paths.empty());
   assert(scheduler_ != nullptr);
-
-  scheduler_->bind(sim_, config_.conn_id);
-  obs_ = &detached_instruments();
-  if (FlightRecorder* rec = sim_.recorder(); rec != nullptr) {
-    obs_owned_ = std::make_unique<Instruments>();
-    obs_ = obs_owned_.get();
-    MetricsRegistry& m = rec->metrics();
-    MetricLabels labels;
-    labels.conn = static_cast<std::int64_t>(config_.conn_id);
-    obs_->ooo_bytes_total = m.counter("conn.ooo_bytes_total", labels);
-    obs_->reinjections = m.counter("conn.reinjections", labels);
-    obs_->window_stalls = m.counter("conn.window_stalls", labels);
-    obs_->sndbuf_blocked_ns = m.counter("conn.sndbuf_blocked_ns", labels);
-    obs_->meta_ooo_bytes = m.gauge("conn.meta_ooo_bytes", labels);
-    obs_->reorder_segments = m.gauge("conn.reorder_segments", labels);
-  }
+  bind_and_instrument();
 
   slots_.reserve(paths.size());
   subflow_ptrs_.reserve(paths.size());
@@ -44,7 +30,79 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, const std::vecto
                                     : Duration::zero();
     open_slot(*paths[i], join_delay);
   }
+  add_routes();
+}
 
+Connection::Connection(const Connection& src, const TwinWorld& world,
+                       std::unique_ptr<Scheduler> scheduler)
+    : sim_(world.sim),
+      config_(src.config_),
+      scheduler_(std::move(scheduler)),
+      down_mux_(world.down_mux),
+      up_mux_(world.up_mux),
+      remap_queue_(src.remap_queue_),
+      remap_bytes_(src.remap_bytes_),
+      send_queue_bytes_(src.send_queue_bytes_),
+      next_data_seq_(src.next_data_seq_),
+      data_una_(src.data_una_),
+      rwnd_(src.rwnd_),
+      last_reinjected_seq_(src.last_reinjected_seq_),
+      sendable_post_pending_(src.sendable_post_pending_),
+      sendable_post_id_(src.sendable_post_id_),
+      rcv_data_next_(src.rcv_data_next_),
+      drs_window_(src.drs_window_),
+      drs_mark_bytes_(src.drs_mark_bytes_),
+      meta_ooo_(src.meta_ooo_),
+      meta_ooo_bytes_(src.meta_ooo_bytes_),
+      pending_deliver_bytes_(src.pending_deliver_bytes_),
+      pending_deliver_when_(src.pending_deliver_when_),
+      deliver_post_pending_(src.deliver_post_pending_),
+      deliver_post_id_(src.deliver_post_id_),
+      meta_stats_(src.meta_stats_),
+      ooo_delay_(src.ooo_delay_),
+      sndbuf_blocked_(src.sndbuf_blocked_),
+      sndbuf_blocked_since_(src.sndbuf_blocked_since_) {
+  assert(scheduler_ != nullptr);
+  bind_and_instrument();
+  scheduler_->restore_from(*src.scheduler_);
+
+  // Slot for slot, finalized ones included (their path and retired stats
+  // survive; sender and receiver died together).
+  slots_.reserve(src.slots_.size());
+  subflow_ptrs_.reserve(src.subflow_ptrs_.size());
+  for (const Slot& from : src.slots_) {
+    Slot& slot = slots_.emplace_back();
+    slot.path = &world.path_for(*from.path);
+    slot.retired = from.retired;
+    if (from.sender == nullptr) continue;
+    slot.sender = std::make_unique<Subflow>(*from.sender, sim_, *slot.path, this);
+    slot.receiver = std::make_unique<SubflowReceiver>(*from.receiver, sim_, *slot.path, this);
+    subflow_ptrs_.push_back(slot.sender.get());
+  }
+  if (sendable_post_pending_) sim_.rebind(sendable_post_id_, [this] { fire_sendable(); });
+  if (deliver_post_pending_) sim_.rebind(deliver_post_id_, [this] { fire_deliveries(); });
+  add_routes();
+}
+
+void Connection::bind_and_instrument() {
+  scheduler_->bind(sim_, config_.conn_id);
+  obs_ = &detached_instruments();
+  FlightRecorder* rec = sim_.recorder();
+  if (rec == nullptr) return;
+  obs_owned_ = std::make_unique<Instruments>();
+  obs_ = obs_owned_.get();
+  MetricsRegistry& m = rec->metrics();
+  MetricLabels labels;
+  labels.conn = static_cast<std::int64_t>(config_.conn_id);
+  obs_->ooo_bytes_total = m.counter("conn.ooo_bytes_total", labels);
+  obs_->reinjections = m.counter("conn.reinjections", labels);
+  obs_->window_stalls = m.counter("conn.window_stalls", labels);
+  obs_->sndbuf_blocked_ns = m.counter("conn.sndbuf_blocked_ns", labels);
+  obs_->meta_ooo_bytes = m.gauge("conn.meta_ooo_bytes", labels);
+  obs_->reorder_segments = m.gauge("conn.reorder_segments", labels);
+}
+
+void Connection::add_routes() {
   // Slots may be null after mid-connection teardown; stray packets for a
   // finalized subflow (late duplicate acks, post-abandon data) are dropped,
   // the RST-less analogue of landing on a closed port.
@@ -60,6 +118,13 @@ Connection::Connection(Simulator& sim, ConnectionConfig config, const std::vecto
       c.slots_[p.subflow_id].sender->on_ack_packet(p);
     }
   });
+}
+
+Path& TwinWorld::path_for(const Path& src) const {
+  for (std::size_t i = 0; i < src_paths.size(); ++i) {
+    if (src_paths[i] == &src) return *paths[i];
+  }
+  throw std::logic_error("TwinWorld: a connection runs over a path outside its world");
 }
 
 std::uint32_t Connection::open_slot(Path& path, Duration join_delay) {
@@ -498,76 +563,12 @@ void Connection::fire_deliveries() {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot support
+// What-if divergence
 
 void Connection::set_scheduler(std::unique_ptr<Scheduler> scheduler) {
   assert(scheduler != nullptr);
   scheduler_ = std::move(scheduler);
   scheduler_->bind(sim_, config_.conn_id);
-}
-
-void Connection::restore_from(const Connection& src) {
-  // Slot-topology reconciliation. The fork shell was constructed with the
-  // connection's initial slots; slots the source added later must already
-  // have been re-created in id order (PathManager::restore_topology does
-  // this before the connection restore). Slots the source finalized are
-  // destroyed here, so the per-slot restores below are null-isomorphic.
-  assert(slots_.size() == src.slots_.size());
-  bool slots_changed = false;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[i];
-    const Slot& from = src.slots_[i];
-    if (from.sender == nullptr && slot.sender != nullptr) {
-      slot.sender.reset();
-      slot.receiver.reset();
-      slots_changed = true;
-    }
-    assert((slot.sender == nullptr) == (from.sender == nullptr));
-    slot.retired = from.retired;
-  }
-  if (slots_changed) rebuild_subflow_ptrs();
-  remap_queue_ = src.remap_queue_;
-  remap_bytes_ = src.remap_bytes_;
-
-  // Sender state.
-  send_queue_bytes_ = src.send_queue_bytes_;
-  next_data_seq_ = src.next_data_seq_;
-  data_una_ = src.data_una_;
-  rwnd_ = src.rwnd_;
-  last_reinjected_seq_ = src.last_reinjected_seq_;
-  sendable_post_pending_ = src.sendable_post_pending_;
-  sendable_post_id_ = src.sendable_post_id_;
-  if (sendable_post_pending_) {
-    sim_.rebind(sendable_post_id_, [this] { fire_sendable(); });
-  }
-
-  // Receiver state.
-  rcv_data_next_ = src.rcv_data_next_;
-  drs_window_ = src.drs_window_;
-  drs_mark_bytes_ = src.drs_mark_bytes_;
-  meta_ooo_ = src.meta_ooo_;
-  meta_ooo_bytes_ = src.meta_ooo_bytes_;
-  pending_deliver_bytes_ = src.pending_deliver_bytes_;
-  pending_deliver_when_ = src.pending_deliver_when_;
-  deliver_post_pending_ = src.deliver_post_pending_;
-  deliver_post_id_ = src.deliver_post_id_;
-  if (deliver_post_pending_) {
-    sim_.rebind(deliver_post_id_, [this] { fire_deliveries(); });
-  }
-
-  meta_stats_ = src.meta_stats_;
-  ooo_delay_ = src.ooo_delay_;
-  sndbuf_blocked_ = src.sndbuf_blocked_;
-  sndbuf_blocked_since_ = src.sndbuf_blocked_since_;
-
-  cc_terms_valid_ = false;  // per-subflow restores below rewrite every input
-
-  scheduler_->restore_from(*src.scheduler_);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].sender == nullptr) continue;  // sender and receiver die together
-    slots_[i].sender->restore_from(*src.slots_[i].sender);
-    slots_[i].receiver->restore_from(*src.slots_[i].receiver);
-  }
 }
 
 }  // namespace mps

@@ -72,6 +72,22 @@ struct MetaStats {
   std::uint64_t segments_scheduled = 0;
 };
 
+// Snapshot support (exp/snapshot.h): the forked world a connection's twin is
+// wired into — its simulator, whose queue already holds the source's pending
+// events with their callbacks unbound, its muxes, and the fork's counterpart
+// of every source path (the two worlds' path lists pair up index for index).
+struct TwinWorld {
+  Simulator& sim;
+  Mux& down_mux;
+  Mux& up_mux;
+  std::vector<const Path*> src_paths;
+  std::vector<Path*> paths;
+
+  // The fork's counterpart of source path `src`; throws std::logic_error for
+  // a path outside the source world.
+  Path& path_for(const Path& src) const;
+};
+
 // Churned connections recycle fixed-size arena slots instead of hitting the
 // global heap (traffic/arena.h).
 class Connection final : public SubflowEnv,
@@ -85,6 +101,14 @@ class Connection final : public SubflowEnv,
   // config.conn_id and unregisters on destruction.
   Connection(Simulator& sim, ConnectionConfig config, const std::vector<Path*>& paths,
              std::unique_ptr<Scheduler> scheduler, Mux& down_mux, Mux& up_mux);
+  // Snapshot support: the twin of `src` in `world`, under src's conn_id.
+  // Copies all meta-level sender/receiver state, builds every slot's subflow
+  // and receiver as twins of src's (finalized slots stay empty), restores
+  // `scheduler` — a fresh instance of src's scheduler type — from src's, and
+  // adopts src's pending deferred posts by EventId. The application hooks
+  // (on_sendable, on_deliver, on_wire_arrival_hook) start empty: they capture
+  // src's owners, so the fork's owners install their own.
+  Connection(const Connection& src, const TwinWorld& world, std::unique_ptr<Scheduler> scheduler);
   ~Connection() override;
 
   Connection(const Connection&) = delete;
@@ -182,13 +206,6 @@ class Connection final : public SubflowEnv,
   // initial state and takes effect at the next scheduling round.
   void set_scheduler(std::unique_ptr<Scheduler> scheduler);
 
-  // Snapshot support: copies all meta-level sender/receiver state plus every
-  // subflow's, receiver's, and the scheduler's state from `src`, a
-  // connection built with an identical configuration over the fork's paths,
-  // and adopts src's pending deferred posts by EventId. The simulator's
-  // queue must already be structure-cloned.
-  void restore_from(const Connection& src);
-
   // --- invariant-checker inspection (check/invariants.h) ---------------------
   std::uint64_t next_data_seq() const { return next_data_seq_; }
   std::uint64_t data_una() const { return data_una_; }
@@ -238,6 +255,11 @@ class Connection final : public SubflowEnv,
   // scheduling loop and outside the meta-window check: remapped bytes are
   // already inside meta_inflight(), so gating them on rwnd would deadlock.
   void service_remap_queue();
+  // Construction steps both constructors share: wire the scheduler to the
+  // clock and recorder and register the connection's instruments, then (once
+  // the slots exist) register with the muxes.
+  void bind_and_instrument();
+  void add_routes();
   SubflowConfig subflow_config_for(std::uint32_t id, Duration join_delay) const;
   // Appends slot `slots_.size()` (sender + receiver over `path`) and lists
   // its subflow as live; returns the new id.
@@ -247,8 +269,8 @@ class Connection final : public SubflowEnv,
   void finalize_subflow(std::uint32_t id);
   void flush_deliveries();
   void notify_sendable();
-  // Deferred-post bodies, named so restore_from can rebind the cloned posts
-  // to byte-identical behavior.
+  // Deferred-post bodies, named so a twin can rebind the cloned posts to
+  // byte-identical behavior.
   void fire_sendable();
   void fire_deliveries();
 

@@ -44,6 +44,21 @@ PathManager::PathManager(Connection& conn, std::vector<Path*> paths,
   drain_started_.assign(conn_.slot_count(), TimePoint::never());
 }
 
+PathManager::PathManager(const PathManager& src, Connection& conn, std::vector<Path*> paths)
+    : conn_(conn),
+      paths_(std::move(paths)),
+      config_(src.config_),
+      tick_timer_(conn.sim()),
+      action_idx_(src.action_idx_),
+      growth_cursor_(src.growth_cursor_),
+      slot_path_idx_(src.slot_path_idx_),
+      drain_started_(src.drain_started_),
+      stats_(src.stats_) {
+  assert(paths_.size() == src.paths_.size());
+  assert(conn_.slot_count() == src.conn_.slot_count());
+  tick_timer_.clone_from(src.tick_timer_, [this] { tick(); });
+}
+
 void PathManager::start() { tick_timer_.schedule_after(config_.tick, [this] { tick(); }); }
 
 std::size_t PathManager::live_subflows() const {
@@ -196,28 +211,6 @@ void PathManager::tick() {
   // and a freshly joined subflow would otherwise idle until one does.
   conn_.kick();
   if (!idle()) tick_timer_.schedule_after(config_.tick, [this] { tick(); });
-}
-
-void PathManager::restore_topology(const PathManager& src) {
-  assert(paths_.size() == src.paths_.size());
-  assert(conn_.slot_count() <= src.conn_.slot_count());
-  // Re-create, in id order, every slot the source added after construction.
-  // Source-finalized slots get a throwaway subflow here; the connection
-  // restore destroys them when it reconciles against the source's nulls.
-  for (std::size_t slot = conn_.slot_count(); slot < src.conn_.slot_count(); ++slot) {
-    add_on_path(src.slot_path_idx_[slot]);
-  }
-  // add_on_path counted the re-creations; restore_from overwrites stats_.
-}
-
-void PathManager::restore_from(const PathManager& src) {
-  assert(conn_.slot_count() == src.conn_.slot_count());
-  action_idx_ = src.action_idx_;
-  growth_cursor_ = src.growth_cursor_;
-  slot_path_idx_ = src.slot_path_idx_;
-  drain_started_ = src.drain_started_;
-  stats_ = src.stats_;
-  tick_timer_.clone_from(src.tick_timer_, [this] { tick(); });
 }
 
 }  // namespace mps

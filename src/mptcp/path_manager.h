@@ -80,27 +80,20 @@ class PathManager {
   // the manager). Every slot the connection starts with must run over one of
   // these paths.
   PathManager(Connection& conn, std::vector<Path*> paths, PathManagerConfig config);
+  // Snapshot support (exp/snapshot.h): the twin of `src` managing `conn`
+  // (src's connection's twin) over `paths` (the fork's world paths). Copies
+  // policy state and adopts the source's pending tick by EventId.
+  PathManager(const PathManager& src, Connection& conn, std::vector<Path*> paths);
 
-  // Arms the scan tick. Separate from construction so fork shells stay
-  // event-free (exp/snapshot.h); the fork adopts the source's pending tick
-  // in restore_from instead.
+  // Arms the scan tick. Separate from construction so construction stays
+  // event-free (exp/snapshot.h); a twin adopts the source's pending tick
+  // instead.
   void start();
 
   const Stats& stats() const { return stats_; }
   const PathManagerConfig& config() const { return config_; }
   std::size_t live_subflows() const;
   std::size_t draining_subflows() const;
-
-  // --- snapshot support (exp/snapshot.h) ------------------------------------
-  // Step one of a fork's connection restore: re-creates, in id order, every
-  // slot the source added after construction, so the fork's slot topology is
-  // isomorphic to the source's before Connection::restore_from reconciles
-  // per-slot state (slots the source finalized are re-created too, then
-  // destroyed there). Must run after the world restore and before the
-  // connection restore.
-  void restore_topology(const PathManager& src);
-  // Copies policy state and adopts the source's pending tick by EventId.
-  void restore_from(const PathManager& src);
 
  private:
   void tick();

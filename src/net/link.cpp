@@ -137,7 +137,7 @@ void Link::deliver(Packet* p) {
 }
 
 void Link::restore_from(const Link& src) {
-  assert(!busy() && prop_.empty());  // a fork shell's link, fresh from construction
+  assert(!busy() && prop_.empty());  // a fork's link, fresh from construction
   config_ = src.config_;
   rng_ = src.rng_;
   if (fault_ != nullptr && src.fault_ != nullptr) fault_->restore_from(*src.fault_);

@@ -56,10 +56,12 @@ class Mux {
   std::uint64_t routed_count() const { return routed_; }
 
   // Snapshot support: copies the counters only. Routes are re-registered by
-  // the fork's own connections at their construction time.
+  // the fork's own connections at their construction time, into a table
+  // sized like the source's so those registrations never regrow it.
   void restore_from(const Mux& src) {
     orphans_ = src.orphans_;
     routed_ = src.routed_;
+    routes_.assign(src.routes_.size(), Route{});
   }
 
  private:

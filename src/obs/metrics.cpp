@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 #include "obs/prof.h"
@@ -42,19 +43,46 @@ double HistogramData::quantile(double q) const {
   return max;
 }
 
+std::size_t MetricsRegistry::KeyHash::operator()(const Key& k) const noexcept {
+  const std::hash<std::string_view> str;
+  std::size_t h = str(k.name);
+  const auto mix = [&h](std::size_t v) { h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2); };
+  mix(static_cast<std::size_t>(k.kind));
+  mix(static_cast<std::size_t>(k.conn));
+  mix(static_cast<std::size_t>(k.subflow));
+  mix(str(k.entity));
+  return h;
+}
+
+std::size_t MetricsRegistry::position(InstrumentKind kind, std::string_view name,
+                                      const MetricLabels& labels) const {
+  const auto it = index_.find(key_of(kind, name, labels));
+  return it == index_.end() ? kNone : it->second;
+}
+
 Instrument& MetricsRegistry::get_or_create(std::string_view name, InstrumentKind kind,
                                            MetricLabels labels) {
   MPS_PROF_SCOPE(kMetricsRegister);
   MPS_PROF_MEM_SCOPE(kObs);
-  for (Instrument& inst : instruments_) {
-    if (inst.kind == kind && inst.name == name && inst.labels == labels) return inst;
-  }
+  if (const std::size_t at = position(kind, name, labels); at != kNone) return instruments_[at];
   Instrument& inst = instruments_.emplace_back();
   inst.name = std::string(name);
   inst.labels = std::move(labels);
   inst.kind = kind;
   inst.keep_series = keep_series_;
+  index_.emplace(key_of(kind, inst.name, inst.labels), instruments_.size() - 1);
   return inst;
+}
+
+void MetricsRegistry::clone_from(const MetricsRegistry& src) {
+  instruments_ = src.instruments_;
+  keep_series_ = src.keep_series_;
+  index_.clear();
+  index_.reserve(instruments_.size());
+  for (std::size_t i = 0; i < instruments_.size(); ++i) {
+    const Instrument& inst = instruments_[i];
+    index_.emplace(key_of(inst.kind, inst.name, inst.labels), i);
+  }
 }
 
 Counter MetricsRegistry::counter(std::string_view name, MetricLabels labels) {
@@ -71,10 +99,12 @@ Histogram MetricsRegistry::histogram(std::string_view name, MetricLabels labels)
 
 const Instrument* MetricsRegistry::find(std::string_view name,
                                         const MetricLabels& labels) const {
-  for (const Instrument& inst : instruments_) {
-    if (inst.name == name && inst.labels == labels) return &inst;
+  std::size_t first = kNone;
+  for (const InstrumentKind kind :
+       {InstrumentKind::kCounter, InstrumentKind::kGauge, InstrumentKind::kHistogram}) {
+    first = std::min(first, position(kind, name, labels));
   }
-  return nullptr;
+  return first == kNone ? nullptr : &instruments_[first];
 }
 
 const TimeSeries* MetricsRegistry::series(std::string_view name,

@@ -14,10 +14,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "obs/series.h"
 #include "util/time.h"
@@ -116,9 +118,16 @@ class Histogram {
 
 class MetricsRegistry {
  public:
+  MetricsRegistry() = default;
+  // Not copyable: the index holds views into this registry's own storage
+  // (clone_from copies and re-indexes).
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
   // Creating an instrument that already exists (same name + labels + kind)
   // returns a handle to the existing storage, so several owners may share a
-  // counter.
+  // counter. Registration and lookup are O(1): a hash index over (kind,
+  // name, labels) beside the deque, which keeps registration order.
   Counter counter(std::string_view name, MetricLabels labels = {});
   Gauge gauge(std::string_view name, MetricLabels labels = {});
   Histogram histogram(std::string_view name, MetricLabels labels = {});
@@ -128,6 +137,8 @@ class MetricsRegistry {
   bool keep_series() const { return keep_series_; }
 
   const std::deque<Instrument>& instruments() const { return instruments_; }
+  // The earliest-registered instrument of any kind with this name and
+  // labels, or nullptr.
   const Instrument* find(std::string_view name, const MetricLabels& labels) const;
 
   // --- snapshot-and-fork support (exp/snapshot.h) ---------------------------
@@ -135,10 +146,7 @@ class MetricsRegistry {
   // its model objects are constructed: get_or_create then resolves each
   // (name, labels, kind) to the copied storage, so handles land on
   // instruments holding the source's data, index-for-index.
-  void clone_from(const MetricsRegistry& src) {
-    instruments_ = src.instruments_;
-    keep_series_ = src.keep_series_;
-  }
+  void clone_from(const MetricsRegistry& src);
   // Re-copies every instrument's data (count, value, histogram, series) from
   // `src` by index, undoing mutations done during fork-time construction
   // (e.g. Subflow's constructor publishing its initial cwnd). Registries
@@ -155,9 +163,31 @@ class MetricsRegistry {
   std::uint64_t total(std::string_view name) const;
 
  private:
+  // An instrument's identity as views: into the caller's strings for a
+  // lookup, into the instrument's own (deque elements never move) as a
+  // stored key, so neither allocates.
+  struct Key {
+    InstrumentKind kind;
+    std::string_view name;
+    std::int64_t conn;
+    std::int64_t subflow;
+    std::string_view entity;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept;
+  };
+  static Key key_of(InstrumentKind kind, std::string_view name, const MetricLabels& labels) {
+    return Key{kind, name, labels.conn, labels.subflow, labels.entity};
+  }
+  // Index of the instrument with this identity in instruments_, or kNone.
+  std::size_t position(InstrumentKind kind, std::string_view name,
+                       const MetricLabels& labels) const;
   Instrument& get_or_create(std::string_view name, InstrumentKind kind, MetricLabels labels);
 
+  static constexpr std::size_t kNone = ~std::size_t{0};
   std::deque<Instrument> instruments_;  // deque: stable addresses for handles
+  std::unordered_map<Key, std::size_t, KeyHash> index_;  // -> position in instruments_
   bool keep_series_ = false;
 };
 

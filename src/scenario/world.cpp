@@ -43,6 +43,15 @@ std::unique_ptr<Connection> World::make_connection_on(
   return std::make_unique<Connection>(sim_, cc, paths, scheduler(), down_mux_, up_mux_);
 }
 
+TwinWorld World::twin_world(const World& src) {
+  TwinWorld t{sim_, down_mux_, up_mux_, {}, {}};
+  for (std::size_t i = 0; i < paths_.size(); ++i) {
+    t.src_paths.push_back(src.paths_[i].get());
+    t.paths.push_back(paths_[i].get());
+  }
+  return t;
+}
+
 namespace {
 
 Duration duration_from_ms(double ms) {

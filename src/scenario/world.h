@@ -68,17 +68,17 @@ class World {
   void run_for(Duration d) { sim_.run_until(sim_.now() + d); }
 
   // --- snapshot-and-fork support (exp/snapshot.h) ---------------------------
-  // Forces the id the next make_connection assigns. Fork construction uses
-  // this to mint connections under the same conn_ids the source's live
-  // connections hold (churn means ids are not simply 1..N at snapshot time).
-  void set_next_conn_id(std::uint32_t id) { next_conn_id_ = id; }
-  std::uint32_t next_conn_id() const { return next_conn_id_; }
+  // Where twins of `src`'s connections live in this world: its simulator and
+  // muxes, and each of src's paths paired with this world's path at the
+  // same index.
+  TwinWorld twin_world(const World& src);
 
   // Copies the world-level dynamic state from `src`, a world built from an
   // identical WorldConfig: the simulator clock + event-queue structure
   // (callbacks empty until owners rebind), link/path state including
-  // in-flight packets, mux counters, and the world RNG. Call after all fork
-  // objects are constructed and before per-connection restore_from passes.
+  // in-flight packets, mux counters, the world RNG and the next conn_id.
+  // Call after the fork's world-level objects are constructed and before
+  // any twin connection is built.
   void restore_from(const World& src) {
     sim_.clone_events_from(src.sim_);
     rng_ = src.rng_;

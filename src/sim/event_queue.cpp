@@ -24,6 +24,7 @@ EventId EventQueue::schedule(TimePoint when, Callback fn) {
 
 EventId EventQueue::schedule_reserved(TimePoint when, std::uint64_t seq, Callback fn) {
   MPS_PROF_MEM_SCOPE(kEvents);
+  assert(!discarded_ && "EventQueue: schedule after discard_all()");
   // Checked before a slot is taken, so a throw leaves the slots unchanged.
   if (free_.empty() && slots_.size() > kKeySlotMask) {
     throw std::length_error("EventQueue: more than 2^24 pending events");
@@ -249,11 +250,12 @@ void EventQueue::release(std::uint32_t slot) {
 }
 
 void EventQueue::clone_structure_from(const EventQueue& src) {
+  // One write per slot: appended into reserved room, not value-initialised
+  // by a resize and then overwritten.
   slots_.clear();
-  slots_.resize(src.slots_.size());
-  for (std::size_t i = 0; i < src.slots_.size(); ++i) {
-    const Slot& from = src.slots_[i];
-    Slot& to = slots_[i];
+  slots_.reserve(src.slots_.size());
+  for (const Slot& from : src.slots_) {
+    Slot& to = slots_.emplace_back();
     to.when = from.when;
     to.seq = from.seq;
     to.generation = from.generation;
@@ -280,6 +282,17 @@ bool EventQueue::rebind(EventId id, Callback fn) {
   if (slot == kNoPos) return false;
   slots_[slot].fn = std::move(fn);
   return true;
+}
+
+void EventQueue::discard_all() {
+  slots_ = std::vector<Slot>();
+  free_ = std::vector<std::uint32_t>();
+  ready_ = std::vector<Key>();
+  far_ = std::vector<Key>();
+  std::fill(heads_.begin(), heads_.end(), kNoPos);
+  std::memset(occ_, 0, sizeof(occ_));
+  wheel_live_ = ready_live_ = far_live_ = 0;
+  discarded_ = true;
 }
 
 void EventQueue::collect_unbound(std::vector<std::pair<EventId, TimePoint>>& out) const {

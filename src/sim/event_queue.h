@@ -128,6 +128,12 @@ class EventQueue {
   // pending event was never relocated and still points at the source world.
   void collect_unbound(std::vector<std::pair<EventId, TimePoint>>& out) const;
 
+  // Drops every pending event in one pass, for a queue whose owners are
+  // about to be torn down: their destructors' cancels then find an empty
+  // arena and return without touching it. Nothing may be scheduled
+  // afterwards — slots restart at 0 and could match an id issued before.
+  void discard_all();
+
  private:
   static constexpr std::uint32_t kNoPos = ~std::uint32_t{0};
 
@@ -223,6 +229,7 @@ class EventQueue {
   std::size_t wheel_live_ = 0;
   std::size_t ready_live_ = 0;
   std::size_t far_live_ = 0;
+  bool discarded_ = false;  // discard_all() ran; scheduling is a bug (asserted)
 };
 
 }  // namespace mps

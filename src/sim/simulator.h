@@ -146,6 +146,11 @@ class Simulator {
   }
   std::size_t pending_events() const { return queue_.size(); }
 
+  // Teardown of a whole world (exp/run.h): drops every pending event in one
+  // pass before the model objects die, so their destructors' cancels are
+  // O(1) no-ops. Nothing may be scheduled afterwards.
+  void discard_pending() { queue_.discard_all(); }
+
  private:
   // Wall-clock polling cadence for the heartbeat, in events. At the kernel's
   // measured ~7M events/s this checks the clock a few thousand times per

@@ -114,10 +114,6 @@ class CongestionController {
   virtual void reset() {}
 
   virtual const char* name() const = 0;
-
-  // Snapshot support: copies mutable controller state from `src`, which must
-  // be the same concrete type. Stateless controllers inherit the no-op.
-  virtual void restore_from(const CongestionController& src) { (void)src; }
 };
 
 enum class CcKind { kReno, kCubic, kLia, kOlia, kBalia };

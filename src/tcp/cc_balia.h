@@ -61,10 +61,6 @@ class BaliaCc final : public CongestionController {
 
   const char* name() const override { return "balia"; }
 
-  void restore_from(const CongestionController& src) override {
-    alpha_at_loss_ = static_cast<const BaliaCc&>(src).alpha_at_loss_;
-  }
-
  private:
   double alpha_at_loss_ = 1.0;  // alpha_r captured by the last loss event
 };

@@ -52,14 +52,6 @@ class CubicCc final : public CongestionController {
 
   const char* name() const override { return "cubic"; }
 
-  void restore_from(const CongestionController& src) override {
-    const auto& other = static_cast<const CubicCc&>(src);
-    w_max_ = other.w_max_;
-    epoch_start_ = other.epoch_start_;
-    k_ = other.k_;
-    origin_ = other.origin_;
-  }
-
  private:
   static constexpr double kC = 0.4;
   static constexpr double kBeta = 0.7;

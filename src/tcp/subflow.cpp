@@ -19,25 +19,71 @@ Subflow::Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, Su
       rto_timer_(sim),
       rack_timer_(sim),
       established_at_(sim.now() + config.join_delay) {
+  attach_instruments();
+  obs_->cwnd.set(sim_.now(), cwnd_);
+}
+
+Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env)
+    : sim_(sim),
+      config_(src.config_),
+      path_(path),
+      cc_(src.cc_),
+      env_(env),
+      rtt_(src.rtt_),
+      cwnd_(src.cwnd_),
+      ssthresh_(src.ssthresh_),
+      next_seq_(src.next_seq_),
+      snd_una_(src.snd_una_),
+      inflight_(src.inflight_),
+      staged_(src.staged_),
+      staged_bytes_(src.staged_bytes_),
+      dupacks_(src.dupacks_),
+      in_recovery_(src.in_recovery_),
+      recover_point_(src.recover_point_),
+      sack_high_(src.sack_high_),
+      lost_not_rtx_(src.lost_not_rtx_),
+      sacked_count_(src.sacked_count_),
+      rto_timer_(sim),
+      rack_timer_(sim),
+      rto_backoff_(src.rto_backoff_),
+      rack_delivered_ts_(src.rack_delivered_ts_),
+      established_at_(src.established_at_),
+      draining_(src.draining_),
+      cwnd_full_at_send_(src.cwnd_full_at_send_),
+      last_send_time_(src.last_send_time_),
+      last_penalty_(src.last_penalty_),
+      inter_loss_bytes_(src.inter_loss_bytes_),
+      stats_(src.stats_),
+      transmit_counter_(src.transmit_counter_) {
+  attach_instruments();
+  // The timers hold fixed callbacks per owner (arm_rto / arm_rack_timer), so
+  // adopting src's events re-creates the exact closures the source installed.
+  rto_timer_.clone_from(src.rto_timer_, [this] { on_rto_fire(); });
+  rack_timer_.clone_from(src.rack_timer_, [this] {
+    update_loss_marks();
+    pump_retransmissions();
+  });
+}
+
+void Subflow::attach_instruments() {
   obs_ = &detached_instruments();
-  if (FlightRecorder* rec = sim.recorder()) {
-    obs_owned_ = std::make_unique<Instruments>();
-    obs_ = obs_owned_.get();
-    MetricsRegistry& m = rec->metrics();
-    const MetricLabels l{static_cast<std::int64_t>(config_.conn_id),
-                         static_cast<std::int64_t>(config_.id), {}};
-    obs_->segments_sent = m.counter("subflow.segments_sent", l);
-    obs_->retransmits = m.counter("subflow.retransmits", l);
-    obs_->fast_recoveries = m.counter("subflow.fast_recoveries", l);
-    obs_->rtos = m.counter("subflow.rtos", l);
-    obs_->idle_resets = m.counter("subflow.idle_cwnd_resets", l);
-    obs_->penalizations = m.counter("subflow.penalizations", l);
-    obs_->reinjections_carried = m.counter("subflow.reinjections_carried", l);
-    obs_->cwnd = m.gauge("subflow.cwnd", l);
-    obs_->srtt_ms = m.gauge("subflow.srtt_ms", l);
-    obs_->rtt_sample_ms = m.histogram("subflow.rtt_sample_ms", l);
-    obs_->cwnd.set(sim_.now(), cwnd_);
-  }
+  FlightRecorder* rec = sim_.recorder();
+  if (rec == nullptr) return;
+  obs_owned_ = std::make_unique<Instruments>();
+  obs_ = obs_owned_.get();
+  MetricsRegistry& m = rec->metrics();
+  const MetricLabels l{static_cast<std::int64_t>(config_.conn_id),
+                       static_cast<std::int64_t>(config_.id), {}};
+  obs_->segments_sent = m.counter("subflow.segments_sent", l);
+  obs_->retransmits = m.counter("subflow.retransmits", l);
+  obs_->fast_recoveries = m.counter("subflow.fast_recoveries", l);
+  obs_->rtos = m.counter("subflow.rtos", l);
+  obs_->idle_resets = m.counter("subflow.idle_cwnd_resets", l);
+  obs_->penalizations = m.counter("subflow.penalizations", l);
+  obs_->reinjections_carried = m.counter("subflow.reinjections_carried", l);
+  obs_->cwnd = m.gauge("subflow.cwnd", l);
+  obs_->srtt_ms = m.gauge("subflow.srtt_ms", l);
+  obs_->rtt_sample_ms = m.histogram("subflow.rtt_sample_ms", l);
 }
 
 Subflow::Instruments& Subflow::detached_instruments() {
@@ -568,6 +614,17 @@ SubflowReceiver::SubflowReceiver(Simulator& sim, std::uint32_t conn_id,
                                  std::uint32_t subflow_id, Path& path, MetaSink* sink)
     : sim_(sim), conn_id_(conn_id), subflow_id_(subflow_id), path_(path), sink_(sink) {}
 
+SubflowReceiver::SubflowReceiver(const SubflowReceiver& src, Simulator& sim, Path& path,
+                                 MetaSink* sink)
+    : sim_(sim),
+      conn_id_(src.conn_id_),
+      subflow_id_(src.subflow_id_),
+      path_(path),
+      sink_(sink),
+      rcv_next_(src.rcv_next_),
+      rcv_high_(src.rcv_high_),
+      ooo_(src.ooo_) {}
+
 void SubflowReceiver::on_data_packet(const Packet& pkt) {
   assert(!pkt.is_ack);
   const TimePoint now = sim_.now();
@@ -616,42 +673,6 @@ void SubflowReceiver::send_ack(const Packet& trigger) {
   ack.ts_val = trigger.ts_val;
   ack.ts_retransmit = trigger.retransmit;
   path_.up().send(ack);
-}
-
-void Subflow::restore_from(const Subflow& src) {
-  rtt_ = src.rtt_;
-  cwnd_ = src.cwnd_;
-  ssthresh_ = src.ssthresh_;
-  next_seq_ = src.next_seq_;
-  snd_una_ = src.snd_una_;
-  inflight_ = src.inflight_;
-  staged_ = src.staged_;
-  staged_bytes_ = src.staged_bytes_;
-  dupacks_ = src.dupacks_;
-  in_recovery_ = src.in_recovery_;
-  recover_point_ = src.recover_point_;
-  sack_high_ = src.sack_high_;
-  lost_not_rtx_ = src.lost_not_rtx_;
-  sacked_count_ = src.sacked_count_;
-  rto_backoff_ = src.rto_backoff_;
-  rack_delivered_ts_ = src.rack_delivered_ts_;
-  established_at_ = src.established_at_;
-  draining_ = src.draining_;
-  cwnd_full_at_send_ = src.cwnd_full_at_send_;
-  last_send_time_ = src.last_send_time_;
-  last_penalty_ = src.last_penalty_;
-  inter_loss_bytes_ = src.inter_loss_bytes_;
-  stats_ = src.stats_;
-  transmit_counter_ = src.transmit_counter_;
-  cc().restore_from(src.cc());
-  if (env_ != nullptr) env_->on_cc_input_change();
-  // The timers hold fixed callbacks per owner (arm_rto / arm_rack_timer), so
-  // cloning re-creates the exact closures the source installed.
-  rto_timer_.clone_from(src.rto_timer_, [this] { on_rto_fire(); });
-  rack_timer_.clone_from(src.rack_timer_, [this] {
-    update_loss_marks();
-    pump_retransmissions();
-  });
 }
 
 }  // namespace mps

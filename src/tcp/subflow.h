@@ -134,6 +134,15 @@ class Subflow final : public ArenaAllocated<Subflow> {
  public:
   // The congestion controller `cc` is built inline in the subflow.
   Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, SubflowEnv* env);
+  // Snapshot support (exp/snapshot.h): the twin of `src` in a forked world,
+  // over `path` (the fork's counterpart of src's) and reporting to `env`.
+  // Copies the whole sender state machine — scoreboard, staging queue,
+  // CWND/recovery/RTT/CC state, stats — and adopts src's pending RTO/RACK
+  // timers by EventId; `sim`'s queue must already be structure-cloned from
+  // src's. Publishes nothing to the recorder.
+  Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env);
+  Subflow(const Subflow&) = delete;
+  Subflow& operator=(const Subflow&) = delete;
 
   // --- wiring -------------------------------------------------------------
   // Handler for ACK packets demuxed from the path's uplink.
@@ -237,13 +246,10 @@ class Subflow final : public ArenaAllocated<Subflow> {
   // segment this subflow still holds a copy of (in flight or staged).
   void collect_data_ranges(std::vector<std::pair<std::uint64_t, std::uint64_t>>& out) const;
 
-  // Snapshot support (exp/snapshot.h): copies the whole sender state machine
-  // from `src` — scoreboard, staging queue, CWND/recovery/RTT/CC state,
-  // stats — and adopts src's pending RTO/RACK timers by EventId. The
-  // simulator's queue must already be structure-cloned from src's.
-  void restore_from(const Subflow& src);
-
  private:
+  // Points obs_ at this subflow's instruments when the simulator records,
+  // else at the shared detached block.
+  void attach_instruments();
   CongestionController::AckContext make_ctx() const;
   void set_cwnd(double cwnd);
   void maybe_idle_reset();
@@ -365,6 +371,11 @@ class SubflowReceiver final : public ArenaAllocated<SubflowReceiver> {
  public:
   SubflowReceiver(Simulator& sim, std::uint32_t conn_id, std::uint32_t subflow_id,
                   Path& path, MetaSink* sink);
+  // Snapshot support: the twin of `src` over `path`, delivering to `sink`
+  // (no pending events of its own — ACK emission is synchronous).
+  SubflowReceiver(const SubflowReceiver& src, Simulator& sim, Path& path, MetaSink* sink);
+  SubflowReceiver(const SubflowReceiver&) = delete;
+  SubflowReceiver& operator=(const SubflowReceiver&) = delete;
 
   // Handler for data packets demuxed from the path's downlink.
   void on_data_packet(const Packet& pkt);
@@ -376,14 +387,6 @@ class SubflowReceiver final : public ArenaAllocated<SubflowReceiver> {
   // (invariant: always > rcv_next()).
   std::uint64_t ooo_min_seq() const {
     return ooo_.empty() ? UINT64_MAX : ooo_.min_key();
-  }
-
-  // Snapshot support: copies the receive state from `src` (no pending events
-  // of its own — ACK emission is synchronous).
-  void restore_from(const SubflowReceiver& src) {
-    rcv_next_ = src.rcv_next_;
-    rcv_high_ = src.rcv_high_;
-    ooo_ = src.ooo_;
   }
 
  private:

@@ -25,6 +25,51 @@ struct TrafficEngine::Flow {
 
 TrafficEngine::TrafficEngine(World& world, const ScenarioSpec& spec)
     : world_(world), spec_(spec) {
+  attach_instruments();
+}
+
+TrafficEngine::TrafficEngine(const TrafficEngine& src, World& world, const ScenarioSpec& spec)
+    : tick_s(src.tick_s),
+      world_(world),
+      spec_(spec),
+      base_(src.base_),
+      end_(src.end_),
+      active_(src.active_),
+      churned_(src.churned_),
+      tick_event_(src.tick_event_),
+      tick_at_(src.tick_at_),
+      tick_end_(src.tick_end_) {
+  attach_instruments();
+  resolve_schedulers();
+  const TwinWorld twins = world_.twin_world(src.world_);
+  Simulator& sim = world_.sim();
+  flows_.reserve(src.flows_.size());
+  for (std::size_t idx = 0; idx < src.flows_.size(); ++idx) {
+    const Flow& s = src.flows_[idx];
+    Flow& f = flows_.emplace_back();
+    f.rec = s.rec;
+    if (s.conn != nullptr) {
+      f.conn = std::make_unique<Connection>(
+          *s.conn, twins, f.rec.cross ? cross_scheduler_() : flow_scheduler_());
+      if (f.rec.cross) {
+        Connection* c = f.conn.get();
+        c->on_sendable = [c] { c->send(1u << 30); };
+      } else {
+        f.http = std::make_unique<HttpExchange>(*s.http, sim, *f.conn);
+        if (f.http->outstanding() > 0) install_done(idx);
+      }
+    }
+    f.arrival_event = s.arrival_event;
+    if (f.arrival_event != 0) sim.rebind(f.arrival_event, [this, idx] { start_flow(idx); });
+    f.end_event = s.end_event;
+    if (f.end_event != 0) sim.rebind(f.end_event, [this, idx] { end_flow(idx); });
+  }
+  if (tick_event_ != 0) {
+    sim.rebind(tick_event_, [this, at = tick_at_, end = tick_end_] { fire_tick(at, end); });
+  }
+}
+
+void TrafficEngine::attach_instruments() {
   if (FlightRecorder* rec = world_.sim().recorder()) {
     MetricsRegistry& m = rec->metrics();
     flows_started_ = m.counter("traffic.flows_started");
@@ -156,10 +201,12 @@ void TrafficEngine::schedule_tick(TimePoint at, TimePoint end) {
   }
   tick_at_ = at;
   tick_end_ = end;
-  tick_event_ = world_.sim().at(at, [this, at, end] {
-    if (on_tick) on_tick();
-    schedule_tick(at + Duration::from_seconds(tick_s), end);
-  });
+  tick_event_ = world_.sim().at(at, [this, at, end] { fire_tick(at, end); });
+}
+
+void TrafficEngine::fire_tick(TimePoint at, TimePoint end) {
+  if (on_tick) on_tick();
+  schedule_tick(at + Duration::from_seconds(tick_s), end);
 }
 
 TrafficResult TrafficEngine::run() {
@@ -264,6 +311,8 @@ TrafficResult TrafficEngine::collect() const {
       if (f.rec.completed) {
         ++res.completed;
         res.completion_s.add(f.rec.completion_s);
+      } else {
+        ++res.incomplete;
       }
     }
   }
@@ -275,62 +324,6 @@ TrafficResult TrafficEngine::collect() const {
   res.jain = jain_index(mptcp_goodputs);
   res.orphans = world_.down_mux().orphan_count() + world_.up_mux().orphan_count();
   return res;
-}
-
-void TrafficEngine::restore_from(const TrafficEngine& src) {
-  // World::restore_from already ran, so the world's next_conn_id matches the
-  // source; minting twins below clobbers it, so put it back when done.
-  const std::uint32_t saved_next_id = world_.next_conn_id();
-  resolve_schedulers();
-  base_ = src.base_;
-  end_ = src.end_;
-  active_ = src.active_;
-  churned_ = src.churned_;
-  flows_.clear();
-  flows_.reserve(src.flows_.size());
-  for (const Flow& s : src.flows_) flows_.emplace_back().rec = s.rec;
-  for (std::size_t idx = 0; idx < flows_.size(); ++idx) {
-    const Flow& s = src.flows_[idx];
-    Flow& f = flows_[idx];
-    if (s.conn != nullptr) {
-      world_.set_next_conn_id(s.conn->config().conn_id);
-      if (f.rec.cross) {
-        f.conn = world_.make_connection_on({static_cast<std::size_t>(f.rec.cross_path)},
-                                           cross_scheduler_);
-        Connection* c = f.conn.get();
-        c->on_sendable = [c] { c->send(1u << 30); };
-      } else {
-        f.conn = world_.make_connection(flow_scheduler_);
-        f.http = std::make_unique<HttpExchange>(world_.sim(), *f.conn, world_.request_delay());
-      }
-      f.conn->restore_from(*s.conn);
-      if (f.http != nullptr) {
-        f.http->restore_from(*s.http);
-        if (f.http->outstanding() > 0) install_done(idx);
-      }
-      if (on_flow_start) on_flow_start(*f.conn);
-    }
-    if (s.arrival_event != 0) {
-      f.arrival_event = s.arrival_event;
-      world_.sim().rebind(f.arrival_event, [this, idx] { start_flow(idx); });
-    }
-    if (s.end_event != 0) {
-      f.end_event = s.end_event;
-      world_.sim().rebind(f.end_event, [this, idx] { end_flow(idx); });
-    }
-  }
-  if (src.tick_event_ != 0) {
-    tick_at_ = src.tick_at_;
-    tick_end_ = src.tick_end_;
-    tick_event_ = src.tick_event_;
-    const TimePoint at = tick_at_;
-    const TimePoint end = tick_end_;
-    world_.sim().rebind(tick_event_, [this, at, end] {
-      if (on_tick) on_tick();
-      schedule_tick(at + Duration::from_seconds(tick_s), end);
-    });
-  }
-  world_.set_next_conn_id(saved_next_id);
 }
 
 ScenarioSpec fairness_cell_spec(const std::string& scheduler, int flows, double duration_s,

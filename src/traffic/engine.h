@@ -54,6 +54,9 @@ struct TrafficResult {
   std::vector<TrafficFlowRecord> flows;  // plan order
   std::size_t started = 0;    // flows that began sending
   std::size_t completed = 0;  // sized MPTCP flows that finished
+  // Sized MPTCP flows started but unfinished at the horizon. Cross flows are
+  // open-ended by design and never count.
+  std::size_t incomplete = 0;
   std::size_t churned = 0;    // Poisson arrivals planned
   double duration_s = 0.0;
   double aggregate_goodput_mbps = 0.0;  // all delivered bytes over the run
@@ -71,6 +74,14 @@ class TrafficEngine {
   // `world` must have been built from `spec` (paths resolved, seed applied);
   // the engine reads spec.traffic and spec.scheduler.
   TrafficEngine(World& world, const ScenarioSpec& spec);
+  // Snapshot support (exp/snapshot.h): the twin of `src` in `world`, a world
+  // already restored from src's. Copies the flow records and builds each
+  // live flow's connection and exchange as twins of src's (same conn_ids);
+  // pending arrival / teardown / tick events are adopted by EventId and
+  // rebound to this engine. tick_s is copied so a tick chain keeps its
+  // cadence; on_flow_start, on_flow_end and on_tick capture src's owners
+  // and start empty.
+  TrafficEngine(const TrafficEngine& src, World& world, const ScenarioSpec& spec);
   ~TrafficEngine();
 
   TrafficEngine(const TrafficEngine&) = delete;
@@ -102,14 +113,6 @@ class TrafficEngine {
   void finish();                // tear down surviving flows
   TrafficResult collect() const;
 
-  // Copies flow records and rebuilds the live connections/exchanges from
-  // `src` (same spec, over a world already restored from src's): twin
-  // connections are minted under the source conn_ids, pending arrival /
-  // teardown / tick events are adopted by EventId and rebound to this
-  // engine. on_flow_start/on_flow_end fire for live flows so watchers can
-  // re-attach.
-  void restore_from(const TrafficEngine& src);
-
  private:
   struct Flow;
 
@@ -117,6 +120,8 @@ class TrafficEngine {
   void finish_flow(std::size_t idx, double fct_s);
   void end_flow(std::size_t idx);  // record stats, fire hook, destroy
   void schedule_tick(TimePoint at, TimePoint end);
+  void fire_tick(TimePoint at, TimePoint end);  // the tick event's body
+  void attach_instruments();
   void install_done(std::size_t idx);  // http completion -> finish_flow
   void resolve_schedulers();           // once per run, not per flow start
 

@@ -18,12 +18,14 @@
 //
 // All four store elements in a single contiguous buffer (power-of-two sized,
 // grown by doubling) so the steady state does zero allocation and iteration
-// is a linear scan. Copies of RingDeque and SeqRing (a fork restoring a
-// world) allocate for the live elements only, not the source's high-water
-// capacity.
+// is a linear scan. Copies of RingDeque and SeqRing (a fork copying a
+// world) make one allocation sized for the live elements only, not the
+// source's high-water capacity: the smallest power of two >= max(2, count),
+// exactly what appending the elements one by one would have grown to.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -33,14 +35,22 @@
 
 namespace mps {
 
+// Slots a copy of a ring holding `count` elements allocates: 0 when empty,
+// else the capacity growth by doubling from 2 reaches.
+inline std::size_t ring_copy_capacity(std::size_t count) {
+  return count == 0 ? 0 : std::max<std::size_t>(2, std::bit_ceil(count));
+}
+
 // Fixed-capacity-amortized FIFO: push_back / front / pop_front over one
 // circular buffer. Replaces std::deque for packet and staging queues.
 template <typename T>
 class RingDeque {
  public:
   RingDeque() = default;
-  RingDeque(const RingDeque& o) {
-    for (std::size_t i = 0; i < o.count_; ++i) push_back(o.at(i));
+  RingDeque(const RingDeque& o) : buf_(ring_copy_capacity(o.count_)), count_(o.count_) {
+    if (buf_.empty()) return;
+    mask_ = buf_.size() - 1;
+    for (std::size_t i = 0; i < count_; ++i) buf_[i] = o.at(i);
   }
   RingDeque& operator=(const RingDeque& o) {
     if (this != &o) *this = RingDeque(o);
@@ -119,8 +129,10 @@ template <typename T>
 class SeqRing {
  public:
   SeqRing() = default;
-  SeqRing(const SeqRing& o) : lo_(o.lo_) {
-    for (std::uint64_t s = o.lo_; s != o.hi(); ++s) push_back(o[s]);
+  SeqRing(const SeqRing& o) : buf_(ring_copy_capacity(o.count_)), lo_(o.lo_), count_(o.count_) {
+    if (buf_.empty()) return;
+    mask_ = buf_.size() - 1;
+    for (std::uint64_t s = lo_; s != hi(); ++s) buf_[s & mask_] = o[s];
   }
   SeqRing& operator=(const SeqRing& o) {
     if (this != &o) *this = SeqRing(o);

@@ -299,10 +299,10 @@ TEST(BaliaTest, LossFactorTracksAlphaAtLossAndIsBounded) {
   group.siblings = {sibling(0, 60, 0.1), sibling(1, 40, 0.05)};
   cc.on_loss_event(ctx_of(60, 0.1, &group, 0));
   EXPECT_NEAR(cc.loss_factor(), 1.0 - (4.0 / 3.0) / 2.0, 1e-12);
-  // reset() forgets the captured alpha; restore_from() copies it.
-  BaliaCc copy;
+  // reset() forgets the captured alpha; a copy (a forked subflow's
+  // controller) keeps it.
   cc.on_loss_event(ctx_of(10, 0.1, &group, 0));
-  copy.restore_from(cc);
+  const BaliaCc copy = cc;
   EXPECT_DOUBLE_EQ(copy.loss_factor(), cc.loss_factor());
   cc.reset();
   EXPECT_DOUBLE_EQ(cc.loss_factor(), 0.5);

@@ -4,8 +4,10 @@
 // decision's Algorithm 1 terms reproduce the live verdict.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <sstream>
+#include <string>
 
 #include "core/ecf.h"
 #include "obs/recorder.h"
@@ -82,6 +84,46 @@ TEST(MetricsTest, HistogramAggregatesAndQuantiles) {
   Histogram detached;
   detached.record(42.0);
   EXPECT_EQ(detached.count(), 0u);
+}
+
+// Registration is indexed, not a scan: 100k distinct instruments (one per
+// connection label, as a 100k-flow recorded run registers them) register
+// well inside a bound that a linear scan per registration, about 5e9
+// label comparisons here, overruns many times over. Order is registration
+// order, re-registration returns the existing storage, find() takes the
+// earliest instrument of any kind, and a clone re-indexes its own copy.
+TEST(MetricsTest, HundredThousandInstrumentsRegisterInLinearTime) {
+  constexpr int kInstruments = 100'000;
+  MetricsRegistry reg;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kInstruments; ++i) reg.counter("conn.window_stalls", labels(i)).inc();
+  for (int i = 0; i < kInstruments; ++i) reg.counter("conn.window_stalls", labels(i)).inc(2);
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  EXPECT_LT(wall_s, 5.0);
+
+  ASSERT_EQ(reg.instruments().size(), static_cast<std::size_t>(kInstruments));
+  for (const int i : {0, 1, 54'321, kInstruments - 1}) {
+    const Instrument& inst = reg.instruments()[static_cast<std::size_t>(i)];
+    EXPECT_EQ(inst.labels.conn, i);
+    EXPECT_EQ(inst.count, 3u);
+    EXPECT_EQ(reg.find("conn.window_stalls", labels(i)), &inst);
+  }
+  EXPECT_EQ(reg.total("conn.window_stalls"), 3u * kInstruments);
+
+  // find() is kind-agnostic and returns the earliest registration.
+  Gauge g = reg.gauge("conn.window_stalls", labels(7));
+  g.set(TimePoint::from_ns(0), 1.0);
+  EXPECT_EQ(reg.find("conn.window_stalls", labels(7)), &reg.instruments()[7]);
+  EXPECT_EQ(reg.find("conn.window_stalls", labels(kInstruments)), nullptr);
+
+  MetricsRegistry copy;
+  copy.clone_from(reg);
+  EXPECT_TRUE(copy.data_equals(reg));
+  copy.counter("conn.window_stalls", labels(9)).inc();  // lands on the copy's storage
+  EXPECT_EQ(copy.instruments().size(), reg.instruments().size());
+  EXPECT_EQ(copy.find("conn.window_stalls", labels(9))->count, 4u);
+  EXPECT_EQ(reg.find("conn.window_stalls", labels(9))->count, 3u);
 }
 
 // --- JSONL sink -------------------------------------------------------------

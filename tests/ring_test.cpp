@@ -58,13 +58,15 @@ TEST(RingDequeTest, PopReleasesPayload) {
   EXPECT_EQ(p.use_count(), 1);
 }
 
-// Counts live instances, so the slots a container allocated show up.
+// Counts live instances, so the slots a container allocated show up, and
+// every construction, so a copy that builds slots it then throws away does.
 struct Counted {
   static inline int alive = 0;
+  static inline int constructions = 0;
   int v = 0;
-  Counted() { ++alive; }
-  explicit Counted(int x) : v(x) { ++alive; }
-  Counted(const Counted& o) : v(o.v) { ++alive; }
+  Counted() { ++alive, ++constructions; }
+  explicit Counted(int x) : v(x) { ++alive, ++constructions; }
+  Counted(const Counted& o) : v(o.v) { ++alive, ++constructions; }
   Counted& operator=(const Counted&) = default;
   ~Counted() { --alive; }
 };
@@ -104,6 +106,50 @@ TEST(SeqRingTest, CopyKeepsKeysAndAllocatesForLiveElementsOnly) {
     ASSERT_EQ(c->hi(), 600u);
     for (std::uint64_t s = 595; s != 600; ++s) EXPECT_EQ((*c)[s].v, static_cast<int>(s - 100));
   }
+}
+
+// A copy builds its final buffer in one allocation: a wrapped 3-element
+// RingDeque constructs exactly its 4 slots (appending one by one built 2,
+// then 4, plus a temporary per element), keeps FIFO order from slot 0, and
+// a copy of an empty ring allocates nothing.
+TEST(RingDequeTest, CopyConstructsOnlyItsFinalSlots) {
+  RingDeque<Counted> q;
+  for (int i = 0; i < 8; ++i) q.push_back(Counted(i));
+  for (int i = 0; i < 6; ++i) q.pop_front();
+  q.push_back(Counted(8));  // 6, 7, 8 in slots 6, 7, 0 of 8
+  const int before = Counted::constructions;
+  const RingDeque<Counted> copy(q);
+  EXPECT_EQ(Counted::constructions - before, 4);
+  ASSERT_EQ(copy.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(copy.at(i).v, 6 + static_cast<int>(i));
+
+  const RingDeque<Counted> empty;
+  const int before_empty = Counted::constructions;
+  const RingDeque<Counted> empty_copy(empty);
+  EXPECT_EQ(Counted::constructions - before_empty, 0);
+  EXPECT_TRUE(empty_copy.empty());
+}
+
+// SeqRing: `lo` not aligned to the capacity, so the live keys wrap the
+// copy's buffer; the copy constructs its 4 slots and nothing else.
+TEST(SeqRingTest, CopyConstructsOnlyItsFinalSlots) {
+  SeqRing<Counted> r;
+  r.reset(6);
+  for (int i = 0; i < 3; ++i) r.push_back(Counted(i));  // keys 6, 7, 8 -> slots 2, 3, 0
+  const int before = Counted::constructions;
+  const SeqRing<Counted> copy(r);
+  EXPECT_EQ(Counted::constructions - before, 4);
+  ASSERT_EQ(copy.lo(), 6u);
+  ASSERT_EQ(copy.hi(), 9u);
+  for (std::uint64_t s = 6; s != 9; ++s) EXPECT_EQ(copy[s].v, static_cast<int>(s - 6));
+
+  SeqRing<Counted> empty;
+  empty.reset(41);
+  const int before_empty = Counted::constructions;
+  const SeqRing<Counted> empty_copy(empty);
+  EXPECT_EQ(Counted::constructions - before_empty, 0);
+  EXPECT_EQ(empty_copy.lo(), 41u);
+  EXPECT_TRUE(empty_copy.empty());
 }
 
 TEST(SeqRingTest, DenseRangeSemantics) {

@@ -21,11 +21,15 @@
 #include "app/http.h"
 #include "check/invariants.h"
 #include "check/stress.h"
+#include "core/ecf.h"
 #include "exp/snapshot.h"
 #include "obs/recorder.h"
 #include "scenario/world.h"
+#include "sched/minrtt.h"
 #include "sched/registry.h"
+#include "tcp/subflow.h"
 #include "test_util.h"
+#include "traffic/arena.h"
 
 namespace mps {
 namespace {
@@ -282,6 +286,30 @@ TEST(SnapshotFork, DoubleForkIndependence) {
   EXPECT_EQ(scratch.fraction_fast, res_aa.fraction_fast);
 }
 
+// A fork of a run whose scheduler was switched rebuilds the switched type
+// (its state restored from the source's), so the fork and its source finish
+// identically.
+TEST(SnapshotFork, ForkOfASwitchedRunKeepsTheSwitchedScheduler) {
+  DownloadParams p;
+  p.paths = two_paths(1.0, 5.0);
+  p.bytes = 256 * 1024;
+  p.scheduler = scheduler_factory("minrtt");
+  p.seed = 7;
+
+  DownloadRun run(p);
+  run.start();
+  run.run_to(TimePoint::origin() + Duration::from_seconds(0.1));
+  run.set_scheduler(scheduler_factory("ecf"));
+  run.run_to(TimePoint::origin() + Duration::from_seconds(0.3));
+  std::unique_ptr<DownloadRun> fork = run.fork();
+  EXPECT_STREQ(fork->connection().scheduler().name(), "ecf");
+
+  const DownloadResult res_fork = fork->finish();
+  const DownloadResult res_src = run.finish();
+  EXPECT_EQ(res_src.completion, res_fork.completion);
+  EXPECT_EQ(res_src.fraction_fast, res_fork.fraction_fast);
+}
+
 // The protocol invariants hold inside a forked world: attach the checker to
 // the fork's recorder stream and let it validate every event of the suffix.
 TEST(SnapshotFork, InvariantCheckerCleanInForkedWorld) {
@@ -340,6 +368,110 @@ TEST(SnapshotFork, WhatIfGridRejectsUnsupportedWorkloads) {
   spec.workload.kind = WorkloadKind::kWeb;
   spec.paths = {wifi_path(5.0), lte_path(5.0)};
   EXPECT_THROW(run_whatif_grid(spec, {"ecf"}, 1.0, true), std::invalid_argument);
+}
+
+// --- traffic forks at crowd shape ---------------------------------------------
+
+// Live blocks in every per-flow slab pool a traffic world allocates from. A
+// fork or a teardown that leaks (or double-frees) a flow object changes it.
+std::vector<std::uint64_t> per_flow_outstanding() {
+  return {slab_pool_for<Connection>().stats().outstanding,
+          slab_pool_for<Subflow>().stats().outstanding,
+          slab_pool_for<SubflowReceiver>().stats().outstanding,
+          slab_pool_for<HttpExchange>().stats().outstanding,
+          slab_pool_for<EcfScheduler>().stats().outstanding,
+          slab_pool_for<MinRttScheduler>().stats().outstanding};
+}
+
+std::string render_traffic(const ScenarioSpec& spec, TrafficRun& run) {
+  ScenarioOutcome out;
+  out.traffic = run.finish();
+  return format_outcome(spec, out);
+}
+
+// A 200-flow cell with churn and one cross group, forked three ways at three
+// points — before the first completion, mid-churn with a deferred teardown
+// post pending, after the last arrival — plus a fork of a fork: every branch
+// renders exactly what the unforked run does, each source is destroyed right
+// after forking (as the repetition driver does), and once every run is gone
+// the per-flow pools hold what they held before.
+TEST(SnapshotFork, CrowdTrafficForksMatchUnforkedRun) {
+  const std::vector<std::uint64_t> before = per_flow_outstanding();
+  {
+    ScenarioSpec spec = fairness_cell_spec("ecf", 200, 2.0, 40'000, 5);
+    spec.traffic.max_arrivals = 40;  // the last arrival lands well before the end
+    std::string plain;
+    double last_arrival_s = 0.0;
+    {
+      TrafficRun run(spec);
+      run.start();
+      for (const TrafficFlowRecord& f : run.engine().collect().flows) {
+        last_arrival_s = std::max(last_arrival_s, f.arrival_s);
+      }
+      plain = render_traffic(spec, run);
+    }
+    ASSERT_NE(plain.find("40 churned + 1 cross"), std::string::npos) << plain;
+    const double after_arrivals_s = last_arrival_s + 0.05;
+    ASSERT_LT(after_arrivals_s, spec.traffic.duration_s);
+
+    // A flow whose completion was recorded but whose deferred teardown post
+    // has not fired yet: completed, delivered bytes not yet read back.
+    const auto teardown_pending = [](TrafficRun& run) {
+      for (const TrafficFlowRecord& f : run.engine().collect().flows) {
+        if (f.completed && f.delivered == 0) return true;
+      }
+      return false;
+    };
+    constexpr int kForks = 3;
+    const auto fork_and_check = [&](std::unique_ptr<TrafficRun> src) {
+      std::vector<std::unique_ptr<TrafficRun>> forks;
+      for (int k = 0; k < kForks; ++k) forks.push_back(src->fork());
+      src.reset();
+      for (auto& f : forks) EXPECT_EQ(render_traffic(spec, *f), plain);
+    };
+    const auto started_run = [&] {
+      auto run = std::make_unique<TrafficRun>(spec);
+      run->start();
+      return run;
+    };
+
+    {
+      SCOPED_TRACE("before the first completion");
+      auto run = started_run();
+      run->run_to(TimePoint::origin() + Duration::from_seconds(0.01));
+      const TrafficResult at = run->engine().collect();
+      ASSERT_GT(at.started, 0u);
+      ASSERT_EQ(at.completed, 0u);
+      fork_and_check(std::move(run));
+    }
+    {
+      SCOPED_TRACE("mid-churn, a teardown post pending");
+      auto run = started_run();
+      run->run_to(TimePoint::origin() + Duration::from_seconds(0.5));
+      for (int steps = 0; steps < 1'000'000 && !teardown_pending(*run); ++steps) {
+        ASSERT_TRUE(run->sim().step());
+      }
+      ASSERT_TRUE(teardown_pending(*run));
+      ASSERT_LT(run->sim().now(), TimePoint::origin() + Duration::from_seconds(last_arrival_s));
+      fork_and_check(std::move(run));
+    }
+    {
+      SCOPED_TRACE("after the last arrival");
+      auto run = started_run();
+      run->run_to(TimePoint::origin() + Duration::from_seconds(after_arrivals_s));
+      fork_and_check(std::move(run));
+    }
+    {
+      SCOPED_TRACE("fork of a fork");
+      auto run = started_run();
+      run->run_to(TimePoint::origin() + Duration::from_seconds(0.3));
+      std::unique_ptr<TrafficRun> first = run->fork();
+      run.reset();
+      first->run_to(TimePoint::origin() + Duration::from_seconds(1.2));
+      fork_and_check(std::move(first));
+    }
+  }
+  EXPECT_EQ(per_flow_outstanding(), before);
 }
 
 // --- satellite: raw-`this` capture regressions ------------------------------

@@ -38,7 +38,9 @@
 // (an unreadable or malformed spec file, a bad --set, a spec that fails
 // validation), 3 when the run completed but is capped (a download reached
 // its 600 s cap, a stream its 30 x video + 600 s cap or a page load its
-// 3600 s cap before finishing; the output says so on a `capped:` line).
+// 3600 s cap before finishing; the output says so on a `capped:` line) or
+// incomplete (a traffic run reached its horizon with sized MPTCP flows
+// unfinished; an `incomplete:` line).
 //
 // The run goes through the same spec -> params conversion as the bench
 // drivers (exp/scenario_run.h), so a preset that mirrors a bench cell
