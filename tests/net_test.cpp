@@ -305,6 +305,56 @@ TEST_F(PipelineTest, ForkMidPropagationMatchesPerPacketOrder) {
   EXPECT_EQ(fork_sim.fire_digest(), sim.fire_digest());
 }
 
+// A link whose rate drops to zero mid-run parks its next packet on a 100 ms
+// poll; forked while parked, the twin must adopt the poll (not a
+// serialization end) and, once the rate is raised again, deliver exactly
+// what the source delivers after the fork point, in the same fire order.
+TEST_F(PipelineTest, ForkWhileParkedAtZeroRateResumesLikeTheSource) {
+  Simulator sim;
+  Link link(sim, cfg());
+  PipelineLog log;
+  link.set_deliver([&sim, &log](const Packet& p) {
+    log.events.emplace_back(sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
+  });
+  send_all(link);
+  // Packet 5 finishes at the old rate; packet 6 then parks.
+  const TimePoint stop_at = TimePoint::from_ns(5 * tx().ns() + tx().ns() / 2);
+  sim.at(stop_at, [&link] { link.set_rate(Rate::zero()); });
+  const auto raise = [](Link& l) { return [&l] { l.set_rate(Rate::mbps(8)); }; };
+  const EventId raise_id = sim.at(stop_at + Duration::millis(350), raise(link));
+  const TimePoint fork_at = stop_at + Duration::millis(150);
+  sim.run_until(fork_at);
+  ASSERT_TRUE(link.busy());
+  ASSERT_EQ(link.queue_depth(), static_cast<std::size_t>(kPackets - 7));
+
+  Simulator fork_sim;
+  Link fork(fork_sim, cfg());
+  PipelineLog fork_log;
+  fork.set_deliver([&fork_sim, &fork_log](const Packet& p) {
+    fork_log.events.emplace_back(fork_sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
+  });
+  fork_sim.clone_events_from(sim);
+  fork.restore_from(link);
+  ASSERT_TRUE(fork_sim.rebind(raise_id, raise(fork)));
+  std::vector<std::pair<EventId, TimePoint>> unbound;
+  fork_sim.collect_unbound_events(unbound);
+  ASSERT_TRUE(unbound.empty());
+  EXPECT_EQ(fork.rate().to_mbps(), 0.0);
+
+  sim.run();
+  fork_sim.run();
+  ASSERT_EQ(log.events.size(), static_cast<std::size_t>(kPackets));
+  std::vector<std::pair<std::int64_t, std::int64_t>> after_fork;
+  for (const auto& e : log.events) {
+    if (e.first > fork_at.ns()) after_fork.push_back(e);
+  }
+  ASSERT_FALSE(after_fork.empty());
+  EXPECT_EQ(fork_log.events, after_fork);
+  EXPECT_EQ(fork.stats().packets_delivered, link.stats().packets_delivered);
+  EXPECT_EQ(fork_sim.fire_digest(), sim.fire_digest());
+  EXPECT_EQ(fork_sim.events_processed(), sim.events_processed());
+}
+
 TEST_F(LinkTest, QueueFullDropsGrowNoPoolSlot) {
   LinkConfig cfg;
   cfg.queue_packets = 5;

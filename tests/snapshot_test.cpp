@@ -204,6 +204,44 @@ TEST(SnapshotFork, ForkAtSeveralTimesIsEquivalent) {
   }
 }
 
+// The world-level fork state in one stream: the wifi downlink carries every
+// impairment at once (outage and flap in one schedule, Gilbert-Elliott and
+// reordering, so the link holds a three-model CompositeFault whose chain
+// state must carry over) and the lte path a scheduled bandwidth variation
+// (pending rate changes must be adopted). Forks before, inside and after the
+// outage all finish byte-identical to the unforked run, recorder included.
+TEST(SnapshotFork, FaultyScheduledStreamForksMatchScratch) {
+  ScenarioSpec spec;
+  spec.name = "faulty_scheduled_stream";
+  spec.paths = {wifi_path(4.0), lte_path(4.0)};
+  FaultSpec& f = spec.paths[0].faults;
+  f.outages = {OutageSpec{2.0, 1.5}};
+  f.flap = FlapSpec{true, 4.0, 0.3, 1.0};
+  f.gilbert_elliott.enabled = true;
+  f.gilbert_elliott.p_good_bad = 0.02;
+  f.gilbert_elliott.p_bad_good = 0.3;
+  f.gilbert_elliott.loss_bad = 0.5;
+  f.reorder = ReorderSpec{true, 0.05, 15.0, 5.0};
+  VariationSpec& v = spec.paths[1].variation;
+  v.kind = VariationKind::kSchedule;
+  v.schedule = {RatePoint{0.0, 4.0}, RatePoint{3.0, 1.0}, RatePoint{6.0, 8.0}};
+  spec.scheduler = "ecf";
+  spec.workload.video_s = 40.0;
+  spec.record.summarize = true;
+  ASSERT_STREQ(make_fault_model(WorldBuilder(spec).path_configs()[0].fault)->name(),
+               "composite");
+
+  FlightRecorder scratch_rec;
+  const std::string scratch = render_scratch(spec, &scratch_rec);
+  ASSERT_GT(scratch_rec.metrics().total("link.drops_fault"), 0u);
+  for (const double at_s : {0.5, 2.5, 5.0, 20.0}) {
+    SCOPED_TRACE(at_s);
+    FlightRecorder forked_rec;
+    EXPECT_EQ(scratch, render_forked(spec, at_s, 1, &forked_rec));
+    EXPECT_TRUE(scratch_rec.data_equals(forked_rec));
+  }
+}
+
 // The time series of a traced stream (CWND from the recorder's gauge
 // history, send-buffer occupancy from the run's 100 ms sampler) survive a
 // fork point for point: same stamps, bitwise-equal values. Covers the
