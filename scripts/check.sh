@@ -7,7 +7,8 @@
 # binaries that perfbench and the scripts/bench_*.sh scripts measure.
 #
 #   scripts/check.sh               # RelWithDebInfo + Release builds, ctest, smokes
-#   scripts/check.sh --sanitize    # additionally run suite + smoke under ASan+UBSan
+#   scripts/check.sh --sanitize    # additionally run suite + smoke under ASan+UBSan,
+#                                  # asserts enabled (build-sanitize drops -DNDEBUG)
 #   scripts/check.sh --tsan        # additionally run the sweep/kernel tests + smoke under TSan
 #   scripts/check.sh --notrace     # additionally prove MPS_TRACE_EVENTS=OFF builds
 #   scripts/check.sh --prof        # additionally run the full suite with -DMPS_PROF=ON
@@ -339,7 +340,10 @@ run_scale_smoke build
 run_prof_smoke build-prof
 
 if [[ "$sanitize" == 1 ]]; then
-  run_suite build-sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMPS_SANITIZE=address
+  # RelWithDebInfo's default flags carry -DNDEBUG; dropping it here makes
+  # this the one checked build in which src/'s assert()s fire.
+  run_suite build-sanitize "" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMPS_SANITIZE=address \
+    "-DCMAKE_CXX_FLAGS_RELWITHDEBINFO=-O2 -g"
   run_scenarios_smoke build-sanitize
   run_snapshot_smoke build-sanitize
   run_handover_smoke build-sanitize

@@ -12,6 +12,26 @@ DashSession::DashSession(Simulator& sim, HttpExchange& http, DashConfig config)
   chunks_.reserve(static_cast<std::size_t>(total_chunks()));
 }
 
+DashSession::DashSession(const DashSession& src, Simulator& sim, HttpExchange& http)
+    : sim_(sim),
+      http_(http),
+      config_(src.config_),
+      next_chunk_(src.next_chunk_),
+      started_(src.started_),
+      finished_(src.finished_),
+      playing_(src.playing_),
+      buffer_s_(src.buffer_s_),
+      last_playback_update_(src.last_playback_update_),
+      rebuffer_time_(src.rebuffer_time_),
+      rebuffer_events_(src.rebuffer_events_),
+      off_timer_(src.off_timer_, sim, [this] { fetch_next(); }),
+      chunks_(src.chunks_),
+      recent_tput_mbps_(src.recent_tput_mbps_) {
+  for (std::size_t i = 0; i < http_.outstanding(); ++i) {
+    http_.set_outstanding_done(i, [this](const ObjectResult& r) { on_chunk_done(r); });
+  }
+}
+
 int DashSession::total_chunks() const {
   return static_cast<int>(config_.video_duration / config_.chunk_duration);
 }
@@ -125,23 +145,6 @@ void DashSession::on_chunk_done(const ObjectResult& result) {
     off_timer_.schedule_after(Duration::from_seconds(wait), [this] { fetch_next(); });
   } else {
     fetch_next();
-  }
-}
-
-void DashSession::restore_from(const DashSession& src) {
-  next_chunk_ = src.next_chunk_;
-  started_ = src.started_;
-  finished_ = src.finished_;
-  playing_ = src.playing_;
-  buffer_s_ = src.buffer_s_;
-  last_playback_update_ = src.last_playback_update_;
-  rebuffer_time_ = src.rebuffer_time_;
-  rebuffer_events_ = src.rebuffer_events_;
-  chunks_ = src.chunks_;
-  recent_tput_mbps_ = src.recent_tput_mbps_;
-  off_timer_.clone_from(src.off_timer_, [this] { fetch_next(); });
-  for (std::size_t i = 0; i < http_.outstanding(); ++i) {
-    http_.set_outstanding_done(i, [this](const ObjectResult& r) { on_chunk_done(r); });
   }
 }
 

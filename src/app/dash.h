@@ -51,17 +51,18 @@ struct ChunkRecord {
 class DashSession {
  public:
   DashSession(Simulator& sim, HttpExchange& http, DashConfig config);
+  // Snapshot support (exp/snapshot.h): the twin of `src` over `http`, the
+  // twin of src's exchange in the fork's simulator `sim`. Copies the
+  // playback/ABR/fetch state, adopts the pending OFF-period timer and
+  // installs this session's chunk-completion callback on the exchange's
+  // outstanding objects. on_finished starts empty: owners re-wire it.
+  DashSession(const DashSession& src, Simulator& sim, HttpExchange& http);
+  DashSession(const DashSession&) = delete;
+  DashSession& operator=(const DashSession&) = delete;
 
   void start();
   bool finished() const { return finished_; }
   std::function<void()> on_finished;
-
-  // --- snapshot support (exp/snapshot.h) ------------------------------------
-  // Copies playback/ABR/fetch state from `src` (same config, over the fork's
-  // twin exchange — which must already be restored) and re-installs this
-  // session's chunk-completion callback on the exchange's outstanding
-  // objects. Owners re-wire on_finished themselves.
-  void restore_from(const DashSession& src);
 
   // --- metrics --------------------------------------------------------------
   const std::vector<ChunkRecord>& chunks() const { return chunks_; }

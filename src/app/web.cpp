@@ -1,7 +1,6 @@
 #include "app/web.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace mps {
@@ -30,6 +29,36 @@ WebBrowser::WebBrowser(Simulator& sim, WebPageConfig config,
                        std::vector<std::uint64_t> objects, ConnectionFactory factory)
     : sim_(sim), config_(config), objects_(std::move(objects)), factory_(std::move(factory)) {
   slots_.resize(static_cast<std::size_t>(config_.parallel_connections));
+}
+
+WebBrowser::WebBrowser(const WebBrowser& src, Simulator& sim, ConnectionFactory factory,
+                       const TwinFactory& twin)
+    : sim_(sim),
+      config_(src.config_),
+      objects_(src.objects_),
+      factory_(std::move(factory)),
+      slots_(src.slots_.size()),
+      next_object_(src.next_object_),
+      outstanding_(src.outstanding_),
+      finished_(src.finished_),
+      page_start_(src.page_start_),
+      page_end_(src.page_end_),
+      object_times_(src.object_times_),
+      ooo_delays_(src.ooo_delays_),
+      retired_iw_resets_(src.retired_iw_resets_) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    Slot& dst = slots_[i];
+    const Slot& s = src.slots_[i];
+    dst.last_activity = s.last_activity;
+    dst.busy = s.busy;
+    if (s.conn == nullptr) continue;
+    dst.conn = twin(*s.conn);
+    dst.http = std::make_unique<HttpExchange>(*s.http, sim_, *dst.conn);
+    for (std::size_t j = 0; j < dst.http->outstanding(); ++j) {
+      dst.http->set_outstanding_done(
+          j, [this, i](const ObjectResult& r) { on_object_done(i, r); });
+    }
+  }
 }
 
 void WebBrowser::start() {
@@ -75,43 +104,15 @@ void WebBrowser::assign_next(std::size_t slot_index) {
   const std::uint64_t bytes = objects_[next_object_++];
   slot.busy = true;
   ++outstanding_;
-  slot.http->get(bytes, [this, slot_index](const ObjectResult& r) {
-    Slot& s = slots_[slot_index];
-    s.last_activity = sim_.now();
-    object_times_.add((r.completed - r.requested).to_seconds());
-    --outstanding_;
-    assign_next(slot_index);
-  });
+  slot.http->get(bytes,
+                 [this, slot_index](const ObjectResult& r) { on_object_done(slot_index, r); });
 }
 
-void WebBrowser::restore_from(const WebBrowser& src, const TwinFactory& twin) {
-  next_object_ = src.next_object_;
-  outstanding_ = src.outstanding_;
-  finished_ = src.finished_;
-  page_start_ = src.page_start_;
-  page_end_ = src.page_end_;
-  object_times_ = src.object_times_;
-  ooo_delays_ = src.ooo_delays_;
-  retired_iw_resets_ = src.retired_iw_resets_;
-  assert(slots_.size() == src.slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    Slot& dst = slots_[i];
-    const Slot& s = src.slots_[i];
-    dst.last_activity = s.last_activity;
-    dst.busy = s.busy;
-    if (s.conn == nullptr) continue;
-    dst.conn = twin(*s.conn);
-    dst.http = std::make_unique<HttpExchange>(*s.http, sim_, *dst.conn);
-    for (std::size_t j = 0; j < dst.http->outstanding(); ++j) {
-      dst.http->set_outstanding_done(j, [this, i](const ObjectResult& r) {
-        Slot& sl = slots_[i];
-        sl.last_activity = sim_.now();
-        object_times_.add((r.completed - r.requested).to_seconds());
-        --outstanding_;
-        assign_next(i);
-      });
-    }
-  }
+void WebBrowser::on_object_done(std::size_t slot_index, const ObjectResult& r) {
+  slots_[slot_index].last_activity = sim_.now();
+  object_times_.add((r.completed - r.requested).to_seconds());
+  --outstanding_;
+  assign_next(slot_index);
 }
 
 std::uint64_t WebBrowser::iw_resets() const {

@@ -44,19 +44,21 @@ class WebBrowser {
 
   WebBrowser(Simulator& sim, WebPageConfig config, std::vector<std::uint64_t> objects,
              ConnectionFactory factory);
+  // Snapshot support (exp/snapshot.h): the twin of `src` in the fork's
+  // simulator `sim`, opening later connections through `factory`. Copies the
+  // page state and builds each live slot's connection through `twin` (a
+  // connection's twin in the fork's world) and its exchange as a twin of
+  // src's, with this browser's completion callbacks. on_finished starts
+  // empty: owners re-wire it.
+  using TwinFactory = std::function<std::unique_ptr<Connection>(const Connection&)>;
+  WebBrowser(const WebBrowser& src, Simulator& sim, ConnectionFactory factory,
+             const TwinFactory& twin);
+  WebBrowser(const WebBrowser&) = delete;
+  WebBrowser& operator=(const WebBrowser&) = delete;
 
   void start();
   bool finished() const { return finished_; }
   std::function<void()> on_finished;
-
-  // --- snapshot support (exp/snapshot.h) ------------------------------------
-  // Copies page state from `src` and rebuilds this browser's per-slot
-  // connections and exchanges as twins of `src`'s live slots — `twin` builds
-  // a connection's twin in the fork's world — then re-installs the
-  // completion callbacks. Owners re-wire on_finished themselves. Call after
-  // the world's event queue has been cloned.
-  using TwinFactory = std::function<std::unique_ptr<Connection>(const Connection&)>;
-  void restore_from(const WebBrowser& src, const TwinFactory& twin);
 
   // --- metrics --------------------------------------------------------------
   // Per-object download completion times, seconds (paper Figs. 20/23a).
@@ -75,6 +77,7 @@ class WebBrowser {
   };
 
   void assign_next(std::size_t slot_index);
+  void on_object_done(std::size_t slot_index, const ObjectResult& r);
   void ensure_connection(Slot& slot);
   void retire_connection(Slot& slot);
 

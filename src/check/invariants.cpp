@@ -1,7 +1,6 @@
 #include "check/invariants.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
@@ -26,7 +25,6 @@ std::string fmt(const char* format, ...) {
 
 InvariantChecker::InvariantChecker(Simulator& sim) : sim_(sim) {
   recorder_ = sim_.recorder();
-  assert(recorder_ != nullptr && "InvariantChecker needs a recorder on the Simulator");
   if (recorder_ != nullptr) {
     next_ = recorder_->event_sink();
     recorder_->set_event_sink(this);

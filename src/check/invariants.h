@@ -58,9 +58,10 @@ class InvariantChecker final : public EventSink {
   };
 
   // Installs the checker as `sim`'s recorder event sink (tee-ing to any sink
-  // already installed). The simulator must have a recorder attached; the
-  // checker must be destroyed before the recorder (it restores the previous
-  // sink on destruction).
+  // already installed); the checker must be destroyed before the recorder
+  // (it restores the previous sink on destruction). Without a recorder on
+  // the simulator there is no event stream to check from: only check_now()
+  // checks then.
   explicit InvariantChecker(Simulator& sim);
   ~InvariantChecker() override;
 

@@ -20,8 +20,7 @@ DownloadRun::~DownloadRun() { discard_events(); }
 void DownloadRun::construct(const DownloadRun* src) {
   static constexpr const char* kWho = "DownloadRun::fork";
   end_ = TimePoint::origin() + Duration::seconds(600);
-  build_world(params_);
-  if (src != nullptr) adopt_world(*src, kWho);
+  build_world(params_, src);
   build_connection(params_, src);
   build_traces(params_, src);
   if (src == nullptr) return;

@@ -13,20 +13,17 @@ namespace mps {
 
 namespace {
 
-// Fork construction must be event-free: the pending set is exactly
-// `expected` events — none before the source's queue is cloned (the clone
-// would silently discard them), the source's own after it (a twin that
-// scheduled or cancelled one would shift the fire order).
-void require_construction_event_free(Simulator& sim, std::size_t expected, const char* who) {
+// A twin that scheduled or cancelled an event would shift the fire order:
+// after fork construction the pending set is exactly the source's.
+void require_source_pending_count(Simulator& sim, std::size_t expected, const char* who) {
   if (sim.pending_events() != expected) {
     throw std::logic_error(std::string(who) + ": fork construction left " +
                            std::to_string(sim.pending_events()) + " pending event(s), expected " +
-                           std::to_string(expected) + "; model construction must be event-free");
+                           std::to_string(expected) + "; twin construction must be event-free");
   }
 }
 
-// A live event with no callback bound: a twin or restore_from forgot to adopt
-// it.
+// A live event with no callback bound: a twin forgot to adopt it.
 void require_fully_rebound(Simulator& sim, const char* who) {
   std::vector<std::pair<EventId, TimePoint>> unbound;
   sim.collect_unbound_events(unbound);
@@ -63,7 +60,12 @@ void RunShell::own_recorder() {
 
 Simulator& RunShell::sim() { return world_->sim(); }
 
-void RunShell::build_world(const RunParams& p) {
+void RunShell::build_world(const RunParams& p, const RunShell* src) {
+  if (src != nullptr) {
+    world_ = std::make_unique<World>(*src->world_, rec_);
+    fast_path_ = src->fast_path_;
+    return;
+  }
   if (p.paths.empty()) throw std::invalid_argument("run: RunParams::paths is empty");
   if (p.traces.size() > p.paths.size()) {
     throw std::invalid_argument("run: RunParams::traces has more entries than paths");
@@ -115,19 +117,12 @@ void RunShell::build_connection(const RunParams& p, const RunShell* src) {
 void RunShell::build_traces(const RunParams& p, const RunShell* src) {
   for (std::size_t i = 0; i < p.traces.size(); ++i) {
     if (p.traces[i].empty()) continue;
-    auto& schedule = schedules_.emplace_back(
-        std::make_unique<BandwidthSchedule>(world_->sim(), world_->path(i), p.traces[i]));
-    if (src == nullptr) {
-      schedule->start();
-    } else {
-      schedule->restore_from(*src->schedules_[schedules_.size() - 1]);
-    }
+    schedules_.push_back(
+        src == nullptr
+            ? std::make_unique<BandwidthSchedule>(world_->sim(), world_->path(i), p.traces[i])
+            : std::make_unique<BandwidthSchedule>(*src->schedules_[schedules_.size()],
+                                                  world_->sim(), world_->path(i)));
   }
-}
-
-void RunShell::adopt_world(const RunShell& src, const char* who) {
-  require_construction_event_free(sim(), 0, who);
-  world_->restore_from(*src.world_);
 }
 
 void RunShell::adopt(const RunShell& src, const char* who) {
@@ -137,8 +132,7 @@ void RunShell::adopt(const RunShell& src, const char* who) {
   started_ = src.started_;
   done_ = src.done_;
   if (started_ && heartbeat_.enabled()) sim().set_heartbeat(heartbeat_.interval_s, heartbeat_.fn);
-  if (rec_ != nullptr) rec_->restore_data_from(*src.rec_);
-  require_construction_event_free(sim(), src.world_->sim().pending_events(), who);
+  require_source_pending_count(sim(), src.world_->sim().pending_events(), who);
   require_fully_rebound(sim(), who);
 }
 

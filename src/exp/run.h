@@ -1,8 +1,8 @@
 // The Run shell every experiment runner shares (StreamingRun, DownloadRun,
 // WebPageRun, TrafficRun): one World, a safety cap or end time, the
 // start/run_to/finish staging, and the fork steps of exp/snapshot.h. Each
-// subclass adds only its workload objects, how a fork builds or restores
-// them, and its finish().
+// subclass adds only its workload objects, how a fork builds their twins,
+// and its finish().
 #pragma once
 
 #include <cstdint>
@@ -86,8 +86,10 @@ class RunShell {
   void own_recorder();
   // The world from the common fields; the fast path is the highest initial
   // downlink rate, ties going to the lower index. Throws
-  // std::invalid_argument without paths or with more traces than paths.
-  void build_world(const RunParams& p);
+  // std::invalid_argument without paths or with more traces than paths. In a
+  // fork (`src` set), the twin of src's world, wired to this run's recorder:
+  // the fork's first step, before any other twin.
+  void build_world(const RunParams& p, const RunShell* src = nullptr);
   // A connection over the world honouring p.initial_paths.
   std::unique_ptr<Connection> make_connection(const RunParams& p);
   // The twin in this world of `src`, a connection of `src_run`'s world, with
@@ -97,20 +99,14 @@ class RunShell {
   // Single-connection runs: the connection, its optional path manager and
   // the HTTP exchange over it — in a fork (`src` set), twins of src's.
   void build_connection(const RunParams& p, const RunShell* src = nullptr);
-  // One bandwidth schedule per traced path, started — or in a fork, adopting
-  // src's pending events.
+  // One bandwidth schedule per traced path, started — or in a fork, the
+  // twins of src's.
   void build_traces(const RunParams& p, const RunShell* src = nullptr);
 
-  // Fork step one, right after the fork's world is built: checks that
-  // construction was event-free, then copies src's world state (clock,
-  // event queue with every callback unbound, links, muxes, RNG). Twins built
-  // after it rebind their own events.
-  void adopt_world(const RunShell& src, const char* who);
-  // The fork epilogue, once every workload object is a twin of src's or
-  // restored from it: copies the shell's flags, re-attaches the heartbeat,
-  // restores the recorder data, and checks that construction scheduled
-  // nothing and that every pending event was rebound. `who` names the fork
-  // in errors.
+  // The fork epilogue, once every workload object is a twin of src's: copies
+  // the shell's flags, re-attaches the heartbeat, and checks that twin
+  // construction scheduled nothing (the pending count is the source's) and
+  // that every pending event was rebound. `who` names the fork in errors.
   void adopt(const RunShell& src, const char* who);
 
   // Teardown, first thing in each Run's destructor: drops the world's pending

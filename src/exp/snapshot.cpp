@@ -28,12 +28,12 @@ TrafficRun::~TrafficRun() { discard_events(); }
 void TrafficRun::construct(const ScenarioSpec& spec, const TrafficRun* src) {
   static constexpr const char* kWho = "TrafficRun::fork";
   builder_ = std::make_unique<WorldBuilder>(spec);
-  world_ = builder_->build(rec_);
   if (src == nullptr) {
+    world_ = builder_->build(rec_);
     engine_ = std::make_unique<TrafficEngine>(*world_, builder_->spec());
     return;
   }
-  adopt_world(*src, kWho);
+  world_ = std::make_unique<World>(*src->world_, rec_);
   engine_ = std::make_unique<TrafficEngine>(*src->engine_, *world_, builder_->spec());
   adopt(*src, kWho);
 }

@@ -3,21 +3,22 @@
 // prefix (DESIGN.md §13).
 //
 // Mechanism, shared by every Run class through the Run shell (exp/run.h;
-// StreamingRun, DownloadRun, WebPageRun, and TrafficRun here), one pass over
-// the source:
-//  1. clone the source's FlightRecorder *first*, so the fork's construction
-//     resolves instrument handles into the copied storage;
-//  2. build the fork's world the normal way — construction is event-free by
-//     design, which require_construction_event_free asserts — and copy the
-//     source's world state into it, structure-cloning the event queue
-//     (EventIds and ordering preserved, callbacks dropped);
-//  3. build each per-flow object (connection, subflows, receivers, path
-//     manager, HTTP exchange, traffic engine) as a twin of its source: the
-//     twin constructor copies the state and rebinds the adopted events to
-//     itself. Per-run parts (DASH session, bandwidth schedules, samplers)
-//     are built fresh and restore_from their source;
-//  4. undo construction-time instrument writes via restore_data_from;
-//  5. check that construction scheduled nothing (the pending set is exactly
+// StreamingRun, DownloadRun, WebPageRun, and TrafficRun here): one pass over
+// the source, in which every fork object is built by a twin constructor
+// T(const T& src, <fork wiring>) that copies its source and wires the copy
+// into the fork:
+//  1. clone the source's FlightRecorder *first*, so the twins' instrument
+//     registrations resolve into the copied storage;
+//  2. build the world as a twin of the source's: the simulator twin keeps
+//     every pending event's EventId and stamp with its callback unbound, and
+//     the path, link and mux twins copy their state (a link clones its fault
+//     model) and rebind the events they own;
+//  3. build every other part as a twin of its source — connection,
+//     subflows, receivers, path manager, HTTP exchange, traffic engine,
+//     bandwidth schedules, DASH session, web browser, samplers — each
+//     rebinding its adopted events to itself (only the scheduler is built
+//     fresh and then copies its source's state, mptcp/scheduler.h);
+//  4. check that twin construction scheduled nothing (the pending count is
 //     the source's) and, with require_fully_rebound, that no live event was
 //     left without a callback — the mechanism that surfaces forgotten
 //     capture sites.

@@ -48,15 +48,17 @@ void StreamingRun::construct(const StreamingRun* src) {
   }
   end_ = TimePoint::origin() + run_cap(params_.video);
   if (rec_ != nullptr && params_.collect_traces) rec_->metrics().set_keep_series(true);
-  build_world(params_);
-  if (src != nullptr) adopt_world(*src, kWho);
+  build_world(params_, src);
   build_connection(params_, src);
 
-  DashConfig dc;
-  dc.video_duration = params_.video;
-  dc.abr = params_.abr;
-  session_ = std::make_unique<DashSession>(sim(), *http_, dc);
-  if (src != nullptr) session_->restore_from(*src->session_);
+  if (src == nullptr) {
+    DashConfig dc;
+    dc.video_duration = params_.video;
+    dc.abr = params_.abr;
+    session_ = std::make_unique<DashSession>(sim(), *http_, dc);
+  } else {
+    session_ = std::make_unique<DashSession>(*src->session_, sim(), *http_);
+  }
   build_traces(params_, src);
 
   // Trace collectors (paper Figs. 3, 11, 12). The CWND series come straight
@@ -65,13 +67,13 @@ void StreamingRun::construct(const StreamingRun* src) {
   // sample: it copies the source's series and adopts its pending ticks.
   if (params_.collect_traces) {
     for (std::size_t i = 0; i < sndbuf_timer_.size(); ++i) {
-      sndbuf_timer_[i].emplace(sim());
       if (src == nullptr) {
+        sndbuf_timer_[i].emplace(sim());
         sample_sndbuf(i);
         continue;
       }
       sndbuf_[i] = src->sndbuf_[i];
-      sndbuf_timer_[i]->clone_from(*src->sndbuf_timer_[i], [this, i] { sample_sndbuf(i); });
+      sndbuf_timer_[i].emplace(*src->sndbuf_timer_[i], sim(), [this, i] { sample_sndbuf(i); });
     }
   }
 

@@ -72,8 +72,7 @@ class StreamingRun final : public RunShell {
 
  private:
   StreamingRun(const StreamingRun& src, ForkTag);
-  // Builds the run; a fork (`src` set) builds or restores each part from
-  // src's.
+  // Builds the run; a fork (`src` set) builds each part as a twin of src's.
   void construct(const StreamingRun* src);
   void begin() override;
   std::size_t lte_slot() const;

@@ -21,18 +21,18 @@ WebPageRun::~WebPageRun() { discard_events(); }
 void WebPageRun::construct(const WebPageRun* src) {
   static constexpr const char* kWho = "WebPageRun::fork";
   end_ = TimePoint::origin() + Duration::seconds(3600);
-  build_world(params_);
-  if (src != nullptr) adopt_world(*src, kWho);
-  WebPageConfig wc;
-  // The page content is fixed across runs and schedulers (same seed).
-  Rng page_rng(0xC0FFEE);
-  auto objects = make_page_objects(page_rng, wc);
-  browser_ = std::make_unique<WebBrowser>(sim(), wc, std::move(objects),
-                                          [this] { return make_connection(params_); });
-  if (src != nullptr) {
-    browser_->restore_from(*src->browser_, [this, src](const Connection& c) {
-      return twin_connection(c, *src, params_.scheduler);
-    });
+  build_world(params_, src);
+  WebBrowser::ConnectionFactory factory = [this] { return make_connection(params_); };
+  if (src == nullptr) {
+    WebPageConfig wc;
+    // The page content is fixed across runs and schedulers (same seed).
+    Rng page_rng(0xC0FFEE);
+    auto objects = make_page_objects(page_rng, wc);
+    browser_ = std::make_unique<WebBrowser>(sim(), wc, std::move(objects), std::move(factory));
+  } else {
+    browser_ = std::make_unique<WebBrowser>(
+        *src->browser_, sim(), std::move(factory),
+        [this, src](const Connection& c) { return twin_connection(c, *src, params_.scheduler); });
   }
   browser_->on_finished = [this] {
     done_ = true;

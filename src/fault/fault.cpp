@@ -65,6 +65,13 @@ Duration CompositeFault::extra_delay(TimePoint now, Rng& rng) {
   return total;
 }
 
+std::unique_ptr<FaultModel> CompositeFault::clone() const {
+  std::vector<std::unique_ptr<FaultModel>> models;
+  models.reserve(models_.size());
+  for (const auto& m : models_) models.push_back(m->clone());
+  return std::make_unique<CompositeFault>(std::move(models));
+}
+
 std::unique_ptr<FaultModel> make_fault_model(const FaultConfig& config) {
   if (!config.any()) return nullptr;
   std::vector<std::unique_ptr<FaultModel>> models;

@@ -89,10 +89,9 @@ class FaultModel {
 
   virtual const char* name() const = 0;
 
-  // Snapshot support: copies mutable model state from `src`, which must be a
-  // model built from the same FaultConfig (same concrete type and layout).
-  // Stateless models inherit the no-op.
-  virtual void restore_from(const FaultModel& src) { (void)src; }
+  // Snapshot support: an independent copy, mutable state included, for a
+  // forked link.
+  virtual std::unique_ptr<FaultModel> clone() const = 0;
 };
 
 class GilbertElliottLoss final : public FaultModel {
@@ -101,8 +100,8 @@ class GilbertElliottLoss final : public FaultModel {
   bool should_drop(TimePoint now, Rng& rng) override;
   const char* name() const override { return "gilbert_elliott"; }
   bool in_bad_state() const { return bad_; }
-  void restore_from(const FaultModel& src) override {
-    bad_ = static_cast<const GilbertElliottLoss&>(src).bad_;
+  std::unique_ptr<FaultModel> clone() const override {
+    return std::make_unique<GilbertElliottLoss>(*this);
   }
 
  private:
@@ -118,6 +117,9 @@ class OutageSchedule final : public FaultModel {
   bool should_drop(TimePoint now, Rng& rng) override;
   const char* name() const override { return "outage"; }
   bool down_at(TimePoint t) const;
+  std::unique_ptr<FaultModel> clone() const override {
+    return std::make_unique<OutageSchedule>(*this);
+  }
 
  private:
   std::vector<OutageWindow> outages_;
@@ -130,6 +132,9 @@ class ReorderJitter final : public FaultModel {
   bool should_drop(TimePoint, Rng&) override { return false; }
   Duration extra_delay(TimePoint now, Rng& rng) override;
   const char* name() const override { return "reorder"; }
+  std::unique_ptr<FaultModel> clone() const override {
+    return std::make_unique<ReorderJitter>(*this);
+  }
 
  private:
   ReorderConfig config_;
@@ -145,12 +150,7 @@ class CompositeFault final : public FaultModel {
   bool should_drop(TimePoint now, Rng& rng) override;
   Duration extra_delay(TimePoint now, Rng& rng) override;
   const char* name() const override { return "composite"; }
-  void restore_from(const FaultModel& src) override {
-    const auto& other = static_cast<const CompositeFault&>(src);
-    for (std::size_t i = 0; i < models_.size(); ++i) {
-      models_[i]->restore_from(*other.models_[i]);
-    }
-  }
+  std::unique_ptr<FaultModel> clone() const override;
 
  private:
   std::vector<std::unique_ptr<FaultModel>> models_;

@@ -48,7 +48,7 @@ PathManager::PathManager(const PathManager& src, Connection& conn, std::vector<P
     : conn_(conn),
       paths_(std::move(paths)),
       config_(src.config_),
-      tick_timer_(conn.sim()),
+      tick_timer_(src.tick_timer_, conn.sim(), [this] { tick(); }),
       action_idx_(src.action_idx_),
       growth_cursor_(src.growth_cursor_),
       slot_path_idx_(src.slot_path_idx_),
@@ -56,7 +56,6 @@ PathManager::PathManager(const PathManager& src, Connection& conn, std::vector<P
       stats_(src.stats_) {
   assert(paths_.size() == src.paths_.size());
   assert(conn_.slot_count() == src.conn_.slot_count());
-  tick_timer_.clone_from(src.tick_timer_, [this] { tick(); });
 }
 
 void PathManager::start() { tick_timer_.schedule_after(config_.tick, [this] { tick(); }); }

@@ -85,9 +85,8 @@ class PathManager {
   // policy state and adopts the source's pending tick by EventId.
   PathManager(const PathManager& src, Connection& conn, std::vector<Path*> paths);
 
-  // Arms the scan tick. Separate from construction so construction stays
-  // event-free (exp/snapshot.h); a twin adopts the source's pending tick
-  // instead.
+  // Arms the scan tick; the run calls it when it starts (exp/run.h). A twin
+  // adopts the source's pending tick instead.
   void start();
 
   const Stats& stats() const { return stats_; }

@@ -14,16 +14,53 @@ Link::Link(Simulator& sim, LinkConfig config, std::string name)
       name_(std::move(name)),
       fault_(make_fault_model(config.fault)),
       tx_timer_(sim) {
-  if (FlightRecorder* rec = sim_.recorder(); rec != nullptr) {
-    MetricsRegistry& m = rec->metrics();
-    MetricLabels labels;
-    labels.entity = name_;
-    obs_.drops_queue = m.counter("link.drops_queue", labels);
-    obs_.drops_random = m.counter("link.drops_random", labels);
-    obs_.drops_fault = m.counter("link.drops_fault", labels);
-    obs_.busy_ns = m.counter("link.busy_ns", labels);
-    obs_.queue_depth = m.gauge("link.queue_depth", labels);
+  register_instruments();
+}
+
+Link::Link(const Link& src, Simulator& sim)
+    : sim_(sim),
+      config_(src.config_),
+      name_(src.name_),
+      rng_(src.rng_),
+      fault_(src.fault_ != nullptr ? src.fault_->clone() : nullptr),
+      tx_timer_(src.tx_timer_, sim,
+                src.tx_parked_ ? Callback([this] { start_transmission(); })
+                               : Callback([this] { finish_transmission(); })),
+      tx_parked_(src.tx_parked_),
+      head_event_(src.head_event_),
+      stats_(src.stats_) {
+  register_instruments();
+  // Fresh slots: identity lives in the EventIds and stamps, not the address.
+  auto copy = [this](const Packet& from) {
+    Packet* p = pool_.acquire();
+    *p = from;
+    return p;
+  };
+  for (std::size_t i = 0; i < src.queue_.size(); ++i) queue_.push_back(copy(*src.queue_.at(i)));
+  in_service_ = src.busy() ? copy(*src.in_service_) : nullptr;
+  for (std::size_t i = 0; i < src.prop_.size(); ++i) {
+    prop_.push_back({copy(*src.prop_.at(i).pkt), src.prop_.at(i).when, src.prop_.at(i).seq});
   }
+  if (!prop_.empty()) sim_.rebind(head_event_, [this] { deliver_head(); });
+  // Overtaking packets are the only slots with an event of their own.
+  src.pool_.for_each_slot([&](const Packet& from) {
+    if (from.prop_event == 0) return;
+    Packet* p = copy(from);
+    sim_.rebind(p->prop_event, [this, p] { deliver(p); });
+  });
+}
+
+void Link::register_instruments() {
+  FlightRecorder* rec = sim_.recorder();
+  if (rec == nullptr) return;
+  MetricsRegistry& m = rec->metrics();
+  MetricLabels labels;
+  labels.entity = name_;
+  obs_.drops_queue = m.counter("link.drops_queue", labels);
+  obs_.drops_random = m.counter("link.drops_random", labels);
+  obs_.drops_fault = m.counter("link.drops_fault", labels);
+  obs_.busy_ns = m.counter("link.busy_ns", labels);
+  obs_.queue_depth = m.gauge("link.queue_depth", labels);
 }
 
 void Link::send(const Packet& pkt) {
@@ -134,41 +171,6 @@ void Link::deliver_head() {
 void Link::deliver(Packet* p) {
   if (deliver_) deliver_(*p);
   pool_.release(p);
-}
-
-void Link::restore_from(const Link& src) {
-  assert(!busy() && prop_.empty());  // a fork's link, fresh from construction
-  config_ = src.config_;
-  rng_ = src.rng_;
-  if (fault_ != nullptr && src.fault_ != nullptr) fault_->restore_from(*src.fault_);
-  stats_ = src.stats_;
-  // Fresh slots: identity lives in the EventIds and stamps, not the address.
-  auto copy = [this](const Packet& from) {
-    Packet* p = pool_.acquire();
-    *p = from;
-    return p;
-  };
-  for (std::size_t i = 0; i < src.queue_.size(); ++i) queue_.push_back(copy(*src.queue_.at(i)));
-  in_service_ = src.busy() ? copy(*src.in_service_) : nullptr;
-  tx_parked_ = src.tx_parked_;
-  if (src.tx_timer_.pending()) {
-    if (tx_parked_) {
-      tx_timer_.clone_from(src.tx_timer_, [this] { start_transmission(); });
-    } else {
-      tx_timer_.clone_from(src.tx_timer_, [this] { finish_transmission(); });
-    }
-  }
-  for (std::size_t i = 0; i < src.prop_.size(); ++i) {
-    prop_.push_back({copy(*src.prop_.at(i).pkt), src.prop_.at(i).when, src.prop_.at(i).seq});
-  }
-  head_event_ = src.head_event_;
-  if (!prop_.empty()) sim_.rebind(head_event_, [this] { deliver_head(); });
-  // Overtaking packets are the only slots with an event of their own.
-  src.pool_.for_each_slot([&](const Packet& from) {
-    if (from.prop_event == 0) return;
-    Packet* p = copy(from);
-    sim_.rebind(p->prop_event, [this, p] { deliver(p); });
-  });
 }
 
 }  // namespace mps

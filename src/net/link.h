@@ -52,6 +52,15 @@ class Link {
   using DeliverFn = BasicCallback<void(const Packet&)>;
 
   Link(Simulator& sim, LinkConfig config, std::string name = "link");
+  // Snapshot support (exp/snapshot.h): the twin of `src` in `sim`, whose
+  // queue was structure-cloned from src's. Copies the config, queue,
+  // in-service packet, propagation FIFO, stats, RNG and a clone of the fault
+  // model, and adopts src's pending events (serializer or zero-rate poll,
+  // FIFO head, overtakers) by EventId. The deliver function starts empty:
+  // the fork's mux installs its own.
+  Link(const Link& src, Simulator& sim);
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   // The receiving endpoint. Must be set before the first send().
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
@@ -88,13 +97,6 @@ class Link {
     return config_.rate.transmit_time(bytes);
   }
 
-  // Snapshot support (exp/snapshot.h): copies `src`'s dynamic state — queue,
-  // in-service packet, propagation FIFO, stats, RNG, fault-model state — and
-  // adopts its pending events (serializer, FIFO head, overtakers) by EventId.
-  // The simulator's queue must already be structure-cloned from src's;
-  // deliver_ is left alone (the fork's mux installed its own at attach time).
-  void restore_from(const Link& src);
-
  private:
   // A packet in propagation with the stamp it reserved at tx-done.
   struct InFlight {
@@ -103,6 +105,8 @@ class Link {
     std::uint64_t seq;
   };
 
+  // Registers the flight-recorder instruments (no-op without a recorder).
+  void register_instruments();
   void start_transmission();
   void finish_transmission();
   void deliver_head();  // places the next entry's event, then delivers
@@ -121,8 +125,8 @@ class Link {
   Timer tx_timer_;
   // Which callback tx_timer_ holds: true = parked zero-rate poll
   // (start_transmission), false = serialization end (finish_transmission).
-  // Cannot be inferred from the rate — it may change while parked — and
-  // restore_from() needs it to rebuild the right closure.
+  // Cannot be inferred from the rate — it may change while parked — and a
+  // twin needs it to rebuild the right closure for the adopted event.
   bool tx_parked_ = false;
   // Propagation (htsim's Pipe): entries leave in (when, seq) order, so only
   // the head holds a queue event, placed with its reserved stamp when the

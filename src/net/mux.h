@@ -21,6 +21,15 @@ class Mux {
   // from the link's propagation pool, so dispatch moves no packet bytes.
   using Handler = void (*)(void* endpoint, const Packet& p);
 
+  Mux() = default;
+  // Snapshot support: the twin of `src` copies the counters only. Routes
+  // borrow src's endpoints, so the fork's own connections re-register theirs
+  // at construction, into a table sized like src's so those registrations
+  // never regrow it.
+  explicit Mux(const Mux& src)
+      : routes_(src.routes_.size()), orphans_(src.orphans_), routed_(src.routed_) {}
+  Mux& operator=(const Mux&) = delete;
+
   // Installs this mux as the link's deliver function.
   void attach_to(Link& link) {
     link.set_deliver([this](const Packet& p) { dispatch(p); });
@@ -54,15 +63,6 @@ class Mux {
   // by the churn tests: every packet a link delivers is routed or orphaned,
   // so routed + orphans equals the links' delivered totals.
   std::uint64_t routed_count() const { return routed_; }
-
-  // Snapshot support: copies the counters only. Routes are re-registered by
-  // the fork's own connections at their construction time, into a table
-  // sized like the source's so those registrations never regrow it.
-  void restore_from(const Mux& src) {
-    orphans_ = src.orphans_;
-    routed_ = src.routed_;
-    routes_.assign(src.routes_.size(), Route{});
-  }
 
  private:
   struct Route {

@@ -33,6 +33,10 @@ PathConfig lte_profile(Rate down_rate);
 class Path {
  public:
   Path(Simulator& sim, PathConfig config);
+  // Snapshot support: the twin of `src` in `sim` — both links built as twins
+  // of src's (exp/snapshot.h).
+  Path(const Path& src, Simulator& sim)
+      : config_(src.config_), down_(src.down_, sim), up_(src.up_, sim) {}
 
   Link& down() { return down_; }          // server -> client (data)
   Link& up() { return up_; }              // client -> server (ACKs)
@@ -45,13 +49,6 @@ class Path {
   // Changes the regulated downlink bandwidth (Section 5.3 experiments).
   void set_down_rate(Rate rate) { down_.set_rate(rate); }
   Rate down_rate() const { return down_.rate(); }
-
-  // Snapshot support: restores both links' dynamic state from `src`, a path
-  // built from the same PathConfig (exp/snapshot.h).
-  void restore_from(const Path& src) {
-    down_.restore_from(src.down_);
-    up_.restore_from(src.up_);
-  }
 
  private:
   PathConfig config_;

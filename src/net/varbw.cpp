@@ -6,22 +6,26 @@ namespace mps {
 
 BandwidthSchedule::BandwidthSchedule(Simulator& sim, Path& path,
                                      std::vector<RateChange> changes)
-    : sim_(sim), path_(path), changes_(std::move(changes)), timer_(sim) {}
-
-void BandwidthSchedule::start() {
-  start_time_ = sim_.now();
-  next_ = 0;
+    : path_(path), changes_(std::move(changes)), start_time_(sim.now()), timer_(sim) {
   apply_next();
 }
 
+BandwidthSchedule::BandwidthSchedule(const BandwidthSchedule& src, Simulator& sim, Path& path)
+    : path_(path),
+      changes_(src.changes_),
+      next_(src.next_),
+      start_time_(src.start_time_),
+      timer_(src.timer_, sim, [this] { apply(); }) {}
+
 void BandwidthSchedule::apply_next() {
   if (next_ >= changes_.size()) return;
-  const RateChange& change = changes_[next_];
-  timer_.schedule_at(start_time_ + change.at, [this] {
-    path_.set_down_rate(changes_[next_].rate);
-    ++next_;
-    apply_next();
-  });
+  timer_.schedule_at(start_time_ + changes_[next_].at, [this] { apply(); });
+}
+
+void BandwidthSchedule::apply() {
+  path_.set_down_rate(changes_[next_].rate);
+  ++next_;
+  apply_next();
 }
 
 std::vector<RateChange> make_random_bandwidth_trace(Rng& rng,

@@ -23,35 +23,26 @@ struct RateChange {
 // Pre-generated schedule of rate changes applied to one path.
 class BandwidthSchedule {
  public:
+  // Starts applying the schedule at once, offsets measured from now().
   BandwidthSchedule(Simulator& sim, Path& path, std::vector<RateChange> changes);
-
-  // Begins applying the schedule, offsets measured from now().
-  void start();
+  // Snapshot support (exp/snapshot.h): the twin of `src` driving `path` in
+  // `sim`, whose queue was structure-cloned from src's. Copies the changes
+  // and the schedule position and adopts src's pending rate change.
+  BandwidthSchedule(const BandwidthSchedule& src, Simulator& sim, Path& path);
+  BandwidthSchedule(const BandwidthSchedule&) = delete;
+  BandwidthSchedule& operator=(const BandwidthSchedule&) = delete;
 
   const std::vector<RateChange>& changes() const { return changes_; }
 
-  // Snapshot support (exp/snapshot.h): adopts `src`'s schedule position and
-  // pending apply event. Both schedules must hold the identical changes
-  // vector; call after the simulator's event queue has been cloned.
-  void restore_from(const BandwidthSchedule& src) {
-    start_time_ = src.start_time_;
-    next_ = src.next_;
-    timer_.clone_from(src.timer_, [this] {
-      path_.set_down_rate(changes_[next_].rate);
-      ++next_;
-      apply_next();
-    });
-  }
-
  private:
   void apply_next();
+  void apply();  // the pending change, then the next one's timer
 
-  Simulator& sim_;
   Path& path_;
   std::vector<RateChange> changes_;
   std::size_t next_ = 0;
-  Timer timer_;
   TimePoint start_time_;
+  Timer timer_;
 };
 
 // Generates the paper's Section 5.3 random bandwidth trace: values chosen

@@ -122,24 +122,6 @@ std::uint64_t MetricsRegistry::total(std::string_view name) const {
   return sum;
 }
 
-void MetricsRegistry::restore_data_from(const MetricsRegistry& src) {
-  if (instruments_.size() != src.instruments_.size()) {
-    throw std::logic_error("MetricsRegistry::restore_data_from: registries not isomorphic");
-  }
-  auto it = instruments_.begin();
-  auto sit = src.instruments_.begin();
-  for (; it != instruments_.end(); ++it, ++sit) {
-    if (it->name != sit->name || !(it->labels == sit->labels) || it->kind != sit->kind) {
-      throw std::logic_error("MetricsRegistry::restore_data_from: instrument mismatch");
-    }
-    it->count = sit->count;
-    it->value = sit->value;
-    it->hist = sit->hist;
-    it->series = sit->series;
-    it->keep_series = sit->keep_series;
-  }
-}
-
 bool MetricsRegistry::data_equals(const MetricsRegistry& other) const {
   if (instruments_.size() != other.instruments_.size()) return false;
   auto it = instruments_.begin();

@@ -147,12 +147,6 @@ class MetricsRegistry {
   // (name, labels, kind) to the copied storage, so handles land on
   // instruments holding the source's data, index-for-index.
   void clone_from(const MetricsRegistry& src);
-  // Re-copies every instrument's data (count, value, histogram, series) from
-  // `src` by index, undoing mutations done during fork-time construction
-  // (e.g. Subflow's constructor publishing its initial cwnd). Registries
-  // must be isomorphic — same instruments in the same order — which holds
-  // when the fork repeated the source's construction sequence.
-  void restore_data_from(const MetricsRegistry& src);
   // True when `other` holds the same instruments (name/labels/kind, in
   // order) with identical recorded data — the fork-vs-scratch equivalence
   // check the snapshot tests assert.

@@ -100,18 +100,6 @@ class FlightRecorder {
     decision_counts_ = src.decision_counts_;
   }
 
-  // Re-copies recorded data from an isomorphic recorder (same instruments in
-  // the same order). Used twice per fork: after fork-time construction to
-  // undo constructor-time instrument writes, and at collect time to publish a
-  // finished fork's data back into a caller-supplied recorder.
-  void restore_data_from(const FlightRecorder& src) {
-    metrics_.restore_data_from(src.metrics_);
-    events_recorded_ = src.events_recorded_;
-    keep_decisions_ = src.keep_decisions_;
-    decisions_ = src.decisions_;
-    decision_counts_ = src.decision_counts_;
-  }
-
   // True when `other` recorded the same observable data: identical metrics
   // (instruments and values), event count, and decision aggregates. The
   // fork-vs-scratch tests assert this between a forked run's recorder and a

@@ -15,6 +15,23 @@ World::World(WorldConfig config) : config_(std::move(config)), rng_(config_.seed
     paths_.push_back(std::make_unique<Path>(sim_, pc));
   }
   for (auto& p : paths_) p->down().set_rng(rng_.fork());
+  wire_paths();
+}
+
+World::World(const World& src, FlightRecorder* recorder)
+    : config_(src.config_),
+      sim_(src.sim_, recorder),
+      rng_(src.rng_),
+      down_mux_(src.down_mux_),
+      up_mux_(src.up_mux_),
+      next_conn_id_(src.next_conn_id_) {
+  config_.recorder = recorder;
+  paths_.reserve(src.paths_.size());
+  for (const auto& p : src.paths_) paths_.push_back(std::make_unique<Path>(*p, sim_));
+  wire_paths();
+}
+
+void World::wire_paths() {
   for (auto& p : paths_) down_mux_.attach_to(p->down());
   for (auto& p : paths_) up_mux_.attach_to(p->up());
   for (auto& p : paths_) {

@@ -43,6 +43,15 @@ struct WorldConfig {
 class World {
  public:
   explicit World(WorldConfig config);
+  // Snapshot-and-fork (exp/snapshot.h): the twin of `src` with the fork's
+  // `recorder` (a clone of src's, or null) in place of src's. Twins src's
+  // simulator (clock, queue structure with every callback unbound) and
+  // paths, copies the world RNG and the next conn_id, sizes the muxes like
+  // src's and attaches them in the fresh constructor's order. Connection
+  // twins built afterwards rebind their own events.
+  World(const World& src, FlightRecorder* recorder);
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
 
   const WorldConfig& config() const { return config_; }
   Simulator& sim() { return sim_; }
@@ -73,22 +82,11 @@ class World {
   // same index.
   TwinWorld twin_world(const World& src);
 
-  // Copies the world-level dynamic state from `src`, a world built from an
-  // identical WorldConfig: the simulator clock + event-queue structure
-  // (callbacks empty until owners rebind), link/path state including
-  // in-flight packets, mux counters, the world RNG and the next conn_id.
-  // Call after the fork's world-level objects are constructed and before
-  // any twin connection is built.
-  void restore_from(const World& src) {
-    sim_.clone_events_from(src.sim_);
-    rng_ = src.rng_;
-    for (std::size_t i = 0; i < paths_.size(); ++i) paths_[i]->restore_from(*src.paths_[i]);
-    down_mux_.restore_from(src.down_mux_);
-    up_mux_.restore_from(src.up_mux_);
-    next_conn_id_ = src.next_conn_id_;
-  }
-
  private:
+  // Attaches the muxes and builds the connection path list, in the order
+  // the header's compatibility contract fixes.
+  void wire_paths();
+
   WorldConfig config_;
   Simulator sim_;
   Rng rng_;

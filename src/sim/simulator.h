@@ -65,6 +65,19 @@ struct RunTelemetry {
 class Simulator {
  public:
   Simulator() = default;
+  // Snapshot-and-fork (exp/snapshot.h): the twin of `src` carrying the fork's
+  // `recorder`. Copies the clock, counters and fire digest and
+  // structure-clones the event queue: every pending event keeps its EventId
+  // and stamp, its callback empty until its owner's twin rebinds it. No
+  // heartbeat is attached. Only valid between runs (never re-entrantly).
+  Simulator(const Simulator& src, FlightRecorder* recorder)
+      : now_(src.now_),
+        processed_(src.processed_),
+        scheduled_(src.scheduled_),
+        digest_(src.digest_),
+        recorder_(recorder) {
+    queue_.clone_structure_from(src.queue_);
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -129,16 +142,6 @@ class Simulator {
   bool heartbeat_attached() const { return heartbeat_ != nullptr; }
 
   // --- snapshot-and-fork support (exp/snapshot.h) ---------------------------
-  // Copies the clock and pending-event structure from `src`. Every cloned
-  // event's callback is empty; owners must rebind() with the EventIds they
-  // hold before the loop runs. Only valid between runs (never re-entrantly).
-  void clone_events_from(const Simulator& src) {
-    queue_.clone_structure_from(src.queue_);
-    now_ = src.now_;
-    processed_ = src.processed_;
-    scheduled_ = src.scheduled_;
-    digest_ = src.digest_;
-  }
   // Re-installs a cloned event's callback; false if `id` is not live.
   bool rebind(EventId id, Callback fn) { return queue_.rebind(id, std::move(fn)); }
   void collect_unbound_events(std::vector<std::pair<EventId, TimePoint>>& out) const {
@@ -200,6 +203,17 @@ class Simulator {
 class Timer {
  public:
   explicit Timer(Simulator& sim) : sim_(sim) {}
+  // Snapshot support: the twin of `src` in `sim`, whose queue was
+  // structure-cloned from src's, adopting src's pending event (same EventId)
+  // with `fn`, the owner's freshly built callback — the source's closure
+  // captures the source owner and cannot be reused. An idle src gives an
+  // idle twin.
+  Timer(const Timer& src, Simulator& sim, Callback fn) : sim_(sim) {
+    if (!src.pending()) return;
+    id_ = src.id_;
+    deadline_ = src.deadline_;
+    sim_.rebind(id_, std::move(fn));
+  }
   ~Timer() { cancel(); }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
@@ -226,18 +240,6 @@ class Timer {
   // timer idle and may reschedule it.
   bool pending() const { return sim_.pending(id_); }
   TimePoint deadline() const { return pending() ? deadline_ : TimePoint::never(); }
-
-  // Snapshot support: adopt `src`'s pending event (same EventId) onto this
-  // timer, whose simulator's queue was structure-cloned from src's. `fn` is
-  // the owner's freshly built callback — the source's closure captures the
-  // source owner and cannot be reused.
-  void clone_from(const Timer& src, Callback fn) {
-    cancel();
-    if (!src.pending()) return;
-    id_ = src.id_;
-    deadline_ = src.deadline_;
-    sim_.rebind(id_, std::move(fn));
-  }
 
  private:
   Simulator& sim_;

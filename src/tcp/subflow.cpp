@@ -43,8 +43,15 @@ Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env
       sack_high_(src.sack_high_),
       lost_not_rtx_(src.lost_not_rtx_),
       sacked_count_(src.sacked_count_),
-      rto_timer_(sim),
-      rack_timer_(sim),
+      // The timers hold fixed callbacks per owner (arm_rto / arm_rack_timer),
+      // so adopting src's events re-creates the exact closures the source
+      // installed.
+      rto_timer_(src.rto_timer_, sim, [this] { on_rto_fire(); }),
+      rack_timer_(src.rack_timer_, sim,
+                  [this] {
+                    update_loss_marks();
+                    pump_retransmissions();
+                  }),
       rto_backoff_(src.rto_backoff_),
       rack_delivered_ts_(src.rack_delivered_ts_),
       established_at_(src.established_at_),
@@ -56,13 +63,6 @@ Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env
       stats_(src.stats_),
       transmit_counter_(src.transmit_counter_) {
   attach_instruments();
-  // The timers hold fixed callbacks per owner (arm_rto / arm_rack_timer), so
-  // adopting src's events re-creates the exact closures the source installed.
-  rto_timer_.clone_from(src.rto_timer_, [this] { on_rto_fire(); });
-  rack_timer_.clone_from(src.rack_timer_, [this] {
-    update_loss_marks();
-    pump_retransmissions();
-  });
 }
 
 void Subflow::attach_instruments() {

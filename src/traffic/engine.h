@@ -74,9 +74,9 @@ class TrafficEngine {
   // `world` must have been built from `spec` (paths resolved, seed applied);
   // the engine reads spec.traffic and spec.scheduler.
   TrafficEngine(World& world, const ScenarioSpec& spec);
-  // Snapshot support (exp/snapshot.h): the twin of `src` in `world`, a world
-  // already restored from src's. Copies the flow records and builds each
-  // live flow's connection and exchange as twins of src's (same conn_ids);
+  // Snapshot support (exp/snapshot.h): the twin of `src` in `world`, the
+  // twin of src's world. Copies the flow records and builds each live
+  // flow's connection and exchange as twins of src's (same conn_ids);
   // pending arrival / teardown / tick events are adopted by EventId and
   // rebound to this engine. tick_s is copied so a tick chain keeps its
   // cadence; on_flow_start, on_flow_end and on_tick capture src's owners

@@ -160,7 +160,7 @@ TEST_F(LinkTest, ZeroRateParksPacketUntilRateRestored) {
 
 // Adds `extra` to every packet whose tx-done index is 1 mod 4: with extra =
 // 2*tx it arrives together with packet i+2 (a tie) and packet i+1 overtakes
-// it. Stateless, so a fork needs no fault state.
+// it. Stateless, so a fork's clone is a plain copy.
 class EveryFourthDelayed final : public FaultModel {
  public:
   EveryFourthDelayed(Duration tx, Duration extra) : tx_(tx), extra_(extra) {}
@@ -169,6 +169,9 @@ class EveryFourthDelayed final : public FaultModel {
     return (now.ns() / tx_.ns() - 1) % 4 == 1 ? extra_ : Duration::zero();
   }
   const char* name() const override { return "every_fourth"; }
+  std::unique_ptr<FaultModel> clone() const override {
+    return std::make_unique<EveryFourthDelayed>(*this);
+  }
 
  private:
   Duration tx_, extra_;
@@ -280,15 +283,13 @@ TEST_F(PipelineTest, ForkMidPropagationMatchesPerPacketOrder) {
   sim.run_until(fork_at);
   ASSERT_TRUE(link.busy());
 
-  Simulator fork_sim;
-  Link fork(fork_sim, cfg());
-  fork.set_fault_model(std::make_unique<EveryFourthDelayed>(tx(), tx() * std::int64_t{2}));
+  // The twin carries a clone of the source's fault model.
+  Simulator fork_sim(sim, nullptr);
+  Link fork(link, fork_sim);
   PipelineLog fork_log;
   fork.set_deliver([&fork_sim, &fork_log](const Packet& p) {
     fork_log.events.emplace_back(fork_sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
   });
-  fork_sim.clone_events_from(sim);
-  fork.restore_from(link);
   for (const EventId id : markers) {
     if (sim.pending(id)) {
       ASSERT_TRUE(fork_sim.rebind(id, marker(fork_sim, fork_log)));
@@ -327,14 +328,12 @@ TEST_F(PipelineTest, ForkWhileParkedAtZeroRateResumesLikeTheSource) {
   ASSERT_TRUE(link.busy());
   ASSERT_EQ(link.queue_depth(), static_cast<std::size_t>(kPackets - 7));
 
-  Simulator fork_sim;
-  Link fork(fork_sim, cfg());
+  Simulator fork_sim(sim, nullptr);
+  Link fork(link, fork_sim);
   PipelineLog fork_log;
   fork.set_deliver([&fork_sim, &fork_log](const Packet& p) {
     fork_log.events.emplace_back(fork_sim.now().ns(), static_cast<std::int64_t>(p.subflow_seq));
   });
-  fork_sim.clone_events_from(sim);
-  fork.restore_from(link);
   ASSERT_TRUE(fork_sim.rebind(raise_id, raise(fork)));
   std::vector<std::pair<EventId, TimePoint>> unbound;
   fork_sim.collect_unbound_events(unbound);
@@ -530,7 +529,6 @@ TEST(VarBwTest, ScheduleAppliesRatesAtOffsets) {
                           {{Duration::zero(), Rate::mbps(2)},
                            {Duration::seconds(1), Rate::mbps(5)},
                            {Duration::seconds(2), Rate::mbps(3)}});
-  sched.start();
   sim.run_until(TimePoint::origin() + Duration::millis(500));
   EXPECT_DOUBLE_EQ(path.down_rate().to_mbps(), 2.0);
   sim.run_until(TimePoint::origin() + Duration::millis(1500));

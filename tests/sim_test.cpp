@@ -765,13 +765,10 @@ TEST(TimerTest, CloneFromAdoptsPendingEventWithNewCallback) {
   bool src_fired = false;
   armed.schedule_after(Duration::millis(4), [&] { src_fired = true; });
 
-  Simulator dst;
-  dst.clone_events_from(src);
-  Timer armed_copy(dst);
-  Timer idle_copy(dst);
+  Simulator dst(src, nullptr);
   bool copy_fired = false;
-  armed_copy.clone_from(armed, [&] { copy_fired = true; });
-  idle_copy.clone_from(idle, [] { FAIL() << "idle timer's clone must not be armed"; });
+  Timer armed_copy(armed, dst, [&] { copy_fired = true; });
+  Timer idle_copy(idle, dst, [] { FAIL() << "idle timer's clone must not be armed"; });
   EXPECT_TRUE(armed_copy.pending());
   EXPECT_EQ(armed_copy.deadline().ns(), armed.deadline().ns());
   EXPECT_FALSE(idle_copy.pending());

@@ -218,9 +218,9 @@ TEST(SnapshotFork, FaultyScheduledStreamForksMatchScratch) {
   f.outages = {OutageSpec{2.0, 1.5}};
   f.flap = FlapSpec{true, 4.0, 0.3, 1.0};
   f.gilbert_elliott.enabled = true;
-  f.gilbert_elliott.p_good_bad = 0.02;
-  f.gilbert_elliott.p_bad_good = 0.3;
-  f.gilbert_elliott.loss_bad = 0.5;
+  f.gilbert_elliott.p_good_bad = 0.1;
+  f.gilbert_elliott.p_bad_good = 0.1;
+  f.gilbert_elliott.loss_bad = 0.3;
   f.reorder = ReorderSpec{true, 0.05, 15.0, 5.0};
   VariationSpec& v = spec.paths[1].variation;
   v.kind = VariationKind::kSchedule;
