@@ -76,13 +76,18 @@ run_scenarios_smoke() {
       --set workload.video_s=5 --set workload.bytes=65536 --set workload.runs=1
   done
   # A spec that fails validation is bad input: exit 2, not a runtime error.
-  local status=0
-  "$build_dir/tools/mps_run" scenarios/tab02_rtt_cell.json \
-    --set subflows_per_path=4294967297 2>/dev/null || status=$?
-  if ((status != 2)); then
-    echo "mps_run: an invalid spec exited $status, expected 2" >&2
-    return 1
-  fi
+  # Both a count past INT_MAX and a time past the clock's range must fail.
+  local status
+  local edit
+  for edit in "scenarios/tab02_rtt_cell.json subflows_per_path=4294967297" \
+      "scenarios/contended_bottleneck.json traffic.duration_s=1e10"; do
+    status=0
+    "$build_dir/tools/mps_run" "${edit% *}" --set "${edit#* }" 2>/dev/null || status=$?
+    if ((status != 2)); then
+      echo "mps_run: an invalid spec (--set ${edit#* }) exited $status, expected 2" >&2
+      return 1
+    fi
+  done
 }
 
 # Competing-traffic smoke: the bench_fairness grid must be bit-identical

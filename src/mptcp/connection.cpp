@@ -9,10 +9,26 @@
 
 namespace mps {
 
+namespace {
+
+// The constants a connection's subflows share, from its config.
+SubflowConfig subflow_config_for(const ConnectionConfig& config) {
+  SubflowConfig sc;
+  sc.conn_id = config.conn_id;
+  sc.mss = config.mss;
+  sc.initial_cwnd = config.initial_cwnd;
+  sc.idle_cwnd_reset = config.idle_cwnd_reset;
+  sc.staging_limit_bytes = config.subflow_staging_bytes;
+  return sc;
+}
+
+}  // namespace
+
 Connection::Connection(Simulator& sim, ConnectionConfig config, const std::vector<Path*>& paths,
                        std::unique_ptr<Scheduler> scheduler, Mux& down_mux, Mux& up_mux)
     : sim_(sim),
       config_(config),
+      subflow_config_(subflow_config_for(config)),
       scheduler_(std::move(scheduler)),
       down_mux_(down_mux),
       up_mux_(up_mux),
@@ -37,9 +53,11 @@ Connection::Connection(const Connection& src, const TwinWorld& world,
                        std::unique_ptr<Scheduler> scheduler)
     : sim_(world.sim),
       config_(src.config_),
+      subflow_config_(src.subflow_config_),
       scheduler_(std::move(scheduler)),
       down_mux_(world.down_mux),
       up_mux_(world.up_mux),
+      retired_(src.retired_),
       remap_queue_(src.remap_queue_),
       remap_bytes_(src.remap_bytes_),
       send_queue_bytes_(src.send_queue_bytes_),
@@ -47,7 +65,6 @@ Connection::Connection(const Connection& src, const TwinWorld& world,
       data_una_(src.data_una_),
       rwnd_(src.rwnd_),
       last_reinjected_seq_(src.last_reinjected_seq_),
-      sendable_post_pending_(src.sendable_post_pending_),
       sendable_post_id_(src.sendable_post_id_),
       rcv_data_next_(src.rcv_data_next_),
       drs_window_(src.drs_window_),
@@ -56,26 +73,27 @@ Connection::Connection(const Connection& src, const TwinWorld& world,
       meta_ooo_bytes_(src.meta_ooo_bytes_),
       pending_deliver_bytes_(src.pending_deliver_bytes_),
       pending_deliver_when_(src.pending_deliver_when_),
-      deliver_post_pending_(src.deliver_post_pending_),
       deliver_post_id_(src.deliver_post_id_),
       meta_stats_(src.meta_stats_),
       ooo_delay_(src.ooo_delay_),
-      sndbuf_blocked_(src.sndbuf_blocked_),
-      sndbuf_blocked_since_(src.sndbuf_blocked_since_) {
+      sndbuf_blocked_since_(src.sndbuf_blocked_since_),
+      sendable_post_pending_(src.sendable_post_pending_),
+      deliver_post_pending_(src.deliver_post_pending_),
+      sndbuf_blocked_(src.sndbuf_blocked_) {
   assert(scheduler_ != nullptr);
   bind_and_instrument();
   scheduler_->restore_from(*src.scheduler_);
 
-  // Slot for slot, finalized ones included (their path and retired stats
-  // survive; sender and receiver died together).
+  // Slot for slot, finalized ones included (their path survives, and their
+  // stats in retired_; sender and receiver died together).
   slots_.reserve(src.slots_.size());
   subflow_ptrs_.reserve(src.subflow_ptrs_.size());
   for (const Slot& from : src.slots_) {
     Slot& slot = slots_.emplace_back();
     slot.path = &world.path_for(*from.path);
-    slot.retired = from.retired;
     if (from.sender == nullptr) continue;
-    slot.sender = std::make_unique<Subflow>(*from.sender, sim_, *slot.path, this);
+    slot.sender =
+        std::make_unique<Subflow>(*from.sender, sim_, subflow_config_, *slot.path, this);
     slot.receiver = std::make_unique<SubflowReceiver>(*from.receiver, sim_, *slot.path, this);
     subflow_ptrs_.push_back(slot.sender.get());
   }
@@ -86,11 +104,10 @@ Connection::Connection(const Connection& src, const TwinWorld& world,
 
 void Connection::bind_and_instrument() {
   scheduler_->bind(sim_, config_.conn_id);
-  obs_ = &detached_instruments();
+  obs_.reset(&detached_instruments());
   FlightRecorder* rec = sim_.recorder();
   if (rec == nullptr) return;
-  obs_owned_ = std::make_unique<Instruments>();
-  obs_ = obs_owned_.get();
+  obs_.reset(new Instruments());
   MetricsRegistry& m = rec->metrics();
   MetricLabels labels;
   labels.conn = static_cast<std::int64_t>(config_.conn_id);
@@ -130,26 +147,14 @@ Path& TwinWorld::path_for(const Path& src) const {
 std::uint32_t Connection::open_slot(Path& path, Duration join_delay) {
   const auto id = static_cast<std::uint32_t>(slots_.size());
   Slot& slot = slots_.emplace_back();
-  slot.sender = std::make_unique<Subflow>(sim_, subflow_config_for(id, join_delay), path,
-                                          config_.cc, this);
+  slot.sender =
+      std::make_unique<Subflow>(sim_, subflow_config_, id, path, config_.cc, this, join_delay);
   slot.receiver = std::make_unique<SubflowReceiver>(sim_, config_.conn_id, id, path, this);
   slot.path = &path;
   // Live subflows precede the new id, so appending keeps the list compacted
   // in id order.
   subflow_ptrs_.push_back(slot.sender.get());
   return id;
-}
-
-SubflowConfig Connection::subflow_config_for(std::uint32_t id, Duration join_delay) const {
-  SubflowConfig sc;
-  sc.id = id;
-  sc.conn_id = config_.conn_id;
-  sc.mss = config_.mss;
-  sc.initial_cwnd = config_.initial_cwnd;
-  sc.idle_cwnd_reset = config_.idle_cwnd_reset;
-  sc.staging_limit_bytes = config_.subflow_staging_bytes;
-  sc.join_delay = join_delay;
-  return sc;
 }
 
 Connection::Instruments& Connection::detached_instruments() {
@@ -224,7 +229,7 @@ std::size_t Connection::finalize_drained() {
 
 void Connection::finalize_subflow(std::uint32_t id) {
   Slot& slot = slots_[id];
-  slot.retired = slot.sender->stats();
+  retired_.push_back(RetiredSlot{id, slot.sender->stats()});
   slot.sender.reset();
   slot.receiver.reset();
   rebuild_subflow_ptrs();
@@ -238,12 +243,21 @@ void Connection::rebuild_subflow_ptrs() {
   }
 }
 
+const SubflowStats& Connection::retired_stats(std::size_t slot) const {
+  static const SubflowStats kLive;  // zeros
+  for (const RetiredSlot& r : retired_) {
+    if (r.slot == slot) return r.stats;
+  }
+  return kLive;
+}
+
 std::uint64_t Connection::bytes_sent_on(const Path& path) const {
   std::uint64_t total = 0;
-  for (const Slot& slot : slots_) {
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    const Slot& slot = slots_[i];
     if (slot.path != &path) continue;
     total += slot.sender != nullptr ? slot.sender->stats().bytes_sent
-                                    : slot.retired.bytes_sent;
+                                    : retired_stats(i).bytes_sent;
   }
   return total;
 }
@@ -434,9 +448,9 @@ const CoupledCcTerms& Connection::coupled_terms() const {
   const bool horizon_passed =
       !cc_terms_horizon_.is_never() && sim_.now() >= cc_terms_horizon_;
   if (!cc_terms_valid_ || horizon_passed) {
-    cc_terms_.siblings.clear();
-    cc_sibling_info(cc_terms_.siblings);
-    cc_terms_.recompute();
+    terms_.siblings.clear();
+    cc_sibling_info(terms_.siblings);
+    terms_.recompute();
     cc_terms_horizon_ = TimePoint::never();
     for (const Slot& slot : slots_) {
       const Subflow* sf = slot.sender.get();
@@ -445,7 +459,7 @@ const CoupledCcTerms& Connection::coupled_terms() const {
     }
     cc_terms_valid_ = true;
   }
-  return cc_terms_;
+  return terms_;
 }
 
 void Connection::collect_ooo_ranges(

@@ -187,7 +187,7 @@ class Connection final : public SubflowEnv,
   // The path slot `slot`'s subflow runs (ran) over; survives finalization.
   const Path* slot_path(std::size_t slot) const { return slots_[slot].path; }
   // Final stats of a finalized slot (zeros while the subflow is live).
-  const SubflowStats& retired_stats(std::size_t slot) const { return slots_[slot].retired; }
+  const SubflowStats& retired_stats(std::size_t slot) const;
   // Payload bytes originally sent over `path`, live and retired slots
   // combined (per-interface reporting that survives subflow churn).
   std::uint64_t bytes_sent_on(const Path& path) const;
@@ -260,7 +260,6 @@ class Connection final : public SubflowEnv,
   // the slots exist) register with the muxes.
   void bind_and_instrument();
   void add_routes();
-  SubflowConfig subflow_config_for(std::uint32_t id, Duration join_delay) const;
   // Appends slot `slots_.size()` (sender + receiver over `path`) and lists
   // its subflow as live; returns the new id.
   std::uint32_t open_slot(Path& path, Duration join_delay);
@@ -276,21 +275,30 @@ class Connection final : public SubflowEnv,
 
   Simulator& sim_;
   ConnectionConfig config_;
+  // The constants every subflow of this connection reads (by reference).
+  SubflowConfig subflow_config_;
   std::unique_ptr<Scheduler> scheduler_;
   Mux& down_mux_;
   Mux& up_mux_;
 
   // One entry per subflow id, reserved for the initial paths at
-  // construction: sender and receiver (both null after teardown), the path,
-  // and the final stats a finalized slot keeps (zeros while live).
+  // construction: sender and receiver (both null after teardown) and the
+  // path.
   struct Slot {
     std::unique_ptr<Subflow> sender;
     std::unique_ptr<SubflowReceiver> receiver;
     Path* path = nullptr;
-    SubflowStats retired;
   };
   std::vector<Slot> slots_;
   std::vector<Subflow*> subflow_ptrs_;  // compacted live list
+  // Final stats of finalized slots, in finalization order. A side table:
+  // only path-manager teardown finalizes slots, so most connections never
+  // allocate it.
+  struct RetiredSlot {
+    std::uint32_t slot;
+    SubflowStats stats;
+  };
+  std::vector<RetiredSlot> retired_;
   // Data ranges abandoned with a torn-down subflow, awaiting re-scheduling.
   RingDeque<SegmentRef> remap_queue_;
   std::uint64_t remap_bytes_ = 0;
@@ -301,9 +309,7 @@ class Connection final : public SubflowEnv,
   std::uint64_t data_una_ = 0;          // lowest un-data-acked byte
   std::uint64_t rwnd_;                  // peer-advertised meta window
   std::uint64_t last_reinjected_seq_ = UINT64_MAX;
-  bool sendable_post_pending_ = false;
   EventId sendable_post_id_ = kInvalidEventId;  // cancelled in the dtor
-  bool in_try_send_ = false;
 
   // Receiver state.
   std::uint64_t rcv_data_next_ = 0;
@@ -319,32 +325,42 @@ class Connection final : public SubflowEnv,
   std::uint64_t meta_ooo_bytes_ = 0;
   std::uint64_t pending_deliver_bytes_ = 0;
   TimePoint pending_deliver_when_;
-  bool deliver_post_pending_ = false;
   EventId deliver_post_id_ = kInvalidEventId;  // cancelled in the dtor
 
   MetaStats meta_stats_;
   Samples ooo_delay_;
 
-  // Shared coupled-CC aggregate cache (see coupled_terms()).
-  mutable CoupledCcTerms cc_terms_;
-  mutable bool cc_terms_valid_ = false;
+  // Horizon of the coupled-CC aggregate cache (see coupled_terms()), which
+  // lives in CcGroup::terms_.
   mutable TimePoint cc_terms_horizon_ = TimePoint::never();
 
   // Flight-recorder instruments (no-ops unless a recorder was attached to
-  // the Simulator before construction). Pointer to a per-connection block
-  // when recording, else to one shared static detached block — same scheme
-  // as Subflow::Instruments, for the same per-flow footprint reason.
+  // the Simulator before construction). One pointer, to an owned
+  // per-connection block when recording, else to one shared static detached
+  // block — same scheme as Subflow::Instruments, for the same per-flow
+  // footprint reason.
   struct Instruments {
     Counter ooo_bytes_total, reinjections, window_stalls, sndbuf_blocked_ns;
     Gauge meta_ooo_bytes, reorder_segments;
   };
   static Instruments& detached_instruments();
-  std::unique_ptr<Instruments> obs_owned_;  // populated only when recording
-  Instruments* obs_ = nullptr;
-  // Time the send buffer has been full with the application wanting to send
-  // more (conn.sndbuf_blocked_ns) — the paper's "server is sndbuf-limited".
-  bool sndbuf_blocked_ = false;
+  struct ReleaseInstruments {
+    void operator()(Instruments* p) const {
+      if (p != &detached_instruments()) delete p;
+    }
+  };
+  std::unique_ptr<Instruments, ReleaseInstruments> obs_;
+  // Start of the current stretch with the send buffer full and the
+  // application wanting to send more (conn.sndbuf_blocked_ns) — the paper's
+  // "server is sndbuf-limited".
   TimePoint sndbuf_blocked_since_;
+
+  // The flags share one word.
+  bool sendable_post_pending_ = false;
+  bool in_try_send_ = false;
+  bool deliver_post_pending_ = false;
+  mutable bool cc_terms_valid_ = false;
+  bool sndbuf_blocked_ = false;  // inside a sndbuf_blocked_since_ stretch
 };
 
 }  // namespace mps

@@ -90,9 +90,10 @@ class Scheduler {
   void bind(Simulator& sim, std::uint32_t conn_id);
 
   // Optional per-decision hook, fired in addition to the flight recorder.
-  void set_on_decision(std::function<void(TimePoint, const SchedDecision&)> fn) {
-    on_decision_ = std::move(fn);
-    explain_ = recorder_ != nullptr || static_cast<bool>(on_decision_);
+  using DecisionFn = std::function<void(TimePoint, const SchedDecision&)>;
+  void set_on_decision(DecisionFn fn) {
+    on_decision_ = fn ? std::make_unique<DecisionFn>(std::move(fn)) : nullptr;
+    explain_ = recorder_ != nullptr || on_decision_ != nullptr;
   }
 
   // Called by Connection right after a successful pick() is committed to a
@@ -135,11 +136,13 @@ class Scheduler {
   Simulator* sim_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   std::int64_t conn_id_ = -1;
-  bool explain_ = false;
-  std::function<void(TimePoint, const SchedDecision&)> on_decision_;
+  // Out of line: a std::function is 32 bytes, and almost every scheduler
+  // (one per flow) never has a hook attached.
+  std::unique_ptr<DecisionFn> on_decision_;
   // Subflow of the last terms-bearing pick note_decision recorded, so
   // note_scheduled does not double-count it. -1 when none is pending.
   mutable std::int64_t last_terms_pick_ = -1;
+  bool explain_ = false;
 };
 
 // Factory so scenario code can instantiate one scheduler per connection.

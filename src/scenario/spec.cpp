@@ -68,6 +68,14 @@ constexpr Check kFitsInt{[](std::int64_t v) { return v <= INT_MAX; }, "must be <
 constexpr Check kFlowCount{[](std::int64_t v) { return v <= kMaxTrafficFlows; },
                           "must be <= 1000000"};
 static_assert(kMaxTrafficFlows == 1'000'000, "kFlowCount's message names the bound");
+// Every time-valued key: the simulation clock counts int64 nanoseconds
+// (about 9.2e9 s), and the runners derive later times from these, the
+// longest a stream's safety cap of 30 x video_s + 600 s and a start plus a
+// duration, so one bound keeps each of them in range.
+constexpr double kMaxTimeS = 1e8;
+constexpr Check kTimeS{[](double v) { return v <= kMaxTimeS; }, "must be <= 1e8 (s)"};
+constexpr Check kTimeMs{[](double v) { return v <= kMaxTimeS * 1e3; }, "must be <= 1e11 (ms)"};
+static_assert(30 * kMaxTimeS + 600 < 9.2e9, "the derived stream cap fits the clock");
 constexpr Check kNonEmpty{[](const auto& v) { return !v.empty(); }, "required (non-empty)"};
 
 // A name a registry must know; the registry's own error is the message.
@@ -85,7 +93,7 @@ struct Required {};   // the key may not be left out
 
 template <class IO>
 void walk(IO& io, RatePoint& p) {
-  io("at_s", p.at_s);
+  io("at_s", p.at_s, kTimeS);
   io("mbps", p.mbps, kPositive);
 }
 
@@ -99,9 +107,9 @@ void walk(IO& io, VariationSpec& v) {
   io.opt("levels_mbps", v.levels_mbps,
          Check{[&v](const auto& l) { return v.kind != VariationKind::kRandom || !l.empty(); },
                "required (non-empty) for kind \"random\""});
-  io("mean_interval_s", v.mean_interval_s, kPositive);
+  io("mean_interval_s", v.mean_interval_s, kPositive, kTimeS);
   io("jitter_frac", v.jitter_frac, kFraction);
-  io("jitter_interval_s", v.jitter_interval_s, kPositive);
+  io("jitter_interval_s", v.jitter_interval_s, kPositive, kTimeS);
 }
 
 template <class IO>
@@ -119,25 +127,25 @@ void walk(IO& io, GilbertElliottSpec& g) {
 template <class IO>
 void walk(IO& io, OutageSpec& w) {
   io.check_after_keys();
-  io("at_s", w.at_s, kNonNegative);
-  io("for_s", w.for_s, kPositive);
+  io("at_s", w.at_s, kNonNegative, kTimeS);
+  io("for_s", w.for_s, kPositive, kTimeS);
 }
 
 template <class IO>
 void walk(IO& io, FlapSpec& f) {
   io.check_after_keys();
-  io("period_s", f.period_s, kPositive);
+  io("period_s", f.period_s, kPositive, kTimeS);
   io("down_s", f.down_s,
      Check{[&f](double d) { return d > 0.0 && d < f.period_s; }, "must be in (0, period_s)"});
-  io("start_s", f.start_s, kNonNegative);
+  io("start_s", f.start_s, kNonNegative, kTimeS);
 }
 
 template <class IO>
 void walk(IO& io, ReorderSpec& r) {
   io.check_after_keys();
   io("prob", r.prob, kProbability);
-  io("delay_ms", r.delay_ms, kPositive);
-  io("jitter_ms", r.jitter_ms, kNonNegative);
+  io("delay_ms", r.delay_ms, kPositive, kTimeMs);
+  io("jitter_ms", r.jitter_ms, kNonNegative, kTimeMs);
 }
 
 template <class IO>
@@ -155,7 +163,7 @@ void walk(IO& io, PathSpec& p) {
   if constexpr (IO::kReads) p = profile_path(p.profile, p.rate_mbps);
   io("name", p.name);
   io("rate_mbps", p.rate_mbps, Required{}, kPositive);
-  io("rtt_ms", p.rtt_ms, kPositive);
+  io("rtt_ms", p.rtt_ms, kPositive, kTimeMs);
   io("queue_packets", p.queue_packets, kPositive);
   io("loss_rate", p.loss_rate, kFraction);
   io("up_mbps", p.up_mbps, kPositive);
@@ -177,7 +185,7 @@ void walk(IO& io, ConnSpec& c) {
 template <class IO>
 void walk(IO& io, WorkloadSpec& w) {
   io("kind", w.kind, kWorkloadKinds);
-  io("video_s", w.video_s, kPositive);
+  io("video_s", w.video_s, kPositive, kTimeS);
   io("abr", w.abr, kAbrs);
   io("bytes", w.bytes, kPositive);
   io("runs", w.runs, kPositive, kFitsInt);
@@ -187,7 +195,7 @@ template <class IO>
 void walk(IO& io, CrossTrafficSpec& x) {
   io("path", x.path, PathIndex{});
   io("flows", x.flows, kPositive, kFlowCount);
-  io("start_s", x.start_s, kNonNegative);
+  io("start_s", x.start_s, kNonNegative, kTimeS);
 }
 
 template <class IO>
@@ -199,14 +207,14 @@ void walk(IO& io, TrafficSpec& t) {
   io("size_dist", t.size_dist, kSizeDists);
   io("pareto_alpha", t.pareto_alpha,
      Check{[](double a) { return a > 1.0; }, "must be > 1 (finite mean)"});
-  io("duration_s", t.duration_s, kPositive);
+  io("duration_s", t.duration_s, kPositive, kTimeS);
   io.opt("cross", t.cross);
 }
 
 template <class IO>
 void walk(IO& io, PathEventSpec& e) {
   const PathEventSpec* prev = io.prev(e);
-  io("at_s", e.at_s, kNonNegative,
+  io("at_s", e.at_s, kNonNegative, kTimeS,
      Check{[prev](double a) { return !prev || a >= prev->at_s; }, "events must be sorted by at_s"});
   io("action", e.action, kActions);
   io("path", e.path, PathIndex{});
@@ -228,8 +236,8 @@ void walk(IO& io, BackupSpec& b) {
 
 template <class IO>
 void walk(IO& io, PathManagerSpec& pm) {
-  io("tick_ms", pm.tick_ms, kPositive);
-  io("drain_timeout_s", pm.drain_timeout_s, kPositive);
+  io("tick_ms", pm.tick_ms, kPositive, kTimeMs);
+  io("drain_timeout_s", pm.drain_timeout_s, kPositive, kTimeS);
   io("join_delay_rtt", pm.join_delay_rtt);
   io.opt("events", pm.events);
   io.opt("cap", pm.cap);

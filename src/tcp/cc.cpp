@@ -55,10 +55,10 @@ void CoupledCcTerms::recompute() {
 }
 
 const CoupledCcTerms& CcGroup::coupled_terms() const {
-  uncached_terms_.siblings.clear();
-  cc_sibling_info(uncached_terms_.siblings);
-  uncached_terms_.recompute();
-  return uncached_terms_;
+  terms_.siblings.clear();
+  cc_sibling_info(terms_.siblings);
+  terms_.recompute();
+  return terms_;
 }
 
 const char* cc_kind_name(CcKind kind) {

@@ -81,8 +81,9 @@ class CcGroup {
   // Connection overrides with an invalidation-tracked cache.
   virtual const CoupledCcTerms& coupled_terms() const;
 
- private:
-  mutable CoupledCcTerms uncached_terms_;  // backs the recompute-always default
+ protected:
+  // Backs the recompute-always default, and Connection's cache.
+  mutable CoupledCcTerms terms_;
 };
 
 class CongestionController {

@@ -7,9 +7,7 @@ namespace mps {
 void RttEstimator::add_sample(Duration rtt) {
   if (rtt < Duration::zero()) return;
   min_rtt_ = std::min(min_rtt_, rtt);
-  window_.add(rtt.to_seconds());
-  lifetime_.add(rtt.to_seconds());
-  if (n_samples_ == 0) {
+  if (lifetime_.count() == 0) {
     // RFC 6298 (2.2): first measurement.
     srtt_ = rtt;
     rttvar_ = rtt / 2;
@@ -19,13 +17,14 @@ void RttEstimator::add_sample(Duration rtt) {
     rttvar_ = Duration::nanos((3 * rttvar_.ns() + err.ns()) / 4);
     srtt_ = Duration::nanos((7 * srtt_.ns() + rtt.ns()) / 8);
   }
-  ++n_samples_;
+  window_.add(rtt.to_seconds());
+  lifetime_.add(rtt.to_seconds());
 }
 
-Duration RttEstimator::rto() const {
-  if (n_samples_ == 0) return config_.initial_rto;
+Duration RttEstimator::rto(const RttConfig& config) const {
+  if (!has_sample()) return config.initial_rto;
   const Duration raw = srtt_ + Duration::nanos(4 * rttvar_.ns());
-  return std::clamp(raw, config_.min_rto, config_.max_rto);
+  return std::clamp(raw, config.min_rto, config.max_rto);
 }
 
 }  // namespace mps

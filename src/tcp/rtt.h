@@ -17,13 +17,13 @@ struct RttConfig {
   Duration initial_rto = Duration::seconds(1);
 };
 
+// The RTO clamps live in an RttConfig the caller passes to rto(): a
+// subflow reads its connection's one copy instead of holding its own.
 class RttEstimator {
  public:
-  explicit RttEstimator(RttConfig config = {}) : config_(config) {}
-
   void add_sample(Duration rtt);
 
-  bool has_sample() const { return n_samples_ > 0; }
+  bool has_sample() const { return lifetime_.count() > 0; }
 
   // Smoothed RTT; zero until the first sample.
   Duration srtt() const { return srtt_; }
@@ -33,22 +33,19 @@ class RttEstimator {
   // Standard deviation over the recent sample window (ECF's sigma).
   Duration stddev() const { return Duration::from_seconds(window_.stddev()); }
 
-  // Lifetime statistics over all samples (testbed Table 2 reporting).
-  const RunningStats& lifetime() const { return lifetime_; }
+  // Sample count and mean RTT in seconds over all samples (testbed Table 2
+  // reporting).
+  const RunningMean& lifetime() const { return lifetime_; }
 
-  // Retransmission timeout: srtt + 4 * rttvar, clamped.
-  Duration rto() const;
-
-  void reset() { *this = RttEstimator{config_}; }
+  // Retransmission timeout: srtt + 4 * rttvar, clamped by `config`.
+  Duration rto(const RttConfig& config = RttConfig{}) const;
 
  private:
-  RttConfig config_;
   Duration srtt_ = Duration::zero();
   Duration rttvar_ = Duration::zero();
   Duration min_rtt_ = Duration::infinite();
-  std::size_t n_samples_ = 0;
   WindowedStats window_;  // the last 16 samples feed ECF's sigma
-  RunningStats lifetime_;
+  RunningMean lifetime_;  // its count() is the number of samples taken
 };
 
 }  // namespace mps

@@ -8,27 +8,29 @@
 
 namespace mps {
 
-Subflow::Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, SubflowEnv* env)
+Subflow::Subflow(Simulator& sim, const SubflowConfig& config, std::uint32_t id, Path& path,
+                 CcKind cc, SubflowEnv* env, Duration join_delay)
     : sim_(sim),
       config_(config),
       path_(path),
-      cc_(make_cc_state(cc)),
       env_(env),
-      rtt_(config.rtt),
+      cc_(make_cc_state(cc)),
       cwnd_(config.initial_cwnd),
       rto_timer_(sim),
       rack_timer_(sim),
-      established_at_(sim.now() + config.join_delay) {
+      established_at_(sim.now() + join_delay),
+      id_(id) {
   attach_instruments();
   obs_->cwnd.set(sim_.now(), cwnd_);
 }
 
-Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env)
+Subflow::Subflow(const Subflow& src, Simulator& sim, const SubflowConfig& config, Path& path,
+                 SubflowEnv* env)
     : sim_(sim),
-      config_(src.config_),
+      config_(config),
       path_(path),
-      cc_(src.cc_),
       env_(env),
+      cc_(src.cc_),
       rtt_(src.rtt_),
       cwnd_(src.cwnd_),
       ssthresh_(src.ssthresh_),
@@ -37,8 +39,6 @@ Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env
       inflight_(src.inflight_),
       staged_(src.staged_),
       staged_bytes_(src.staged_bytes_),
-      dupacks_(src.dupacks_),
-      in_recovery_(src.in_recovery_),
       recover_point_(src.recover_point_),
       sack_high_(src.sack_high_),
       lost_not_rtx_(src.lost_not_rtx_),
@@ -52,28 +52,30 @@ Subflow::Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env
                     update_loss_marks();
                     pump_retransmissions();
                   }),
-      rto_backoff_(src.rto_backoff_),
       rack_delivered_ts_(src.rack_delivered_ts_),
       established_at_(src.established_at_),
-      draining_(src.draining_),
-      cwnd_full_at_send_(src.cwnd_full_at_send_),
       last_send_time_(src.last_send_time_),
       last_penalty_(src.last_penalty_),
       inter_loss_bytes_(src.inter_loss_bytes_),
       stats_(src.stats_),
-      transmit_counter_(src.transmit_counter_) {
+      transmit_counter_(src.transmit_counter_),
+      id_(src.id_),
+      dupacks_(src.dupacks_),
+      rto_backoff_(src.rto_backoff_),
+      in_recovery_(src.in_recovery_),
+      draining_(src.draining_),
+      cwnd_full_at_send_(src.cwnd_full_at_send_) {
   attach_instruments();
 }
 
 void Subflow::attach_instruments() {
-  obs_ = &detached_instruments();
+  obs_.reset(&detached_instruments());
   FlightRecorder* rec = sim_.recorder();
   if (rec == nullptr) return;
-  obs_owned_ = std::make_unique<Instruments>();
-  obs_ = obs_owned_.get();
+  obs_.reset(new Instruments());
   MetricsRegistry& m = rec->metrics();
   const MetricLabels l{static_cast<std::int64_t>(config_.conn_id),
-                       static_cast<std::int64_t>(config_.id), {}};
+                       static_cast<std::int64_t>(id_), {}};
   obs_->segments_sent = m.counter("subflow.segments_sent", l);
   obs_->retransmits = m.counter("subflow.retransmits", l);
   obs_->fast_recoveries = m.counter("subflow.fast_recoveries", l);
@@ -93,7 +95,7 @@ Subflow::Instruments& Subflow::detached_instruments() {
 
 CongestionController::AckContext Subflow::make_ctx() const {
   CongestionController::AckContext ctx;
-  ctx.self_id = config_.id;
+  ctx.self_id = id_;
   ctx.cwnd = cwnd_;
   ctx.ssthresh = ssthresh_;
   ctx.srtt_s = rtt_estimate().to_seconds();
@@ -129,7 +131,7 @@ void Subflow::maybe_idle_reset() {
     ++stats_.iw_resets;
     ++stats_.idle_resets;
     obs_->idle_resets.inc();
-    MPS_TRACE_EVENT(sim_, EventType::kIdleReset, config_.conn_id, config_.id,
+    MPS_TRACE_EVENT(sim_, EventType::kIdleReset, config_.conn_id, id_,
                     {"old_cwnd", cwnd_}, {"idle_s", idle.to_seconds()});
     // RFC 2861 congestion window validation, as in Linux
     // tcp_cwnd_application_limited: remember the achieved operating point in
@@ -226,7 +228,7 @@ void Subflow::send_segment(std::uint64_t data_seq, std::uint32_t payload, bool r
 
   Packet pkt;
   pkt.conn_id = config_.conn_id;
-  pkt.subflow_id = config_.id;
+  pkt.subflow_id = id_;
   pkt.subflow_seq = next_seq_++;
   pkt.data_seq = data_seq;
   pkt.payload = payload;
@@ -247,7 +249,7 @@ void Subflow::send_segment(std::uint64_t data_seq, std::uint32_t payload, bool r
     stats_.bytes_sent += payload;
     obs_->segments_sent.inc();
   }
-  MPS_TRACE_EVENT(sim_, EventType::kPktSend, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kPktSend, config_.conn_id, id_,
                   {"seq", pkt.subflow_seq}, {"dseq", data_seq}, {"len", payload},
                   {"reinjection", reinjection}, {"cwnd", cwnd_});
   if (!rto_timer_.pending()) arm_rto();
@@ -281,7 +283,7 @@ void Subflow::penalize() {
   last_penalty_ = now;
   ++stats_.penalizations;
   obs_->penalizations.inc();
-  MPS_TRACE_EVENT(sim_, EventType::kPenalize, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kPenalize, config_.conn_id, id_,
                   {"cwnd", cwnd_});
   ssthresh_ = std::max(cwnd_ / 2.0, config_.min_cwnd);
   set_cwnd(ssthresh_);
@@ -355,14 +357,14 @@ void Subflow::process_new_ack(const Packet& ack) {
   // inter_loss_bytes_ advanced (and possibly the RTT estimate): the group's
   // cached coupled-CC terms must not serve the ca_increase calls below.
   if (env_ != nullptr) env_->on_cc_input_change();
-  MPS_TRACE_EVENT(sim_, EventType::kPktAck, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kPktAck, config_.conn_id, id_,
                   {"ack", ack.ack_seq}, {"acked", acked_segments},
                   {"srtt_ms", rtt_.srtt().to_millis()}, {"cwnd", cwnd_});
 
   if (in_recovery_) {
     if (ack.ack_seq >= recover_point_) {
       in_recovery_ = false;
-      MPS_TRACE_EVENT(sim_, EventType::kRecoveryExit, config_.conn_id, config_.id,
+      MPS_TRACE_EVENT(sim_, EventType::kRecoveryExit, config_.conn_id, id_,
                       {"ack", ack.ack_seq}, {"ssthresh", ssthresh_});
       set_cwnd(ssthresh_);
     }
@@ -464,7 +466,7 @@ void Subflow::update_loss_marks() {
         seg.lost = true;
         ++lost_not_rtx_;
         newly_lost = true;
-        MPS_TRACE_EVENT(sim_, EventType::kLossMark, config_.conn_id, config_.id,
+        MPS_TRACE_EVENT(sim_, EventType::kLossMark, config_.conn_id, id_,
                         {"seq", seq}, {"rule", "rack"});
       }
       continue;
@@ -472,7 +474,7 @@ void Subflow::update_loss_marks() {
     seg.lost = true;
     ++lost_not_rtx_;
     newly_lost = true;
-    MPS_TRACE_EVENT(sim_, EventType::kLossMark, config_.conn_id, config_.id,
+    MPS_TRACE_EVENT(sim_, EventType::kLossMark, config_.conn_id, id_,
                     {"seq", seq}, {"rule", "fack"});
   }
   if (newly_lost && !in_recovery_) enter_fast_recovery();
@@ -510,7 +512,7 @@ void Subflow::enter_fast_recovery() {
     MPS_PROF_SCOPE(kCcUpdate);
     cc().on_loss_event(make_ctx());
   }
-  MPS_TRACE_EVENT(sim_, EventType::kFastRecovery, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kFastRecovery, config_.conn_id, id_,
                   {"cwnd", cwnd_}, {"recover_point", recover_point_});
   ssthresh_ = std::max(cwnd_ * cc().loss_factor(), config_.min_cwnd);
   set_cwnd(ssthresh_);
@@ -539,7 +541,7 @@ void Subflow::pump_retransmissions() {
 void Subflow::retransmit(std::uint64_t seq, SentSeg& seg) {
   Packet pkt;
   pkt.conn_id = config_.conn_id;
-  pkt.subflow_id = config_.id;
+  pkt.subflow_id = id_;
   pkt.subflow_seq = seq;
   pkt.data_seq = seg.data_seq;
   pkt.payload = seg.payload;
@@ -556,7 +558,7 @@ void Subflow::retransmit(std::uint64_t seq, SentSeg& seg) {
   last_send_time_ = sim_.now();
   ++stats_.retransmits;
   obs_->retransmits.inc();
-  MPS_TRACE_EVENT(sim_, EventType::kPktRetransmit, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kPktRetransmit, config_.conn_id, id_,
                   {"seq", seq}, {"dseq", seg.data_seq}, {"len", seg.payload});
   arm_rto();
 }
@@ -571,7 +573,7 @@ void Subflow::on_rto_fire() {
   ++stats_.rto_events;
   ++stats_.iw_resets;  // back into slow start from a minimal window
   obs_->rtos.inc();
-  MPS_TRACE_EVENT(sim_, EventType::kRtoFire, config_.conn_id, config_.id,
+  MPS_TRACE_EVENT(sim_, EventType::kRtoFire, config_.conn_id, id_,
                   {"backoff", rto_backoff_}, {"cwnd", cwnd_},
                   {"inflight", static_cast<std::uint64_t>(inflight_.size())});
   {

@@ -52,8 +52,10 @@ class SubflowEnv {
   virtual void on_cc_input_change() {}
 };
 
+// Constants every subflow of one connection shares. The connection holds
+// the one copy and its subflows read it by reference (so it must outlive
+// them); a subflow's own identity is its id alone.
 struct SubflowConfig {
-  std::uint32_t id = 0;
   std::uint32_t conn_id = 0;
   std::uint32_t mss = kDefaultMss;
   double initial_cwnd = 10.0;  // RFC 6928
@@ -69,9 +71,6 @@ struct SubflowConfig {
   // the 0.3 Mbps WiFi subflow. This committed backlog is what makes default
   // scheduling so costly on slow paths, and what ECF's waiting avoids.
   std::uint64_t staging_limit_bytes = 64 * 1024;
-  // Secondary subflows join via MP_JOIN one handshake after the connection
-  // starts; primary subflows have zero delay.
-  Duration join_delay = Duration::zero();
   RttConfig rtt;
 };
 
@@ -125,6 +124,11 @@ struct StagedSeg {
   bool reinjection = false;
 };
 static_assert(sizeof(StagedSeg) == 16);
+// Ring headers are a buffer pointer plus 32-bit index fields (util/ring.h):
+// a flow holds two scoreboards, two staging rings and two receive windows.
+static_assert(sizeof(SeqRing<SentSeg>) == 24);
+static_assert(sizeof(RingDeque<StagedSeg>) == 24);
+static_assert(sizeof(SeqWindow<SentSeg>) == 32);
 // Each subflow owns two timers (RTO and RACK).
 static_assert(sizeof(Timer) <= 24);
 
@@ -132,15 +136,21 @@ static_assert(sizeof(Timer) <= 24);
 // global heap (traffic/arena.h).
 class Subflow final : public ArenaAllocated<Subflow> {
  public:
-  // The congestion controller `cc` is built inline in the subflow.
-  Subflow(Simulator& sim, SubflowConfig config, Path& path, CcKind cc, SubflowEnv* env);
+  // The congestion controller `cc` is built inline in the subflow. `config`
+  // is the owning connection's shared copy and must outlive the subflow;
+  // the subflow is established `join_delay` after construction (secondary
+  // subflows join via MP_JOIN one handshake after the connection starts).
+  Subflow(Simulator& sim, const SubflowConfig& config, std::uint32_t id, Path& path, CcKind cc,
+          SubflowEnv* env, Duration join_delay = Duration::zero());
   // Snapshot support (exp/snapshot.h): the twin of `src` in a forked world,
-  // over `path` (the fork's counterpart of src's) and reporting to `env`.
-  // Copies the whole sender state machine — scoreboard, staging queue,
-  // CWND/recovery/RTT/CC state, stats — and adopts src's pending RTO/RACK
-  // timers by EventId; `sim`'s queue must already be structure-cloned from
-  // src's. Publishes nothing to the recorder.
-  Subflow(const Subflow& src, Simulator& sim, Path& path, SubflowEnv* env);
+  // reading `config` (the twin connection's copy), over `path` (the fork's
+  // counterpart of src's) and reporting to `env`. Copies the whole sender
+  // state machine — scoreboard, staging queue, CWND/recovery/RTT/CC state,
+  // stats — and adopts src's pending RTO/RACK timers by EventId; `sim`'s
+  // queue must already be structure-cloned from src's. Publishes nothing to
+  // the recorder.
+  Subflow(const Subflow& src, Simulator& sim, const SubflowConfig& config, Path& path,
+          SubflowEnv* env);
   Subflow(const Subflow&) = delete;
   Subflow& operator=(const Subflow&) = delete;
 
@@ -149,7 +159,7 @@ class Subflow final : public ArenaAllocated<Subflow> {
   void on_ack_packet(const Packet& ack);
 
   // --- scheduler-facing state ---------------------------------------------
-  std::uint32_t id() const { return config_.id; }
+  std::uint32_t id() const { return id_; }
   Path& path() { return path_; }
   const Path& path() const { return path_; }
   bool established() const { return sim_.now() >= established_at_; }
@@ -187,7 +197,7 @@ class Subflow final : public ArenaAllocated<Subflow> {
   // mean deviation (mdev/rttvar); the windowed sample stddev alone reacts
   // too slowly to queue sawtooth, so take the larger of the two.
   Duration rtt_stddev() const { return std::max(rtt_.stddev(), rtt_.rttvar()); }
-  Duration rto() const { return rtt_.rto(); }
+  Duration rto() const { return rtt_.rto(config_.rtt); }
   // Before any sample, fall back to the path's base RTT so schedulers have a
   // usable ordering from the first decision (mirrors the kernel seeding the
   // estimate from the SYN/ACK exchange).
@@ -287,10 +297,10 @@ class Subflow final : public ArenaAllocated<Subflow> {
   }
 
   Simulator& sim_;
-  SubflowConfig config_;
+  const SubflowConfig& config_;  // the owning connection's copy
   Path& path_;
-  CcState cc_;  // inline: one fewer heap block per subflow under churn
   SubflowEnv* env_;
+  CcState cc_;  // inline: one fewer heap block per subflow under churn
 
   RttEstimator rtt_;
   double cwnd_;
@@ -305,8 +315,6 @@ class Subflow final : public ArenaAllocated<Subflow> {
   RingDeque<StagedSeg> staged_;
   std::uint64_t staged_bytes_ = 0;
 
-  std::uint32_t dupacks_ = 0;
-  bool in_recovery_ = false;
   std::uint64_t recover_point_ = 0;  // recovery ends when ack_seq reaches it
   std::uint64_t sack_high_ = 0;      // highest sack_high seen from the peer
   std::size_t lost_not_rtx_ = 0;     // deemed lost, not yet retransmitted
@@ -314,7 +322,6 @@ class Subflow final : public ArenaAllocated<Subflow> {
 
   Timer rto_timer_;
   Timer rack_timer_;
-  int rto_backoff_ = 0;
   // Send timestamp of the newest transmission whose delivery the peer has
   // confirmed (cumulative or SACK). RACK-style lost-retransmission detection
   // requires this to pass the retransmission's own send time — evidence the
@@ -323,8 +330,6 @@ class Subflow final : public ArenaAllocated<Subflow> {
   TimePoint rack_delivered_ts_ = TimePoint::origin();
 
   TimePoint established_at_;
-  bool draining_ = false;
-  bool cwnd_full_at_send_ = false;  // Linux tcp_is_cwnd_limited analogue
   TimePoint last_send_time_ = TimePoint::never();
   TimePoint last_penalty_ = TimePoint::never();
   double inter_loss_bytes_ = 0.0;  // OLIA's l_r
@@ -336,7 +341,8 @@ class Subflow final : public ArenaAllocated<Subflow> {
   // no recorder attached (see obs/metrics.h naming convention in DESIGN.md).
   // Behind a pointer: the handle block is 80 bytes, and in unrecorded runs
   // (every scale cell, every golden) all subflows share one static detached
-  // block whose handles no-op, so each subflow carries 16 bytes instead.
+  // block whose handles no-op. One pointer, which owns its block unless it
+  // points at that shared one.
   struct Instruments {
     Counter segments_sent, retransmits, fast_recoveries, rtos, idle_resets;
     Counter penalizations, reinjections_carried;
@@ -344,8 +350,20 @@ class Subflow final : public ArenaAllocated<Subflow> {
     Histogram rtt_sample_ms;
   };
   static Instruments& detached_instruments();
-  std::unique_ptr<Instruments> obs_owned_;  // populated only when recording
-  Instruments* obs_ = nullptr;              // obs_owned_ or the shared detached block
+  struct ReleaseInstruments {
+    void operator()(Instruments* p) const {
+      if (p != &detached_instruments()) delete p;
+    }
+  };
+  std::unique_ptr<Instruments, ReleaseInstruments> obs_;
+
+  // The small fields share the tail words.
+  std::uint32_t id_;
+  std::uint32_t dupacks_ = 0;
+  int rto_backoff_ = 0;
+  bool in_recovery_ = false;
+  bool draining_ = false;
+  bool cwnd_full_at_send_ = false;  // Linux tcp_is_cwnd_limited analogue
 };
 
 // Client-side receiver for one subflow: enforces subflow-level in-order

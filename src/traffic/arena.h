@@ -94,6 +94,8 @@ class SlabPool {
   }
 
   std::size_t block_size() const { return block_size_; }
+  // Heap bytes one slab takes (each carve allocates one).
+  std::size_t slab_bytes() const { return block_size_ * blocks_per_slab_; }
 
  private:
   static std::size_t round_up(std::size_t n, std::size_t align) {

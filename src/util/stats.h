@@ -42,6 +42,25 @@ class RunningStats {
   double max_ = 0.0;
 };
 
+// Count and mean of a stream: RunningStats without the variance and the
+// extremes, for the per-subflow lifetime RTT, where only these two are read.
+// The mean update is the same Welford step, so mean() is bitwise equal to a
+// RunningStats fed the same samples.
+class RunningMean {
+ public:
+  void add(double x) {
+    ++n_;
+    mean_ += (x - mean_) / static_cast<double>(n_);
+  }
+
+  std::size_t count() const { return n_; }
+  double mean() const { return n_ ? mean_ : 0.0; }
+
+ private:
+  std::size_t n_ = 0;
+  double mean_ = 0.0;
+};
+
 // Mean / standard deviation over the most recent `capacity` samples
 // (at most kMaxWindow). ECF uses this for sigma_f / sigma_s (RTT variability
 // margin). The buffer is a fixed array held inline, so an RTT estimator
@@ -50,7 +69,8 @@ class WindowedStats {
  public:
   static constexpr std::size_t kMaxWindow = 16;
 
-  explicit WindowedStats(std::size_t capacity = kMaxWindow) : cap_(capacity) {
+  explicit WindowedStats(std::size_t capacity = kMaxWindow)
+      : cap_(static_cast<std::uint8_t>(capacity)) {
     assert(capacity <= kMaxWindow);
   }
 
@@ -63,7 +83,7 @@ class WindowedStats {
       ++size_;
     }
     buf_[head_] = x;
-    head_ = (head_ + 1) % cap_;
+    head_ = static_cast<std::uint8_t>((head_ + 1) % cap_);
     sum_ += x;
     sumsq_ += x * x;
   }
@@ -89,11 +109,12 @@ class WindowedStats {
 
  private:
   std::array<double, kMaxWindow> buf_{};
-  std::size_t cap_;
-  std::size_t size_ = 0;
-  std::size_t head_ = 0;
   double sum_ = 0.0;
   double sumsq_ = 0.0;
+  // All three are <= kMaxWindow, so they pack into the tail word.
+  std::uint8_t cap_;
+  std::uint8_t size_ = 0;
+  std::uint8_t head_ = 0;
 };
 
 // A bag of samples with quantile / CDF / CCDF views. Sorting is deferred and

@@ -1,8 +1,9 @@
-// Heap-allocation budget of a flow's life under churn.
+// Heap-allocation and live-byte budgets of a flow's life under churn.
 //
 // The binary replaces the global operator new with a counting one, so it is
 // built only without MPS_PROF (which owns operator new itself) and without
-// the sanitizers (whose allocators must see every call).
+// the sanitizers (whose allocators must see every call). It also keeps the
+// live heap bytes (malloc_usable_size of every block), always on.
 //
 // A 1k-flow crowd cell (the crowd_10k benchmark shape scaled to 1k flows,
 // seed 1) is run through the traffic engine; every allocation from start()
@@ -11,6 +12,7 @@
 // Connection, its subflows, receivers, scheduler and HttpExchange, growing
 // their queues while it runs, and tearing it all down.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,15 +21,19 @@
 
 #include "exp/download.h"
 #include "mptcp/connection.h"
+#include "app/http.h"
 #include "net/path.h"
 #include "scenario/world.h"
+#include "sched/minrtt.h"
 #include "test_util.h"
+#include "traffic/arena.h"
 #include "traffic/engine.h"
 
 namespace {
 
 bool g_counting = false;
 std::uint64_t g_allocations = 0;
+std::int64_t g_live_bytes = 0;  // heap bytes in live blocks
 
 void* counted(std::size_t n, std::size_t align) {
   if (g_counting) ++g_allocations;
@@ -36,7 +42,14 @@ void* counted(std::size_t n, std::size_t align) {
                 ? std::aligned_alloc(align, (n + align - 1) / align * align)
                 : std::malloc(n);
   if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes += static_cast<std::int64_t>(malloc_usable_size(p));
   return p;
+}
+
+void release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes -= static_cast<std::int64_t>(malloc_usable_size(p));
+  std::free(p);
 }
 
 }  // namespace
@@ -49,14 +62,14 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return counted(n, static_cast<std::size_t>(al));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete[](void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t) noexcept { release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { release(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { release(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { release(p); }
 
 namespace mps {
 namespace {
@@ -79,6 +92,10 @@ ScenarioSpec crowd_cell(std::int64_t flows, std::uint64_t seed) {
   spec.seed = seed;
   return spec;
 }
+
+// Live bytes per started flow at the 1k crowd cell's horizon (see
+// CrowdCellBytesPerFlow).
+constexpr double kCrowdBytesPerFlowBudget = 3400;
 
 TEST(AllocBudget, CrowdCellStaysUnderEightAllocationsPerFlow) {
   const ScenarioSpec spec = crowd_cell(1000, 1);
@@ -104,6 +121,60 @@ TEST(AllocBudget, CrowdCellStaysUnderEightAllocationsPerFlow) {
               static_cast<unsigned long long>(g_allocations), res.started, per_flow);
   RecordProperty("allocations_per_flow", std::to_string(per_flow));
   EXPECT_LE(per_flow, 8.0);
+}
+
+// The slab pools a crowd cell's flows live in ("default" is min-RTT).
+struct PoolBytes {
+  std::int64_t block_bytes = 0;  // outstanding blocks x block size
+  std::int64_t slab_bytes = 0;   // heap bytes of the carved slabs
+};
+
+template <typename... T>
+PoolBytes pool_bytes() {
+  PoolBytes b;
+  for (const SlabPool* pool : {&slab_pool_for<T>()...}) {
+    const SlabPool::Stats s = pool->stats();
+    b.block_bytes += static_cast<std::int64_t>(s.outstanding * pool->block_size());
+    b.slab_bytes += static_cast<std::int64_t>(s.slabs * pool->slab_bytes());
+  }
+  return b;
+}
+
+PoolBytes crowd_pool_bytes() {
+  return pool_bytes<Connection, Subflow, SubflowReceiver, HttpExchange, MinRttScheduler>();
+}
+
+// What a flow keeps resident: the live bytes the 1k-flow crowd cell adds
+// between start() and its horizon, per started flow. Heap bytes count every
+// live block except the slabs, whose pooled objects count at their block
+// size instead (outstanding blocks, not carved capacity: the pools are
+// process-wide and keep their slabs). Most of it is fixed-size object
+// bodies (two subflows, two receivers, the connection and its slot table,
+// the exchange, the scheduler); DESIGN.md §12.4 has the census.
+TEST(AllocBudget, CrowdCellBytesPerFlow) {
+  const ScenarioSpec spec = crowd_cell(1000, 1);
+  WorldBuilder builder(spec);
+  std::unique_ptr<World> world = builder.build();
+  auto engine = std::make_unique<TrafficEngine>(*world, builder.spec());
+  const std::int64_t heap_before = g_live_bytes;
+  const PoolBytes pools_before = crowd_pool_bytes();
+  engine->start();
+  world->sim().run_until(engine->end_time());
+  const PoolBytes pools_after = crowd_pool_bytes();
+  const std::int64_t heap = g_live_bytes - heap_before -
+                            (pools_after.slab_bytes - pools_before.slab_bytes);
+  const std::int64_t pooled = pools_after.block_bytes - pools_before.block_bytes;
+  engine->finish();
+  const TrafficResult res = engine->collect();
+  ASSERT_GT(res.started, 1000u);
+  const double per_flow =
+      static_cast<double>(heap + pooled) / static_cast<double>(res.started);
+  std::printf("alloc_test: %lld heap + %lld pooled bytes live over %zu started flows = %.0f B"
+              " per flow\n",
+              static_cast<long long>(heap), static_cast<long long>(pooled), res.started,
+              per_flow);
+  RecordProperty("bytes_per_flow", std::to_string(per_flow));
+  EXPECT_LE(per_flow, kCrowdBytesPerFlowBudget);
 }
 
 // Once a one-connection download is warm (queues, pools and the event arena

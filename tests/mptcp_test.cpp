@@ -32,13 +32,30 @@ WorldConfig hetero_config() {
 
 // The per-packet hooks left std::function without growing the connection:
 // each is a 32-byte BasicCallback (24 inline bytes), as large as the
-// std::function it replaced, and the connection stays at 872 bytes on
-// x86-64 with libstdc++.
+// std::function it replaced; the connection was 872 bytes then (x86-64,
+// libstdc++; FlowFootprint.PerFlowBodiesStayInBudget holds today's budget).
 TEST(ConnectionTest, PerPacketHooksKeepTheConnectionSize) {
   static_assert(sizeof(Connection::on_deliver) == 32);
   static_assert(sizeof(Connection::on_wire_arrival_hook) == 32);
   std::printf("sizeof(Connection) = %zu\n", sizeof(Connection));
   EXPECT_LE(sizeof(Connection), 872u);
+}
+
+// The fixed-size bodies every crowd flow pays: two subflows and two
+// receivers, the connection, the HTTP exchange and the scheduler (x86-64,
+// libstdc++; DESIGN.md §12.4 has the census). They were 800, 128, 872, 120
+// and 80 bytes before ring headers shrank to 24 bytes, the subflows shared
+// their connection's constants and the flags packed.
+TEST(FlowFootprint, PerFlowBodiesStayInBudget) {
+  std::printf("sizeof: Subflow %zu, SubflowReceiver %zu, Connection %zu, HttpExchange %zu,"
+              " Scheduler %zu\n",
+              sizeof(Subflow), sizeof(SubflowReceiver), sizeof(Connection), sizeof(HttpExchange),
+              sizeof(Scheduler));
+  EXPECT_LE(sizeof(Subflow), 608u);
+  EXPECT_LE(sizeof(SubflowReceiver), 80u);
+  EXPECT_LE(sizeof(Connection), 800u);
+  EXPECT_LE(sizeof(HttpExchange), 96u);
+  EXPECT_LE(sizeof(Scheduler), 56u);
 }
 
 TEST(ConnectionTest, SendLimitedBySndbuf) {

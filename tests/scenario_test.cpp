@@ -436,6 +436,63 @@ TEST(ScenarioSpecTest, TrafficFlowCountsAboveTheBoundAreRejected) {
   }
 }
 
+// The clock counts int64 nanoseconds: a time past it used to overflow the
+// seconds-to-nanoseconds cast (traffic.duration_s = 1e10 ran nothing and
+// exited 0) or schedule into the past (rtt_ms = 1e300 aborted the run).
+// Every time-valued key shares one bound, 1e8 s, and names itself.
+TEST(ScenarioSpecTest, TimeKeysBeyondTheClockAreRejected) {
+  const char* const kTrafficDoc = R"({
+      "paths": [{"profile": "wifi", "rate_mbps": 1,
+                 "variation": {"kind": "schedule", "schedule": [{"at_s": 0, "mbps": 1}]},
+                 "faults": {"outages": [{"at_s": 1, "for_s": 1}], "flap": {},
+                            "reorder": {}}}],
+      "traffic": {"cross": [{"path": 0}]}})";
+  const char* const kPathManagerDoc = R"({
+      "paths": [{"profile": "wifi", "rate_mbps": 1}],
+      "path_manager": {"events": [{"at_s": 1, "action": "remove", "path": 0}]}})";
+  struct Key {
+    const char* doc;
+    const char* path;
+    bool ms;
+  };
+  const Key keys[] = {
+      {kTrafficDoc, "paths[0].rtt_ms", true},
+      {kTrafficDoc, "paths[0].variation.schedule[0].at_s", false},
+      {kTrafficDoc, "paths[0].variation.mean_interval_s", false},
+      {kTrafficDoc, "paths[0].variation.jitter_interval_s", false},
+      {kTrafficDoc, "paths[0].faults.outages[0].at_s", false},
+      {kTrafficDoc, "paths[0].faults.outages[0].for_s", false},
+      {kTrafficDoc, "paths[0].faults.flap.period_s", false},
+      {kTrafficDoc, "paths[0].faults.flap.start_s", false},
+      {kTrafficDoc, "paths[0].faults.reorder.delay_ms", true},
+      {kTrafficDoc, "paths[0].faults.reorder.jitter_ms", true},
+      {kTrafficDoc, "workload.video_s", false},
+      {kTrafficDoc, "traffic.cross[0].start_s", false},
+      {kTrafficDoc, "traffic.duration_s", false},
+      {kPathManagerDoc, "path_manager.tick_ms", true},
+      {kPathManagerDoc, "path_manager.drain_timeout_s", false},
+      {kPathManagerDoc, "path_manager.events[0].at_s", false},
+  };
+  for (const Key& k : keys) {
+    SCOPED_TRACE(k.path);
+    Json doc = Json::parse(k.doc);
+    const double bound = k.ms ? 1e11 : 1e8;
+    set_at_path(doc, k.path, Json::number(bound));
+    EXPECT_NO_THROW((void)scenario_from_json(doc));
+    for (const double v : {bound * 1.5, 1e10 * (k.ms ? 1e3 : 1.0), 1e300}) {
+      set_at_path(doc, k.path, Json::number(v));
+      try {
+        (void)scenario_from_json(doc);
+        ADD_FAILURE() << k.path << " = " << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()), std::string("scenario spec: ") + k.path +
+                                             (k.ms ? ": must be <= 1e11 (ms)"
+                                                   : ": must be <= 1e8 (s)"));
+      }
+    }
+  }
+}
+
 TEST(ScenarioSpecTest, TrafficBlockRoundTripsFieldExact) {
   ScenarioSpec s;
   s.paths = {wifi_path(8.0), lte_path(10.0)};

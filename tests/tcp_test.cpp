@@ -95,9 +95,10 @@ class SubflowHarness {
  public:
   explicit SubflowHarness(PathConfig path_config = wifi_profile(Rate::mbps(10)),
                           SubflowConfig sf_config = {})
-      : path(sim, path_config),
+      : config(sf_config),
+        path(sim, path_config),
         receiver(sim, 0, 0, path, &sink),
-        subflow(sim, sf_config, path, CcKind::kReno, nullptr) {
+        subflow(sim, config, 0, path, CcKind::kReno, nullptr) {
     path.down().set_deliver([this](Packet p) { receiver.on_data_packet(p); });
     path.up().set_deliver([this](Packet p) { subflow.on_ack_packet(p); });
   }
@@ -129,6 +130,7 @@ class SubflowHarness {
 
   Simulator sim;
   FakeSink sink;
+  SubflowConfig config;  // the subflow reads it by reference
   Path path;
   SubflowReceiver receiver;
   Subflow subflow;
@@ -256,11 +258,10 @@ TEST(SubflowTest, PenalizeHalvesCwndOncePerRtt) {
 }
 
 TEST(SubflowTest, JoinDelayGatesEstablishment) {
-  SubflowConfig sc;
-  sc.join_delay = Duration::millis(80);
+  const SubflowConfig sc;
   Simulator sim;
   Path path(sim, lte_profile(Rate::mbps(10)));
-  Subflow sf(sim, sc, path, CcKind::kReno, nullptr);
+  Subflow sf(sim, sc, 0, path, CcKind::kReno, nullptr, Duration::millis(80));
   EXPECT_FALSE(sf.established());
   EXPECT_FALSE(sf.can_send());
   sim.run_until(TimePoint::origin() + Duration::millis(81));
@@ -271,7 +272,8 @@ TEST(SubflowTest, JoinDelayGatesEstablishment) {
 TEST(SubflowTest, RttEstimateFallsBackToPathBase) {
   Simulator sim;
   Path path(sim, lte_profile(Rate::mbps(10)));
-  Subflow sf(sim, SubflowConfig{}, path, CcKind::kReno, nullptr);
+  const SubflowConfig sc;
+  Subflow sf(sim, sc, 0, path, CcKind::kReno, nullptr);
   EXPECT_EQ(sf.rtt_estimate().ns(), path.rtt_base().ns());
 }
 
@@ -330,18 +332,12 @@ struct AssignedSeg {
 
 using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
 
-SubflowConfig config_with_id(std::uint32_t id) {
-  SubflowConfig sc;
-  sc.id = id;
-  return sc;
-}
-
 // One subflow on its own path, recording what reaches the receiver.
 struct StagingLane {
   StagingLane(Simulator& sim, PathConfig path_config, std::uint32_t id)
       : path(sim, path_config),
         receiver(sim, 0, id, path, &sink),
-        subflow(sim, config_with_id(id), path, CcKind::kReno, nullptr) {
+        subflow(sim, config, id, path, CcKind::kReno, nullptr) {
     path.down().set_deliver([this](const Packet& p) {
       if (p.subflow_seq >= delivered.size()) delivered.resize(p.subflow_seq + 1);
       delivered[p.subflow_seq] = {p.data_seq, p.data_seq + p.payload};
@@ -399,6 +395,7 @@ struct StagingLane {
   }
 
   FakeSink sink;
+  const SubflowConfig config;  // the subflow reads it by reference
   Path path;
   SubflowReceiver receiver;
   Subflow subflow;
