@@ -450,8 +450,9 @@ void Subflow::update_loss_marks() {
   // RACK-style rule: a retransmission not SACKed within rack_timeout() of
   // its (re)send was itself lost.
   bool newly_lost = false;
+  const std::uint64_t dupack_threshold = config_.dupack_threshold;
   for (std::uint64_t seq = inflight_.lo(); seq != inflight_.hi(); ++seq) {
-    if (seq + config_.dupack_threshold > sack_high_) break;
+    if (seq + dupack_threshold > sack_high_) break;
     SentSeg& seg = inflight_[seq];
     if (seg.lost || seg.sacked) continue;
     if (seg.retransmitted) {
@@ -485,8 +486,9 @@ void Subflow::arm_rack_timer() {
   // Find the earliest outstanding retransmission below the FACK point; when
   // the ack clock dies (everything in flight), the timer re-detects its loss.
   TimePoint earliest = TimePoint::never();
+  const std::uint64_t dupack_threshold = config_.dupack_threshold;
   for (std::uint64_t seq = inflight_.lo(); seq != inflight_.hi(); ++seq) {
-    if (seq + config_.dupack_threshold > sack_high_) break;
+    if (seq + dupack_threshold > sack_high_) break;
     const SentSeg& seg = inflight_[seq];
     if (seg.lost || seg.sacked || !seg.retransmitted) continue;
     // No delivery evidence since this retransmission -> the RTO owns it; a

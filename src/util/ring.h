@@ -137,8 +137,6 @@ class RingDeque {
     return buf_[(head_ + i) & mask_];
   }
 
-  void clear() { *this = RingDeque(); }
-
  private:
   // mask_ + 1 wraps to 0 before the first allocation.
   std::size_t capacity() const { return static_cast<std::uint32_t>(mask_ + 1); }

@@ -93,10 +93,6 @@ ScenarioSpec crowd_cell(std::int64_t flows, std::uint64_t seed) {
   return spec;
 }
 
-// Live bytes per started flow at the 1k crowd cell's horizon (see
-// CrowdCellBytesPerFlow).
-constexpr double kCrowdBytesPerFlowBudget = 3400;
-
 TEST(AllocBudget, CrowdCellStaysUnderEightAllocationsPerFlow) {
   const ScenarioSpec spec = crowd_cell(1000, 1);
   TrafficResult res;
@@ -174,7 +170,7 @@ TEST(AllocBudget, CrowdCellBytesPerFlow) {
               static_cast<long long>(heap), static_cast<long long>(pooled), res.started,
               per_flow);
   RecordProperty("bytes_per_flow", std::to_string(per_flow));
-  EXPECT_LE(per_flow, kCrowdBytesPerFlowBudget);
+  EXPECT_LE(per_flow, 3400.0);
 }
 
 // Once a one-connection download is warm (queues, pools and the event arena

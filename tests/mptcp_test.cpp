@@ -43,9 +43,7 @@ TEST(ConnectionTest, PerPacketHooksKeepTheConnectionSize) {
 
 // The fixed-size bodies every crowd flow pays: two subflows and two
 // receivers, the connection, the HTTP exchange and the scheduler (x86-64,
-// libstdc++; DESIGN.md §12.4 has the census). They were 800, 128, 872, 120
-// and 80 bytes before ring headers shrank to 24 bytes, the subflows shared
-// their connection's constants and the flags packed.
+// libstdc++; DESIGN.md §12.4 has the census and what each body holds).
 TEST(FlowFootprint, PerFlowBodiesStayInBudget) {
   std::printf("sizeof: Subflow %zu, SubflowReceiver %zu, Connection %zu, HttpExchange %zu,"
               " Scheduler %zu\n",
