@@ -4,25 +4,23 @@
 // link capacity scales with the flow population (so per-flow activity stays
 // constant and event load grows with flows), with Poisson connection churn
 // exercising the arena slabs and exponential flow sizes mixing short
-// completers with long-lived residents. Reported per cell, into
-// BENCH_scale.json (scripts/bench_scale.sh drives the two-build flow):
+// completers with long-lived residents. Reported per cell (stdout, and the
+// JSON report with --out; scripts/bench_ledger.sh drives both builds):
 //
-//  * events, wall_s, events_per_sec — simulator kernel throughput, measured
-//    in the plain Release build.
+//  * events, pkts_delivered, wall_s, events_per_sec, ns_per_pkt — kernel
+//    throughput and wall per delivered packet (the paths' downlink
+//    LinkStats::packets_delivered, counted as perfbench counts it).
 //  * mem_high_water_bytes, bytes_per_flow — resident memory per concurrent
-//    flow, measured in a -DMPS_PROF=ON build via --mem-only, which re-runs
-//    the cells for memory only and merges the numbers into an existing
-//    report (keeping the fast build's events/sec).
+//    flow, in a -DMPS_PROF=ON build only (the accounting would pollute the
+//    timing, so the ledger times the plain Release build).
 //
 // Modes:
-//   bench_scale [--out FILE] [--cells N,N,...]   # timing cells (default)
-//   bench_scale --mem-only IN.json [--out FILE]  # merge memory numbers
+//   bench_scale [--cells N,N,...] [--out FILE]   # timing cells (default)
 //   bench_scale --smoke                          # 1k-flow cell under the
 //                                                # InvariantChecker; exits
 //                                                # nonzero on any violation
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -76,6 +74,7 @@ struct CellResult {
   std::int64_t flows = 0;
   double duration_s = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t pkts_delivered = 0;
   double wall_s = 0.0;
   std::size_t started = 0;
   std::size_t completed = 0;
@@ -93,10 +92,17 @@ CellResult run_cell(std::int64_t flows) {
   const auto t0 = std::chrono::steady_clock::now();
   RunTelemetry telemetry;
   {
-    const TrafficResult res = run_traffic(spec, nullptr, &telemetry);
+    ScenarioRunOptions opts;
+    opts.telemetry = &telemetry;
+    TrafficRun run(spec, opts);
+    run.start();
+    const TrafficResult res = run.finish();
     r.started = res.started;
     r.completed = res.completed;
     r.goodput_mbps = res.aggregate_goodput_mbps;
+    for (std::size_t i = 0; i < run.world().path_count(); ++i) {
+      r.pkts_delivered += run.world().path(i).down().stats().packets_delivered;
+    }
   }
   const auto t1 = std::chrono::steady_clock::now();
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
@@ -105,14 +111,20 @@ CellResult run_cell(std::int64_t flows) {
   return r;
 }
 
+double ns_per_pkt(const CellResult& r) {
+  return r.pkts_delivered > 0 ? r.wall_s * 1e9 / static_cast<double>(r.pkts_delivered) : 0.0;
+}
+
 Json cell_to_json(const CellResult& r) {
   Json j = Json::object();
   j.set("flows", Json::number(r.flows));
   j.set("duration_s", Json::number(r.duration_s));
   j.set("events", Json::number(static_cast<std::int64_t>(r.events)));
+  j.set("pkts_delivered", Json::number(static_cast<std::int64_t>(r.pkts_delivered)));
   j.set("wall_s", Json::number(r.wall_s));
   j.set("events_per_sec",
         Json::number(r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0));
+  j.set("ns_per_pkt", Json::number(ns_per_pkt(r)));
   j.set("started", Json::number(static_cast<std::int64_t>(r.started)));
   j.set("completed", Json::number(static_cast<std::int64_t>(r.completed)));
   j.set("goodput_mbps", Json::number(r.goodput_mbps));
@@ -124,17 +136,6 @@ Json cell_to_json(const CellResult& r) {
   return j;
 }
 
-int write_doc(const Json& doc, const std::string& path) {
-  std::ofstream out(path);
-  out << doc.dump(2) << "\n";
-  if (!out) {
-    std::fprintf(stderr, "bench_scale: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("bench_scale: wrote %s\n", path.c_str());
-  return 0;
-}
-
 int run_timing(const std::vector<std::int64_t>& cells, const std::string& out_path) {
   Json doc = Json::object();
   doc.set("bench", Json::string("bench_scale"));
@@ -143,57 +144,21 @@ int run_timing(const std::vector<std::int64_t>& cells, const std::string& out_pa
     std::printf("bench_scale: %lld flows...\n", static_cast<long long>(flows));
     std::fflush(stdout);
     const CellResult r = run_cell(flows);
-    std::printf("  events=%llu wall=%.2fs events/sec=%.3g started=%zu completed=%zu\n",
-                static_cast<unsigned long long>(r.events), r.wall_s,
-                r.wall_s > 0 ? static_cast<double>(r.events) / r.wall_s : 0.0, r.started,
-                r.completed);
+    std::printf("  events=%llu pkts=%llu wall=%.2fs ns/pkt=%.0f started=%zu completed=%zu\n",
+                static_cast<unsigned long long>(r.events),
+                static_cast<unsigned long long>(r.pkts_delivered), r.wall_s, ns_per_pkt(r),
+                r.started, r.completed);
     arr.push_back(cell_to_json(r));
   }
   doc.set("cells", std::move(arr));
-  return write_doc(doc, out_path);
-}
-
-// Re-runs the cells listed in `in_path` for their memory numbers only and
-// merges them into that report, preserving the timing fields.
-int run_mem_merge(const std::string& in_path, const std::string& out_path) {
-  if (!prof::compiled()) {
-    std::fprintf(stderr,
-                 "bench_scale: --mem-only requires a -DMPS_PROF=ON build "
-                 "(memory accounting is compiled out)\n");
+  if (out_path.empty()) return 0;
+  std::ofstream out(out_path);
+  out << doc.dump(2) << "\n";
+  if (!out) {
+    std::fprintf(stderr, "bench_scale: cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::ifstream in(in_path);
-  if (!in) {
-    std::fprintf(stderr, "bench_scale: cannot read %s\n", in_path.c_str());
-    return 1;
-  }
-  std::stringstream buf;
-  buf << in.rdbuf();
-  Json doc = Json::parse(buf.str());
-  for (Json& cell : (*doc.find("cells")).items()) {
-    const std::int64_t flows = cell.find("flows")->as_int();
-    std::printf("bench_scale: %lld flows (memory)...\n", static_cast<long long>(flows));
-    std::fflush(stdout);
-    const CellResult r = run_cell(flows);
-    cell.set("mem_high_water_bytes",
-             Json::number(static_cast<std::int64_t>(r.mem_high_water)));
-    cell.set("bytes_per_flow", Json::number(static_cast<double>(r.mem_high_water) /
-                                            static_cast<double>(flows)));
-    std::printf("  high_water=%llu bytes/flow=%.0f\n",
-                static_cast<unsigned long long>(r.mem_high_water),
-                static_cast<double>(r.mem_high_water) / static_cast<double>(flows));
-    const prof::Snapshot snap = prof::snapshot();
-    for (std::size_t s = 0; s < prof::kMemSubsysCount; ++s) {
-      const prof::MemStats& m = snap.memory[s];
-      if (m.high_water_bytes == 0) continue;
-      std::printf("    %-8s high_water=%llu live=%llu allocs=%llu\n",
-                  prof::mem_subsys_name(static_cast<prof::MemSubsys>(s)),
-                  static_cast<unsigned long long>(m.high_water_bytes),
-                  static_cast<unsigned long long>(m.live_bytes),
-                  static_cast<unsigned long long>(m.allocs));
-    }
-  }
-  return write_doc(doc, out_path);
+  return 0;
 }
 
 // 1k-flow cell with the flight recorder on and every live connection under
@@ -229,16 +194,13 @@ int run_smoke() {
 }  // namespace mps
 
 int main(int argc, char** argv) {
-  std::string out_path = "BENCH_scale.json";
-  std::string mem_in;
+  std::string out_path;
   bool smoke = false;
   std::vector<std::int64_t> cells = {1'000, 10'000, 100'000};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
-    } else if (arg == "--mem-only" && i + 1 < argc) {
-      mem_in = argv[++i];
     } else if (arg == "--smoke") {
       smoke = true;
     } else if (arg == "--cells" && i + 1 < argc) {
@@ -247,13 +209,10 @@ int main(int argc, char** argv) {
       std::string tok;
       while (std::getline(ss, tok, ',')) cells.push_back(std::stoll(tok));
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--out FILE] [--cells N,N,...] [--mem-only IN.json] [--smoke]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--cells N,N,...] [--out FILE] [--smoke]\n", argv[0]);
       return 1;
     }
   }
   if (smoke) return mps::run_smoke();
-  if (!mem_in.empty()) return mps::run_mem_merge(mem_in, out_path);
   return mps::run_timing(cells, out_path);
 }

@@ -1025,11 +1025,14 @@ Suite plan_suite(const std::vector<std::string>& names) {
   return suite;
 }
 
-void run_suite(const Suite& suite) {
-  const auto outcomes = sweep_map<ScenarioOutcome>(suite.runs.size(), [&](std::size_t i) {
-    const Cell& cell = suite.cell(suite.runs[i]);
-    return run_scenario(cell.spec, cell.opts);
-  });
+void run_suite(const Suite& suite, SweepTelemetry* telemetry) {
+  const auto outcomes = sweep_map<ScenarioOutcome>(
+      suite.runs.size(),
+      [&](std::size_t i) {
+        const Cell& cell = suite.cell(suite.runs[i]);
+        return run_scenario(cell.spec, cell.opts);
+      },
+      SweepOptions{}, telemetry);
   for (std::size_t p = 0; p < suite.plans.size(); ++p) {
     print_header(std::cout, suite.sections[p]->name, suite.sections[p]->title, scale_note());
     Outcomes outs;

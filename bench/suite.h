@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "exp/scenario_run.h"
+#include "exp/sweep.h"
 
 namespace mps::bench {
 
@@ -65,7 +66,8 @@ struct Suite {
 Suite plan_suite(const std::vector<std::string>& names);
 
 // Runs each distinct cell once over one sweep (MPS_BENCH_JOBS workers), then
-// prints each section's header and renders it, in table order.
-void run_suite(const Suite& suite);
+// prints each section's header and renders it, in table order. `telemetry`
+// (optional) receives the sweep's per-worker accounting.
+void run_suite(const Suite& suite, SweepTelemetry* telemetry = nullptr);
 
 }  // namespace mps::bench

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Scheduler x CC cross-product grid: builds Release (bench-speed preset) and
+# Scheduler x CC cross-product grid: builds Release (release preset) and
 # refreshes BENCH_crossproduct.json at the repo root so PRs can compare
 # per-(scheduler, cc, ratio) completion times and Jain fairness cells
 # against the committed baseline.
@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if cmake --list-presets >/dev/null 2>&1; then
-  cmake --preset bench-speed >/dev/null
+  cmake --preset release >/dev/null
 else
   # CMake without preset support (< 3.21): equivalent manual configure.
   cmake -S . -B build-release -DCMAKE_BUILD_TYPE=Release >/dev/null

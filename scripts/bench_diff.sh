@@ -22,9 +22,9 @@
 # existed runs its per-figure binaries instead (only the named ones, when
 # sections are given), in the order its bench/CMakeLists.txt declares them
 # (the suite's table order), and their stdouts are concatenated.
-# bench_speed, bench_scale and bench_micro_scheduler print timings and are
-# skipped. Exits 1 naming each binary whose output differs (or that fails
-# on either side).
+# bench_scale and bench_micro_scheduler print timings and are skipped.
+# Exits 1 naming each binary whose output differs (or that fails on either
+# side).
 set -euo pipefail
 
 if [[ $# -lt 1 ]]; then

@@ -22,9 +22,9 @@
 #
 # The default suite always includes a profiling smoke: a -DMPS_PROF=ON build
 # runs its profiler unit tests and the full golden corpus (byte-identical
-# with profiling compiled in), mps_run --prof-out must emit a report that
-# mps_report --check accepts, and attaching --prof-out/--progress must not
-# change mps_run's stdout.
+# with profiling compiled in), mps_run --prof-out and paper_suite --prof-out
+# must emit reports that mps_report --check accepts, and attaching
+# --prof-out (and mps_run's --progress) must not change either's stdout.
 #
 # The default suite and the sanitizer suite both end with a bounded
 # invariant-checked stress sweep (tools/mps_stress): every fault profile x
@@ -76,11 +76,13 @@ run_scenarios_smoke() {
       --set workload.video_s=5 --set workload.bytes=65536 --set workload.runs=1
   done
   # A spec that fails validation is bad input: exit 2, not a runtime error.
-  # Both a count past INT_MAX and a time past the clock's range must fail.
+  # A count past INT_MAX, a time past the clock's range and a rate whose
+  # packets would serialize past it must all fail.
   local status
   local edit
   for edit in "scenarios/tab02_rtt_cell.json subflows_per_path=4294967297" \
-      "scenarios/contended_bottleneck.json traffic.duration_s=1e10"; do
+      "scenarios/contended_bottleneck.json traffic.duration_s=1e10" \
+      "scenarios/tab02_rtt_cell.json paths[0].rate_mbps=1e-300"; do
     status=0
     "$build_dir/tools/mps_run" "${edit% *}" --set "${edit#* }" 2>/dev/null || status=$?
     if ((status != 2)); then
@@ -111,27 +113,38 @@ run_fairness_smoke() {
 
 # Profiling smoke: prove the observability layer cannot perturb a run. The
 # -DMPS_PROF=ON build must keep the golden corpus byte-identical, mps_run
-# --prof-out must emit a report mps_report --check accepts, and attaching
-# --prof-out/--progress must leave mps_run's stdout unchanged.
+# --prof-out and paper_suite --prof-out (one small section) must emit
+# reports mps_report --check accepts, and attaching --prof-out (and
+# mps_run's --progress) must leave each one's stdout unchanged.
 run_prof_smoke() {
   local build_dir="$1"
-  echo "prof smoke ($build_dir): goldens + mps_run --prof-out + mps_report --check"
+  echo "prof smoke ($build_dir): goldens + mps_run/paper_suite --prof-out + mps_report --check"
   cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMPS_PROF=ON >/dev/null
-  cmake --build "$build_dir" -j "$(nproc)" --target prof_test golden_test mps_run mps_report
+  cmake --build "$build_dir" -j "$(nproc)" --target prof_test golden_test mps_run mps_report \
+    paper_suite
   ctest --test-dir "$build_dir" --output-on-failure -R "Prof|ProfileReport|SweepTelemetry|Determinism|GoldenCorpus"
-  local tmp bare observed
+  local tmp name bare observed
+  local -a cmd
   tmp="$(mktemp -d)"
-  bare="$("$build_dir/tools/mps_run" scenarios/contended_bottleneck.json)"
-  observed="$("$build_dir/tools/mps_run" scenarios/contended_bottleneck.json \
-    --prof-out "$tmp/prof.json" --progress=0.001 2>/dev/null)"
-  if [[ "$bare" != "$observed" ]]; then
-    echo "mps_run: --prof-out/--progress changed the run output" >&2
-    diff <(printf '%s\n' "$bare") <(printf '%s\n' "$observed") >&2 || true
-    rm -rf "$tmp"
-    return 1
-  fi
-  "$build_dir/tools/mps_report" "$tmp/prof.json" --check
-  "$build_dir/tools/mps_report" "$tmp/prof.json" >/dev/null
+  for name in mps_run paper_suite; do
+    if [[ "$name" == mps_run ]]; then
+      cmd=("$build_dir/tools/mps_run" scenarios/contended_bottleneck.json)
+      bare="$("${cmd[@]}")"
+      observed="$("${cmd[@]}" --prof-out "$tmp/$name.json" --progress=0.001 2>/dev/null)"
+    else
+      cmd=("$build_dir/bench/paper_suite" bench_tab03_iw_resets)
+      bare="$(MPS_BENCH_SCALE=quick "${cmd[@]}" 2>/dev/null)"
+      observed="$(MPS_BENCH_SCALE=quick "${cmd[@]}" --prof-out "$tmp/$name.json" 2>/dev/null)"
+    fi
+    if [[ "$bare" != "$observed" ]]; then
+      echo "$name: --prof-out changed the run output" >&2
+      diff <(printf '%s\n' "$bare") <(printf '%s\n' "$observed") >&2 || true
+      rm -rf "$tmp"
+      return 1
+    fi
+    "$build_dir/tools/mps_report" "$tmp/$name.json" --check
+    "$build_dir/tools/mps_report" "$tmp/$name.json" >/dev/null
+  done
   rm -rf "$tmp"
 }
 

@@ -9,7 +9,7 @@ void Scheduler::bind(Simulator& sim, std::uint32_t conn_id) {
   sim_ = &sim;
   recorder_ = sim.recorder();
   conn_id_ = static_cast<std::int64_t>(conn_id);
-  explain_ = recorder_ != nullptr || on_decision_ != nullptr;
+  explain_ = recorder_ != nullptr;
 }
 
 MPS_SCHED_COLD void Scheduler::note_pick(std::int64_t subflow) const {
@@ -41,7 +41,6 @@ void Scheduler::note_decision(SchedDecision d) const {
   if (d.kind == SchedDecision::Kind::kPick && d.has_ecf_terms) last_terms_pick_ = d.subflow;
   const TimePoint t = sim_ != nullptr ? sim_->now() : TimePoint::origin();
   if (recorder_ != nullptr) recorder_->record_decision(t, d);
-  if (on_decision_ != nullptr) (*on_decision_)(t, d);
 }
 
 }  // namespace mps

@@ -89,20 +89,13 @@ class Scheduler {
   // Simulator before the connection was built).
   void bind(Simulator& sim, std::uint32_t conn_id);
 
-  // Optional per-decision hook, fired in addition to the flight recorder.
-  using DecisionFn = std::function<void(TimePoint, const SchedDecision&)>;
-  void set_on_decision(DecisionFn fn) {
-    on_decision_ = fn ? std::make_unique<DecisionFn>(std::move(fn)) : nullptr;
-    explain_ = recorder_ != nullptr || on_decision_ != nullptr;
-  }
-
   // Called by Connection right after a successful pick() is committed to a
   // segment. Recording picks here — instead of on pick()'s hot return paths —
   // keeps the per-decision cost at zero when nothing is listening (the
   // microbenchmark calls pick() directly and must not regress). Skips the
   // record when the scheduler already logged this pick with its full
   // decision terms (ECF's explain path).
-  // True while a flight recorder or decision hook listens; Connection then
+  // True while a flight recorder listens; Connection then
   // commits one segment per pick so every decision is recorded.
   bool explaining() const { return explain_; }
 
@@ -122,7 +115,7 @@ class Scheduler {
   bool explain_enabled() const { return explain_; }
 
   // Stamps `d` with conn id + sim time and routes it to the recorder's
-  // decision log (aggregates + optional full log + event sink) and the hook.
+  // decision log (aggregates + optional full log + event sink).
   void note_decision(SchedDecision d) const;
 
   // Outlined plain pick/wait records, for the schedulers whose decision
@@ -136,9 +129,6 @@ class Scheduler {
   Simulator* sim_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
   std::int64_t conn_id_ = -1;
-  // Out of line: a std::function is 32 bytes, and almost every scheduler
-  // (one per flow) never has a hook attached.
-  std::unique_ptr<DecisionFn> on_decision_;
   // Subflow of the last terms-bearing pick note_decision recorded, so
   // note_scheduled does not double-count it. -1 when none is pending.
   mutable std::int64_t last_terms_pick_ = -1;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "net/packet.h"
 #include "obs/prof.h"
 #include "sched/registry.h"
 #include "tcp/cc_registry.h"
@@ -76,7 +77,18 @@ constexpr double kMaxTimeS = 1e8;
 constexpr Check kTimeS{[](double v) { return v <= kMaxTimeS; }, "must be <= 1e8 (s)"};
 constexpr Check kTimeMs{[](double v) { return v <= kMaxTimeS * 1e3; }, "must be <= 1e11 (ms)"};
 static_assert(30 * kMaxTimeS + 600 < 9.2e9, "the derived stream cap fits the clock");
+// Every rate-valued key: a full-size packet's serialization time at the
+// slowest rate must fit the same time bound, or a link schedules its
+// transmit-done past the clock's range.
+constexpr double kMinRateMbps = (kDefaultMss + kHeaderBytes) * 8.0 / (kMaxTimeS * 1e6);
+static_assert(kMinRateMbps == 1.1904e-10, "kRateMbps's message names the bound");
+constexpr Check kRateMbps{[](double v) { return v >= kMinRateMbps; },
+                          "must be >= 1.1904e-10 (Mbps)"};
 constexpr Check kNonEmpty{[](const auto& v) { return !v.empty(); }, "required (non-empty)"};
+
+// A check on every element of an array; a failure names the element.
+template <class P>
+struct Each { Check<P> check; };
 
 // A name a registry must know; the registry's own error is the message.
 template <class F>
@@ -94,7 +106,7 @@ struct Required {};   // the key may not be left out
 template <class IO>
 void walk(IO& io, RatePoint& p) {
   io("at_s", p.at_s, kTimeS);
-  io("mbps", p.mbps, kPositive);
+  io("mbps", p.mbps, kPositive, kRateMbps);
 }
 
 template <class IO>
@@ -106,7 +118,8 @@ void walk(IO& io, VariationSpec& v) {
                "required (non-empty) for kind \"schedule\""});
   io.opt("levels_mbps", v.levels_mbps,
          Check{[&v](const auto& l) { return v.kind != VariationKind::kRandom || !l.empty(); },
-               "required (non-empty) for kind \"random\""});
+               "required (non-empty) for kind \"random\""},
+         Each{kRateMbps});
   io("mean_interval_s", v.mean_interval_s, kPositive, kTimeS);
   io("jitter_frac", v.jitter_frac, kFraction);
   io("jitter_interval_s", v.jitter_interval_s, kPositive, kTimeS);
@@ -162,11 +175,11 @@ void walk(IO& io, PathSpec& p) {
   io("profile", p.profile, kProfiles);
   if constexpr (IO::kReads) p = profile_path(p.profile, p.rate_mbps);
   io("name", p.name);
-  io("rate_mbps", p.rate_mbps, Required{}, kPositive);
+  io("rate_mbps", p.rate_mbps, Required{}, kPositive, kRateMbps);
   io("rtt_ms", p.rtt_ms, kPositive, kTimeMs);
   io("queue_packets", p.queue_packets, kPositive);
   io("loss_rate", p.loss_rate, kFraction);
-  io("up_mbps", p.up_mbps, kPositive);
+  io("up_mbps", p.up_mbps, kPositive, kRateMbps);
   io.opt("variation", p.variation);
   io.opt("faults", p.faults,
          Check{[](const FaultSpec& f) { return f.enabled(); },
@@ -397,6 +410,12 @@ class Reader {
   template <class T, class P>
   void apply(const char* key, const T& v, const Check<P>& c) const {
     if (!c.ok(v)) fail(key, c.msg);
+  }
+  template <class P>
+  void apply(const char* key, const std::vector<double>& v, const Each<P>& e) const {
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (!e.check.ok(v[i])) fail(key, e.check.msg, i);
+    }
   }
   template <class F>
   void apply(const char* key, const std::string& v, const Registered<F>& r) const {

@@ -144,7 +144,8 @@ class RingDeque {
   void grow() {
     // First allocation is deliberately tiny: at 100k flows the per-subflow
     // staging queues dominated the "other" memory tag, and most queues never
-    // hold more than a couple of entries (BENCH_scale.json, ROADMAP item 1).
+    // hold more than a couple of entries (bench_scale's bytes per flow,
+    // DESIGN.md §12.6).
     const std::size_t new_cap = capacity() == 0 ? 2 : capacity() * 2;
     assert(new_cap <= std::size_t{1} << 31);
     T* next = ring_detail::allocate<T>(new_cap);

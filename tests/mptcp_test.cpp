@@ -15,6 +15,7 @@
 #include "exp/download.h"
 #include "exp/scenario_run.h"
 #include "exp/streaming.h"
+#include "obs/recorder.h"
 #include "scenario/world.h"
 #include "sched/minrtt.h"
 #include "sched/registry.h"
@@ -401,15 +402,14 @@ RunTrace run_download_spec(const ScenarioSpec& spec, bool stable) {
 }
 
 // One HTTP object of `bytes` over a two-path testbed; `log` attaches a
-// decision hook (every pick recorded).
-RunTrace run_bed(const WorldConfig& tb, std::uint64_t bytes, bool stable, bool log = false) {
+// flight recorder that keeps its decisions (every pick recorded).
+RunTrace run_bed(WorldConfig tb, std::uint64_t bytes, bool stable, bool log = false) {
   RunTrace t;
+  FlightRecorder recorder;
+  recorder.set_keep_decisions(true);
+  if (log) tb.recorder = &recorder;
   World bed(tb);
   auto conn = bed.make_connection(probe_factory(stable, &t.picks));
-  if (log) {
-    conn->scheduler().set_on_decision(
-        [&t](TimePoint, const SchedDecision& d) { t.decisions.push_back(d.subflow); });
-  }
   HttpExchange http(bed.sim(), *conn, bed.request_delay());
   bool done = false;
   http.get(bytes, [&](const ObjectResult& r) {
@@ -420,6 +420,9 @@ RunTrace run_bed(const WorldConfig& tb, std::uint64_t bytes, bool stable, bool l
   EXPECT_TRUE(done);
   t.events = bed.sim().events_processed();
   add_connection(*conn, t);
+  for (const FlightRecorder::TimedDecision& d : recorder.decisions()) {
+    t.decisions.push_back(d.d.subflow);
+  }
   return t;
 }
 

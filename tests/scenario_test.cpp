@@ -493,6 +493,53 @@ TEST(ScenarioSpecTest, TimeKeysBeyondTheClockAreRejected) {
   }
 }
 
+// A rate so low that one full-size packet's serialization time passes the
+// clock used to schedule into the past (rate_mbps = 1e-300 aborted the run).
+// Every rate-valued key shares one floor, derived from the 1e8 s time bound,
+// and names itself; a run at the floor ends capped instead of aborting.
+TEST(ScenarioSpecTest, RateKeysBelowTheClockAreRejected) {
+  const char* const kScheduleDoc = R"({
+      "paths": [{"profile": "wifi", "rate_mbps": 1,
+                 "variation": {"kind": "schedule", "schedule": [{"at_s": 0, "mbps": 1}]}},
+                {"profile": "lte", "rate_mbps": 1}],
+      "workload": {"kind": "stream", "video_s": 5, "runs": 1}})";
+  const char* const kRandomDoc = R"({
+      "paths": [{"profile": "wifi", "rate_mbps": 1,
+                 "variation": {"kind": "random", "levels_mbps": [1, 2]}}]})";
+  struct Key {
+    const char* doc;
+    const char* path;
+  };
+  const Key keys[] = {
+      {kScheduleDoc, "paths[0].rate_mbps"},
+      {kScheduleDoc, "paths[0].up_mbps"},
+      {kScheduleDoc, "paths[0].variation.schedule[0].mbps"},
+      {kRandomDoc, "paths[0].variation.levels_mbps[1]"},
+  };
+  const double floor = 1.1904e-10;
+  for (const Key& k : keys) {
+    SCOPED_TRACE(k.path);
+    Json doc = Json::parse(k.doc);
+    set_at_path(doc, k.path, Json::number(floor));
+    EXPECT_NO_THROW((void)scenario_from_json(doc));
+    for (const double v : {floor * 0.99, 1e-300}) {
+      set_at_path(doc, k.path, Json::number(v));
+      try {
+        (void)scenario_from_json(doc);
+        ADD_FAILURE() << k.path << " = " << v << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()),
+                  std::string("scenario spec: ") + k.path + ": must be >= 1.1904e-10 (Mbps)");
+      }
+    }
+  }
+  Json doc = Json::parse(kScheduleDoc);
+  set_at_path(doc, "paths[0].rate_mbps", Json::number(floor));
+  set_at_path(doc, "paths[0].variation.schedule[0].mbps", Json::number(floor));
+  set_at_path(doc, "paths[1].rate_mbps", Json::number(floor));
+  EXPECT_TRUE(run_scenario(scenario_from_json(doc)).capped());
+}
+
 TEST(ScenarioSpecTest, TrafficBlockRoundTripsFieldExact) {
   ScenarioSpec s;
   s.paths = {wifi_path(8.0), lte_path(10.0)};
