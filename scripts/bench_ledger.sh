@@ -30,7 +30,7 @@ cmake --build build-release -j "$(nproc)" --target paper_suite bench_scale mps_r
 cmake --build build-prof -j "$(nproc)" --target bench_scale
 
 python3 - <<'EOF_PY'
-import glob, json, os, re, shutil, statistics, subprocess, sys, tempfile, time
+import atexit, glob, json, os, re, shutil, statistics, subprocess, sys, tempfile, time
 
 ROUNDS = 5
 SLOW = 1.5
@@ -40,13 +40,13 @@ rel, prof = "build-release", "build-prof"
 env = {k: v for k, v in os.environ.items() if k != "MPS_BENCH_JOBS"}  # nproc workers
 env["MPS_BENCH_SCALE"] = "quick"
 tmp = tempfile.mkdtemp()
+atexit.register(shutil.rmtree, tmp)
 
 def run(*cmd, ok=(0,)):
     start = time.perf_counter()
     p = subprocess.run(cmd, capture_output=True, env=env)
     wall = time.perf_counter() - start
     if p.returncode not in ok:
-        shutil.rmtree(tmp)
         sys.exit(f"bench_ledger: {' '.join(cmd)} exited {p.returncode}\n{p.stderr.decode()}")
     return p, wall
 
@@ -87,12 +87,10 @@ for _ in range(ROUNDS):
         sim_s[spec] = report["sim_s"]
 differ = sorted(k for k, v in seen.items() if len(v) != 1)
 if differ:
-    shutil.rmtree(tmp)
     sys.exit("bench_ledger: not deterministic across rounds: " + ", ".join(differ))
 
 run(f"{prof}/bench/bench_scale", "--cells", ",".join(map(str, CELLS)), "--out", f"{tmp}/mem.json")
 bytes_per_flow = {c["flows"]: c["bytes_per_flow"] for c in load(f"{tmp}/mem.json")["cells"]}
-shutil.rmtree(tmp)
 
 def cache(key):
     with open(f"{rel}/CMakeCache.txt") as f:
@@ -118,7 +116,7 @@ doc = {
     "rounds": ROUNDS,
     "slow_factor": SLOW,
     "suite": {
-        "bench_scale": "quick",
+        "scale": "quick",
         "sections": int(m.group(1)),
         "cells_declared": int(m.group(2)),
         "cells_distinct": int(m.group(3)),
@@ -148,6 +146,7 @@ for c in doc["scale_cells"]:
           f"(q1 {s['q1']:.0f}, q3 {s['q3']:.0f}), {c['bytes_per_flow']:.0f} B/flow")
 for name, p in doc["presets"].items():
     s = p["sim_s_per_wall_s"]
-    print(f"{name:>26}: median {s['median']:.0f} sim-s/wall-s (q1 {s['q1']:.0f}, q3 {s['q3']:.0f})")
+    print(f"{name:>26}: median {s['median']:.0f} sim-s/wall-s "
+          f"(q1 {s['q1']:.0f}, q3 {s['q3']:.0f})")
 EOF_PY
 echo "bench_ledger.sh: BENCH_ledger.json updated"

@@ -95,8 +95,8 @@ class Scheduler {
   // microbenchmark calls pick() directly and must not regress). Skips the
   // record when the scheduler already logged this pick with its full
   // decision terms (ECF's explain path).
-  // True while a flight recorder listens; Connection then
-  // commits one segment per pick so every decision is recorded.
+  // True while a flight recorder listens; Connection then commits one
+  // segment per pick so every decision is recorded.
   bool explaining() const { return explain_; }
 
   void note_scheduled(std::int64_t subflow) const {
